@@ -16,11 +16,9 @@ from .adiabatic_engine import (
     classical_solution,
     constants_map,
     quasi_stationary,
-    r_chain,
     spinor_solution,
     tracked_eigenvector,
     transform_chain,
-    u_chain,
 )
 from .errors import (
     ArcTooLong,

@@ -161,16 +161,6 @@ def transform_chain(theta: float, params: AdiabaticParams) -> TransformChain:
     return TransformChain(u0=u0, u1=u1, u2=u2, r0=r0, r1=r1, r2=r2)
 
 
-def u_chain(theta: float, params: AdiabaticParams) -> TransformChain:
-    """Spinor-representation view of the frame chain (carries both parts)."""
-    return transform_chain(theta, params)
-
-
-def r_chain(theta: float, params: AdiabaticParams) -> TransformChain:
-    """Vector-representation view of the frame chain (carries both parts)."""
-    return transform_chain(theta, params)
-
-
 def _chain_at(profile: FieldProfile, t: float) -> tuple[FieldSample, TransformChain]:
     if not is_in_plane(profile):
         raise DomainError(

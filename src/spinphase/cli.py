@@ -20,7 +20,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .exact_dynamics import (
     IntegratorConfig,
     bloch_series,
     bloch_to_spinor,
+    default_grid,
     extract_total_phase,
     integrate_bloch,
     integrate_schrodinger,
@@ -37,6 +38,7 @@ from .exact_dynamics import (
 )
 from .field_profiles import (
     FieldProfile,
+    _number,
     is_in_plane,
     profile_from_dict,
     profile_to_dict,
@@ -45,6 +47,7 @@ from .field_profiles import (
 from . import field_profiles
 from .adiabatic_engine import tracked_eigenvector
 from .geometric_phases import loop_from_profile
+from .verification import _fmt
 
 OUT_DIR_ENV = "SPINPHASE_OUT_DIR"
 FORMATS = ("csv", "json", "gnuplot")
@@ -53,10 +56,28 @@ _KIND_ALIASES = {
     "polynomial": "polynomial_angle",
     "cone": "cone_3d",
 }
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+# Profile params the factories do not default; given params replace them
+# key by key, except that given coefficients replace the default c0, c1.
+_PROFILE_DEFAULTS = {
+    "constant": {"B0": 1.0},
+    "uniform_rotation": {"B0": 1.0, "omega": 0.1},
+    "polynomial_angle": {"B0": 1.0, "c0": 0.0, "c1": 0.1},
+    "sinusoidal_angle": {"B0": 1.0, "theta0": 0.3, "Omega": 0.05},
+    "cone_3d": {"B0": 1.0, "theta_c": math.pi / 3, "omega_phi": 0.05},
+}
+_REQUIRED, _OPTIONAL = object(), object()
+# Per-command params and their defaults; the flags only ever override these.
+_PARAMS = {
+    "simulate": {"t_start": 0.0, "t_end": _REQUIRED, "grid_n": _OPTIONAL},
+    "phases": {"t_start": 0.0, "t_end": _REQUIRED},
+    "convergence": {"eps_list": [0.16, 0.08, 0.04, 0.02], "theta0": 0.3, "Omega": 1.0,
+                    "B0": 1.0, "horizon": 2.0 * math.pi},
+    "stokes": {"theta0": 0.3, "Omega": 0.05, "B_list": [1.0], "n_nodes": 801},
+    "timescale": {"B": 1.0, "omega": 0.05},
+}
+# lower bounds of the integer counts and of the list lengths
+_MIN_INT = {"grid_n": 2, "n_nodes": 4}
+_MIN_LEN = {"eps_list": 2, "B_list": 1}
 
 
 @dataclass(frozen=True)
@@ -89,30 +110,37 @@ class RunConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
+        """Validate a run description, from a config file or from flags.
+
+        Fills the per-command defaults of ``_PARAMS`` and the profile
+        defaults of ``_PROFILE_DEFAULTS``; any invalid, unknown or
+        non-finite value raises :class:`ConfigError`.
+        """
         try:
             command = d["command"]
         except (KeyError, TypeError):
             raise ConfigError("run config must name a command") from None
-        if command not in ("simulate", "phases", "convergence", "stokes", "timescale"):
+        if not isinstance(command, str) or command not in _PARAMS:
             raise ConfigError(f"unknown command {command!r}")
+        unknown = [k for k in d if k not in [f.name for f in fields(RunConfig)]]
+        if unknown:
+            raise ConfigError(f"unknown run config key {unknown[0]!r}")
         integ = d.get("integrator", {})
-        integrator = IntegratorConfig(
-            rel_tol=float(integ.get("rel_tol", 1e-10)),
-            abs_tol=float(integ.get("abs_tol", 1e-12)),
-            max_step=float(integ.get("max_step", math.inf)),
-        )
-        formats = tuple(d.get("formats", ("csv", "json")))
+        if not isinstance(integ, dict) or not set(integ) <= {"rel_tol", "abs_tol", "max_step"}:
+            raise ConfigError(f"integrator takes rel_tol, abs_tol, max_step; got {integ!r}")
+        formats = d.get("formats", ["csv", "json"])
+        if not isinstance(formats, (list, tuple)):
+            raise ConfigError(f"formats must be a list, got {formats!r}")
         for f in formats:
             if f not in FORMATS:
                 raise ConfigError(f"unknown output format {f!r}")
-        profile = profile_from_dict(d["profile"]) if "profile" in d else None
         return RunConfig(
             command=command,
-            profile=profile,
-            integrator=integrator,
+            profile=_profile(command, d.get("profile")),
+            integrator=IntegratorConfig(**{k: _number(k, v) for k, v in integ.items()}),
             output_dir=str(d.get("output_dir", _default_out_dir())),
-            formats=formats,
-            params=dict(d.get("params", {})),
+            formats=tuple(formats),
+            params=_params(command, d.get("params", {})),
         )
 
 
@@ -120,32 +148,132 @@ def _default_out_dir() -> str:
     return os.environ.get(OUT_DIR_ENV, ".")
 
 
+def _profile(command: str, d) -> FieldProfile | None:
+    if d is None and command not in ("simulate", "phases"):
+        return None
+    d = {} if d is None else d
+    if not isinstance(d, dict) or not isinstance(d.get("params", {}), dict):
+        raise ConfigError(f"profile must be an object with a params object, got {d!r}")
+    kind = str(d.get("kind", "uniform_rotation"))
+    kind = _KIND_ALIASES.get(kind, kind)
+    if command not in ("simulate", "phases"):
+        if command == "convergence" and kind == "sinusoidal_angle" and list(d) == ["kind"]:
+            return None  # the sweep builds its own sinusoidal family
+        what = "sweeps sinusoidal profiles only" if command == "convergence" else "has no profile"
+        raise ConfigError(f"{command} {what}; got profile {d!r}")
+    params = d.get("params", {})
+    defaults = _PROFILE_DEFAULTS.get(kind, {})
+    if kind == "polynomial_angle" and any(k != "B0" for k in params):
+        defaults = {"B0": defaults["B0"]}
+    return profile_from_dict({**d, "kind": kind, "params": {**defaults, **params}})
+
+
+def _params(command: str, given) -> dict:
+    if not isinstance(given, dict):
+        raise ConfigError(f"params must be an object, got {given!r}")
+    table = _PARAMS[command]
+    unknown = [k for k in given if k not in table]
+    if unknown:
+        raise ConfigError(f"{command} takes no param {unknown[0]!r}")
+    params = {}
+    for name, default in table.items():
+        value = given.get(name, default)
+        if value is _REQUIRED:
+            raise ConfigError(f"{command} requires {name}")
+        if value is _OPTIONAL:
+            continue
+        if name in _MIN_INT:
+            if isinstance(value, bool) or not isinstance(value, int) or value < _MIN_INT[name]:
+                raise ConfigError(f"{name} must be an integer >= {_MIN_INT[name]}, got {value!r}")
+        elif name in _MIN_LEN:
+            if not isinstance(value, list) or len(value) < _MIN_LEN[name]:
+                raise ConfigError(f"{name} needs at least {_MIN_LEN[name]} values, got {value!r}")
+            value = [_finite(name, v) for v in value]
+        else:
+            value = _finite(name, value)
+        params[name] = value
+    # each run integrates or samples over a span that must not be empty
+    if ("t_end" in params and params["t_end"] == params["t_start"]
+            or params.get("horizon") == 0.0 or command == "stokes" and params["Omega"] == 0.0):
+        raise ConfigError(f"{command} needs a non-empty time span")
+    return params
+
+
+def _finite(name: str, value) -> float:
+    x = _number(name, value)
+    if not math.isfinite(x):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return x
+
+
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(sub: argparse.ArgumentParser):
-    sub.add_argument("--config", help="JSON run configuration file")
-    sub.add_argument("--out", default=None, help="output directory")
-    sub.add_argument(
-        "--formats", default="csv,json", help="comma list from csv,json,gnuplot ('' for none)"
-    )
-    sub.add_argument("--rel-tol", type=float, default=1e-10)
-    sub.add_argument("--abs-tol", type=float, default=1e-12)
-    sub.add_argument("--max-step", type=float, default=math.inf)
+def _floats(text: str) -> list[float]:
+    try:
+        return [float(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from None
 
 
-def _add_profile_flags(sub: argparse.ArgumentParser):
-    sub.add_argument("--profile", default="uniform_rotation", help="field profile kind")
-    sub.add_argument("--B0", type=float, default=1.0)
-    sub.add_argument("--omega", type=float, default=0.1, help="rotation rate (uniform_rotation)")
-    sub.add_argument("--theta0", type=float, default=0.3, help="angle amplitude (sinusoidal)")
-    sub.add_argument("--Omega", type=float, default=0.05, help="angle frequency (sinusoidal)")
-    sub.add_argument("--theta-init", type=float, default=0.0)
-    sub.add_argument("--theta-c", type=float, default=math.pi / 3, help="cone polar angle")
-    sub.add_argument("--omega-phi", type=float, default=0.05, help="cone azimuth rate")
-    sub.add_argument("--coeffs", default="0,0.1", help="polynomial angle coefficients c0,c1,...")
-    sub.add_argument("--epsilon", type=float, default=1.0, help="adiabaticity scale")
+def _coeffs(text: str) -> dict:
+    return {f"c{k}": c for k, c in enumerate(_floats(text))}
+
+
+# (flag, run-config key path, type, help); each flag sets one key of the
+# dict that RunConfig.from_dict reads.
+_COMMON_FLAGS = [
+    ("--config", "config", str, "JSON run configuration file"),
+    ("--out", "output_dir", str, "output directory"),
+    ("--formats", "formats", lambda s: [f for f in s.split(",") if f],
+     "comma list from csv,json,gnuplot ('' for none)"),
+]
+_INTEGRATOR_FLAGS = [
+    ("--rel-tol", "integrator.rel_tol", float, None),
+    ("--abs-tol", "integrator.abs_tol", float, None),
+    ("--max-step", "integrator.max_step", float, None),
+]
+# flags of the commands that build a profile (simulate, phases)
+_PROFILE_RUN_FLAGS = [
+    ("--profile", "profile.kind", str, "field profile kind"),
+    ("--B0", "profile.params.B0", float, None),
+    ("--omega", "profile.params.omega", float, "rotation rate (uniform_rotation)"),
+    ("--theta0", "profile.params.theta0", float, "angle amplitude (sinusoidal), angle (constant)"),
+    ("--Omega", "profile.params.Omega", float, "angle frequency (sinusoidal)"),
+    ("--theta-init", "profile.params.theta_init", float, "initial angle (uniform_rotation)"),
+    ("--theta-c", "profile.params.theta_c", float, "cone polar angle"),
+    ("--omega-phi", "profile.params.omega_phi", float, "cone azimuth rate"),
+    ("--coeffs", "profile.params", _coeffs, "polynomial angle coefficients c0,c1,..."),
+    ("--epsilon", "profile.epsilon", float, "adiabaticity scale"),
+    ("--t-start", "params.t_start", float, None),
+    ("--t-end", "params.t_end", float, None),
+]
+_COMMAND_FLAGS = {
+    "simulate": ("integrate and export one trajectory",
+                 _INTEGRATOR_FLAGS + _PROFILE_RUN_FLAGS
+                 + [("--grid-n", "params.grid_n", int, "output grid size")]),
+    "phases": ("phase budget on the quasi-stationary branch",
+               _INTEGRATOR_FLAGS + _PROFILE_RUN_FLAGS),
+    "convergence": ("truncation-order study", [
+        ("--eps", "params.eps_list", _floats, "comma list of scales"),
+        ("--profile", "profile.kind", str, "sinusoidal only"),
+        ("--theta0", "params.theta0", float, None),
+        ("--Omega", "params.Omega", float, None),
+        ("--B0", "params.B0", float, None),
+        ("--horizon", "params.horizon", float, "fixed eps*t span"),
+    ]),
+    "stokes": ("holonomy identity table", [
+        ("--theta0", "params.theta0", float, None),
+        ("--Omega", "params.Omega", float, None),
+        ("--B", "params.B_list", _floats, "comma list of field strengths"),
+        ("--n-nodes", "params.n_nodes", int, None),
+    ]),
+    "timescale": ("second-order phase breakdown time", [
+        ("--B", "params.B", float, None),
+        ("--omega", "params.omega", float, None),
+    ]),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -155,139 +283,57 @@ def _build_parser() -> argparse.ArgumentParser:
         "solutions, phase corrections, and verification runs.",
     )
     subs = p.add_subparsers(dest="command", required=True)
-
-    sim = subs.add_parser("simulate", help="integrate and export one trajectory")
-    _add_common(sim)
-    _add_profile_flags(sim)
-    sim.add_argument("--t-start", type=float, default=0.0)
-    sim.add_argument("--t-end", type=float, default=None)
-    sim.add_argument("--grid-n", type=int, default=None, help="output grid size")
-
-    ph = subs.add_parser("phases", help="phase budget on the quasi-stationary branch")
-    _add_common(ph)
-    _add_profile_flags(ph)
-    ph.add_argument("--t-start", type=float, default=0.0)
-    ph.add_argument("--t-end", type=float, default=None)
-
-    cv = subs.add_parser("convergence", help="truncation-order study")
-    _add_common(cv)
-    cv.add_argument("--eps", default="0.16,0.08,0.04,0.02", help="comma list of scales")
-    cv.add_argument("--profile", default="sinusoidal")
-    cv.add_argument("--theta0", type=float, default=0.3)
-    cv.add_argument("--Omega", type=float, default=1.0)
-    cv.add_argument("--B0", type=float, default=1.0)
-    cv.add_argument("--horizon", type=float, default=2.0 * math.pi, help="fixed eps*t span")
-
-    st = subs.add_parser("stokes", help="holonomy identity table")
-    _add_common(st)
-    st.add_argument("--theta0", type=float, default=0.3)
-    st.add_argument("--Omega", type=float, default=0.05)
-    st.add_argument("--B", default="1.0", help="comma list of field strengths")
-    st.add_argument("--n-nodes", type=int, default=801)
-
-    ts = subs.add_parser("timescale", help="second-order phase breakdown time")
-    _add_common(ts)
-    ts.add_argument("--B", type=float, default=1.0)
-    ts.add_argument("--omega", type=float, default=0.05)
+    for command, (help_text, flags) in _COMMAND_FLAGS.items():
+        # only the flags actually given reach the namespace
+        sub = subs.add_parser(command, help=help_text, argument_default=argparse.SUPPRESS)
+        for flag, dest, type_, help_ in _COMMON_FLAGS + flags:
+            sub.add_argument(flag, dest=dest, metavar=dest, type=type_, help=help_)
     return p
 
 
-def _profile_from_args(args) -> FieldProfile:
-    kind = _KIND_ALIASES.get(args.profile, args.profile)
-    eps = getattr(args, "epsilon", 1.0)
-    if kind == "constant":
-        return field_profiles.constant(args.B0, theta0=args.theta_init, epsilon=eps)
-    if kind == "uniform_rotation":
-        return field_profiles.uniform_rotation(
-            args.B0, args.omega, theta_init=args.theta_init, epsilon=eps
-        )
-    if kind == "sinusoidal_angle":
-        return field_profiles.sinusoidal_angle(
-            args.B0, theta0=args.theta0, Omega=args.Omega, epsilon=eps
-        )
-    if kind == "polynomial_angle":
-        coeffs = _float_list(args.coeffs, "--coeffs")
-        return field_profiles.polynomial_angle(args.B0, coeffs, epsilon=eps)
-    if kind == "cone_3d":
-        return field_profiles.cone_3d(
-            args.B0, theta_c=args.theta_c, omega_phi=args.omega_phi, epsilon=eps
-        )
-    raise ConfigError(f"unknown profile kind {args.profile!r}")
-
-
-def _float_list(text: str, flag: str) -> list[float]:
-    try:
-        return [float(x) for x in text.split(",") if x.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"{flag} expects comma-separated numbers, got {text!r}") from exc
-
-
 def parse_cli(argv) -> RunConfig:
-    """Turn an argv list into a validated RunConfig (usage errors exit 2)."""
-    args = _build_parser().parse_args(argv)
-    if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                d = json.load(fh)
-        except OSError as exc:
-            raise IoError(f"cannot read config {args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON in {args.config}: {exc}") from exc
-        d.setdefault("command", args.command)
-        if d["command"] != args.command:
-            raise ConfigError(
-                f"config file is for {d['command']!r} but {args.command!r} was invoked"
-            )
-        return RunConfig.from_dict(d)
+    """Turn an argv list into a validated RunConfig (usage errors exit 2).
 
-    integrator = IntegratorConfig(
-        rel_tol=args.rel_tol, abs_tol=args.abs_tol, max_step=args.max_step
-    )
-    formats = tuple(f for f in args.formats.split(",") if f)
-    for f in formats:
-        if f not in FORMATS:
-            raise ConfigError(f"unknown output format {f!r}")
-    out_dir = args.out if args.out is not None else _default_out_dir()
+    The given flags become the keys of a run-config dict, so flags and a
+    ``--config`` file both go through :meth:`RunConfig.from_dict`.  Next to
+    ``--config`` only ``--out`` and ``--formats`` may be given; they
+    override the file.
+    """
+    given = vars(_build_parser().parse_args(argv))
+    command = given.pop("command")
+    config = given.pop("config", None)
+    d = {"command": command}
+    if config is not None:
+        extra = [flag for flag, dest, *_ in _COMMAND_FLAGS[command][1] if dest in given]
+        if extra:
+            raise ConfigError(f"{extra[0]} cannot be combined with --config")
+        d = _read_config(config, command)
+    for dest, value in given.items():
+        *path, key = dest.split(".")
+        node = d
+        for part in path:
+            node = node.setdefault(part, {})
+        if isinstance(value, dict):  # --coeffs adds c0, c1, ... to the profile params
+            node.setdefault(key, {}).update(value)
+        else:
+            node[key] = value
+    return RunConfig.from_dict(d)
 
-    params: dict = {}
-    profile = None
-    if args.command in ("simulate", "phases"):
-        if args.t_end is None:
-            raise ConfigError(f"{args.command} requires --t-end")
-        profile = _profile_from_args(args)
-        params = {"t_start": args.t_start, "t_end": args.t_end}
-        if args.command == "simulate" and args.grid_n is not None:
-            if args.grid_n < 2:
-                raise ConfigError("--grid-n must be at least 2")
-            params["grid_n"] = args.grid_n
-    elif args.command == "convergence":
-        eps = _float_list(args.eps, "--eps")
-        if len(eps) < 2:
-            raise ConfigError("--eps needs at least two values")
-        params = {
-            "eps_list": eps,
-            "theta0": args.theta0,
-            "Omega": args.Omega,
-            "B0": args.B0,
-            "horizon": args.horizon,
-        }
-    elif args.command == "stokes":
-        params = {
-            "theta0": args.theta0,
-            "Omega": args.Omega,
-            "B_list": _float_list(args.B, "--B"),
-            "n_nodes": args.n_nodes,
-        }
-    elif args.command == "timescale":
-        params = {"B": args.B, "omega": args.omega}
-    return RunConfig(
-        command=args.command,
-        profile=profile,
-        integrator=integrator,
-        output_dir=out_dir,
-        formats=formats,
-        params=params,
-    )
+
+def _read_config(path: str, command: str) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            d = json.load(fh)
+    except OSError as exc:
+        raise IoError(f"cannot read config {path}: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+    if not isinstance(d, dict):
+        raise ConfigError(f"config {path} must hold a JSON object")
+    d.setdefault("command", command)
+    if d["command"] != command:
+        raise ConfigError(f"config file is for {d['command']!r} but {command!r} was invoked")
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -295,20 +341,13 @@ def parse_cli(argv) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(rc: RunConfig) -> dict:
-    from .exact_dynamics import default_grid
-
     profile = rc.profile
-    t_span = (float(rc.params["t_start"]), float(rc.params["t_end"]))
+    t_span = (rc.params["t_start"], rc.params["t_end"])
     if "grid_n" in rc.params:
-        grid = np.linspace(t_span[0], t_span[1], int(rc.params["grid_n"]))
+        grid = np.linspace(t_span[0], t_span[1], rc.params["grid_n"])
     else:
         grid = default_grid(profile, t_span)
-    cfg = IntegratorConfig(
-        rel_tol=rc.integrator.rel_tol,
-        abs_tol=rc.integrator.abs_tol,
-        max_step=rc.integrator.max_step,
-        dense_output_grid=grid,
-    )
+    cfg = replace(rc.integrator, dense_output_grid=grid)
     in_plane = is_in_plane(profile)
     if in_plane:
         psi0 = tracked_eigenvector(profile, t_span[0])
@@ -376,7 +415,7 @@ def _cmd_simulate(rc: RunConfig) -> dict:
 
 
 def _cmd_phases(rc: RunConfig) -> dict:
-    t_span = (float(rc.params["t_start"]), float(rc.params["t_end"]))
+    t_span = (rc.params["t_start"], rc.params["t_end"])
     budget = verification.run_phase_budget(rc.profile, t_span, rc.integrator)
     payload = budget.as_dict()
     payload["metadata"] = budget.metadata
@@ -390,12 +429,8 @@ def _cmd_phases(rc: RunConfig) -> dict:
 
 def _cmd_convergence(rc: RunConfig) -> dict:
     p = rc.params
-    family = verification.sinusoidal_family(
-        theta0=float(p["theta0"]), Omega=float(p["Omega"]), B0=float(p["B0"])
-    )
-    report = verification.run_convergence(
-        family, [float(e) for e in p["eps_list"]], float(p["horizon"])
-    )
+    family = verification.sinusoidal_family(theta0=p["theta0"], Omega=p["Omega"], B0=p["B0"])
+    report = verification.run_convergence(family, p["eps_list"], p["horizon"])
     lines = [
         f"order-{k} slope = {s:.4f} (stderr {se:.4f})"
         for k, (s, se) in enumerate(report.slopes)
@@ -416,16 +451,14 @@ def _cmd_convergence(rc: RunConfig) -> dict:
 
 def _cmd_stokes(rc: RunConfig) -> dict:
     p = rc.params
-    profile = field_profiles.sinusoidal_angle(
-        B0=float(p["B_list"][0]), theta0=float(p["theta0"]), Omega=float(p["Omega"])
-    )
-    period = 2.0 * math.pi / float(p["Omega"])
-    n = int(p["n_nodes"])
+    profile = field_profiles.sinusoidal_angle(p["B_list"][0], p["theta0"], p["Omega"])
+    period = 2.0 * math.pi / p["Omega"]
+    n = p["n_nodes"]
     loops = [
         ("ellipse_forward", loop_from_profile(profile, (0.0, period), n)),
         ("ellipse_reversed", loop_from_profile(profile, (0.0, period), n, reverse=True)),
     ]
-    rows = verification.run_stokes_check(loops, [float(b) for b in p["B_list"]])
+    rows = verification.run_stokes_check(loops, p["B_list"])
     worst = max(r.abs_diff for r in rows)
     return {
         "csv": {"stokes.csv": verification.stokes_csv(rows)},
@@ -442,7 +475,7 @@ def _cmd_stokes(rc: RunConfig) -> dict:
 
 
 def _cmd_timescale(rc: RunConfig) -> dict:
-    demo = verification.run_timescale_demo(float(rc.params["B"]), float(rc.params["omega"]))
+    demo = verification.run_timescale_demo(rc.params["B"], rc.params["omega"])
     return {
         "csv": {},
         "json": {"timescale.json": demo.as_dict()},

@@ -17,7 +17,7 @@ Sz = |up|^2 - |dn|^2, which sends (1, i)/sqrt(2) to (0, 1, 0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -184,22 +184,7 @@ def integrate_schrodinger(
     The returned trajectory records the worst norm drift in its metadata;
     the contract is |norm^2 - 1| <= 10 * rel_tol * span.
     """
-    psi0 = as_spinor(psi0)
-    grid = _grid_for(profile, t_span, cfg)
-
-    def rhs(t, y):
-        return -1j * (hamiltonian_matrix(sample(profile, t)) @ y)
-
-    sol = _run_solver(rhs, psi0.astype(complex), t_span, grid, cfg)
-    states = sol.y.T
-    drift = float(np.max(np.abs(np.sum(np.abs(states) ** 2, axis=1) - 1.0)))
-    return Trajectory(
-        times=sol.t,
-        states=states,
-        kind="spinor",
-        profile=profile,
-        metadata=_meta(cfg, norm_drift=drift),
-    )
+    return _integrate("spinor", profile, as_spinor(psi0), t_span, cfg)
 
 
 def integrate_bloch(
@@ -209,19 +194,25 @@ def integrate_bloch(
     cfg: IntegratorConfig = IntegratorConfig(),
 ) -> Trajectory:
     """Integrate the precession equation dS/dt = B(t) x S over t_span."""
-    S0 = as_bloch(S0)
+    return _integrate("bloch", profile, as_bloch(S0), t_span, cfg)
+
+
+def _rhs(kind: str, profile: FieldProfile):
+    """Right-hand side of i dpsi/dt = H psi ("spinor") or dS/dt = B x S ("bloch")."""
+    if kind == "spinor":
+        return lambda t, y: -1j * (hamiltonian_matrix(sample(profile, t)) @ y)
+    return lambda t, y: np.cross(sample(profile, t).B_vec, y)
+
+
+def _integrate(kind, profile, y0, t_span, cfg):
     grid = _grid_for(profile, t_span, cfg)
-
-    def rhs(t, y):
-        return np.cross(sample(profile, t).B_vec, y)
-
-    sol = _run_solver(rhs, S0, t_span, grid, cfg)
+    sol = _run_solver(_rhs(kind, profile), y0, t_span, grid, cfg)
     states = sol.y.T
-    drift = float(np.max(np.abs(np.sum(states**2, axis=1) - 1.0)))
+    drift = float(np.max(np.abs(np.sum(np.abs(states) ** 2, axis=1) - 1.0)))
     return Trajectory(
         times=sol.t,
         states=states,
-        kind="bloch",
+        kind=kind,
         profile=profile,
         metadata=_meta(cfg, norm_drift=drift),
     )
@@ -288,23 +279,14 @@ def exponential_midpoint_schrodinger(
 def exponential_midpoint_bloch(
     profile: FieldProfile, S0, t_span: tuple[float, float], n_steps: int
 ) -> Trajectory:
-    """Fixed-step Rodrigues rotation about the midpoint field direction."""
-    t0, t1 = t_span
-    h = (t1 - t0) / n_steps
-    S = as_bloch(S0)
-    times = t0 + h * np.arange(n_steps + 1)
-    states = np.empty((n_steps + 1, 3))
-    states[0] = S
-    for k in range(n_steps):
-        s = sample(profile, t0 + (k + 0.5) * h)
-        B = s.B_mag
-        axis = s.B_vec / B
-        ang = B * h
-        c, si = math.cos(ang), math.sin(ang)
-        S = S * c + np.cross(axis, S) * si + axis * np.dot(axis, S) * (1.0 - c)
-        states[k + 1] = S
-    return Trajectory(times=times, states=states, kind="bloch", profile=profile,
-                      metadata={"method": "exp_midpoint", "n_steps": n_steps})
+    """Fixed-step rotation about the midpoint field direction.
+
+    Steps the spinor of S0 with :func:`exponential_midpoint_schrodinger`
+    and maps its states to mean spins, so both representations share one
+    stepper.
+    """
+    traj = exponential_midpoint_schrodinger(profile, bloch_to_spinor(S0), t_span, n_steps)
+    return replace(traj, states=bloch_series(traj), kind="bloch")
 
 
 # ---------------------------------------------------------------------------
@@ -319,13 +301,7 @@ def residual_defect(traj: Trajectory, profile: FieldProfile, n_probe: int = 16) 
     stored next node from the doubled-step result estimates the local
     defect of the stored solution at grid resolution.
     """
-    if traj.kind == "spinor":
-        def rhs(t, y):
-            return -1j * (hamiltonian_matrix(sample(profile, t)) @ y)
-    else:
-        def rhs(t, y):
-            return np.cross(sample(profile, t).B_vec, y)
-
+    rhs = _rhs(traj.kind, profile)
     idx = np.unique(np.linspace(0, len(traj.times) - 2, n_probe).astype(int))
     worst = 0.0
     for i in idx:
@@ -409,21 +385,10 @@ def schrodinger_phase(
     a step larger than pi/2; the final trajectory and phase series are
     returned together.
     """
-    grid = (
-        np.asarray(cfg.dense_output_grid, dtype=float)
-        if cfg.dense_output_grid is not None
-        else default_grid(profile, t_span)
-    )
+    grid = _grid_for(profile, t_span, cfg)
     factor = 1
     while True:
-        run_cfg = IntegratorConfig(
-            rel_tol=cfg.rel_tol,
-            abs_tol=cfg.abs_tol,
-            max_step=cfg.max_step,
-            dense_output_grid=grid,
-            method=cfg.method,
-        )
-        traj = integrate_schrodinger(profile, psi0, t_span, run_cfg)
+        traj = integrate_schrodinger(profile, psi0, t_span, replace(cfg, dense_output_grid=grid))
         try:
             return traj, extract_total_phase(traj, reference)
         except BranchJump:

@@ -77,6 +77,9 @@ class FieldProfile:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown profile kind {self.kind!r}")
+        for name, value in {**self.params, "epsilon": self.epsilon}.items():
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if not (self.epsilon > 0):
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
         if not (self.b_min > 0):
@@ -208,6 +211,16 @@ def _require_positive(name, value):
 
 def _coeff_index(key: str) -> int:
     return int(key[1:]) if key.startswith("c") and key[1:].isdigit() else -1
+
+
+def _number(name: str, value) -> float:
+    """``value`` as a float; ConfigError unless it is a real number in float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} is out of float range") from None
 
 
 # ---------------------------------------------------------------------------
@@ -374,28 +387,32 @@ _FACTORIES: dict[str, Callable] = {
 def profile_from_dict(d: Mapping) -> FieldProfile:
     """Build a profile from {"kind", "params", "epsilon", "t_domain"[, "b_min"]}."""
     try:
-        kind = d["kind"]
+        kind = str(d["kind"])
         params = dict(d["params"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"profile config missing field: {exc}") from exc
-    epsilon = float(d.get("epsilon", 1.0))
+    unknown = [k for k in d if k not in ("kind", "params", "epsilon", "t_domain", "b_min")]
+    if unknown:
+        raise ConfigError(f"unknown profile config key {unknown[0]!r}")
+    kw = {"epsilon": _number("epsilon", d.get("epsilon", 1.0))}
     t_domain = d.get("t_domain")
-    kw = {"epsilon": epsilon}
     if t_domain is not None:
-        if len(t_domain) != 2:
+        if not isinstance(t_domain, (list, tuple)) or len(t_domain) != 2:
             raise ConfigError(f"t_domain must be [lo, hi], got {t_domain}")
-        kw["t_domain"] = (float(t_domain[0]), float(t_domain[1]))
+        kw["t_domain"] = tuple(_number("t_domain", t) for t in t_domain)
     if "b_min" in d:
-        kw["b_min"] = float(d["b_min"])
+        kw["b_min"] = _number("b_min", d["b_min"])
     for name, value in params.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"profile param {name!r} must be a number, got {value!r}")
+        _number(f"profile param {name!r}", value)
     if kind == "polynomial_angle":
         try:
             B0 = params.pop("B0")
         except KeyError:
             raise ConfigError("polynomial_angle requires B0") from None
-        coeffs = [params[k] for k in sorted(params, key=_coeff_index) if k.startswith("c")]
+        if sorted(map(_coeff_index, params)) != list(range(len(params))):
+            raise ConfigError(f"polynomial_angle takes B0 and c0, c1, ... with no gap; "
+                              f"got {sorted(params)}")
+        coeffs = [params[k] for k in sorted(params, key=_coeff_index)]
         if not coeffs:
             raise ConfigError("polynomial_angle requires coefficients c0, c1, ...")
         return polynomial_angle(B0, coeffs, **kw)

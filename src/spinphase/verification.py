@@ -10,7 +10,7 @@ frequency corrections are no longer guaranteed small.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -133,11 +133,7 @@ def run_convergence(
         grid = np.linspace(t_span[0], t_span[1], n_nodes)
         qs0 = quasi_stationary(profile, 0.0)
         s0 = qs0.s_total / np.linalg.norm(qs0.s_total)
-        run_cfg = IntegratorConfig(
-            rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol, max_step=cfg.max_step,
-            dense_output_grid=grid, method=cfg.method,
-        )
-        traj = integrate_bloch(profile, s0, t_span, run_cfg)
+        traj = integrate_bloch(profile, s0, t_span, replace(cfg, dense_output_grid=grid))
         worst = [0.0, 0.0, 0.0]
         for t, s_exact in zip(traj.times, traj.states):
             qs = quasi_stationary(profile, float(t))

@@ -164,3 +164,67 @@ def test_convergence_cli_small(tmp_path):
     lines = (tmp_path / "convergence.csv").read_text().splitlines()
     assert lines[0] == "epsilon,err_order0,err_order1,err_order2"
     assert len(lines) == 3
+
+
+# ---------------------------------------------------------------------------
+# One input path: flags and --config files share defaults and checks
+# ---------------------------------------------------------------------------
+
+def _config_file(tmp_path, d):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(d))
+    return str(path)
+
+
+def test_config_without_t_end_exits_3(tmp_path):
+    path = _config_file(tmp_path, {"command": "simulate", "params": {}})
+    assert run_main(["simulate", "--config", path]) == 3
+
+
+def test_config_without_profile_matches_flag_defaults(tmp_path):
+    path = _config_file(tmp_path, {"command": "simulate", "params": {"t_end": 5.0}})
+    rc = parse_cli(["simulate", "--config", path])
+    assert rc.profile.kind == "uniform_rotation"
+    assert rc == parse_cli(["simulate", "--t-end", "5"])
+
+
+def test_partial_stokes_config_gets_defaults(tmp_path):
+    path = _config_file(tmp_path, {"command": "stokes", "params": {"theta0": 0.2}})
+    rc = parse_cli(["stokes", "--config", path])
+    assert rc.params == {"theta0": 0.2, "Omega": 0.05, "B_list": [1.0], "n_nodes": 801}
+    assert rc == parse_cli(["stokes", "--theta0", "0.2"])
+
+
+def test_out_and_formats_flags_override_config(tmp_path):
+    path = _config_file(tmp_path, {"command": "simulate", "output_dir": "from_file",
+                                   "formats": ["csv"], "params": {"t_end": 5.0}})
+    rc = parse_cli(["simulate", "--config", path, "--out", "from_flag", "--formats", "json"])
+    assert rc.output_dir == "from_flag"
+    assert rc.formats == ("json",)
+
+
+def test_other_flag_next_to_config_exits_3(tmp_path, capsys):
+    path = _config_file(tmp_path, {"command": "simulate", "params": {"t_end": 5.0}})
+    assert run_main(["simulate", "--config", path, "--omega", "0.2"]) == 3
+    assert "--omega" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--t-end", "5", "--omega", "nan"],
+    ["simulate", "--t-end", "inf"],
+    ["phases", "--t-end", "5", "--epsilon", "inf"],
+    ["convergence", "--profile", "cone"],
+    ["simulate", "--t-end", "5", "--profile", "cone", "--omega", "0.2"],
+    ["simulate", "--t-end", "5", "--t-start", "5"],
+    ["stokes", "--Omega", "0"],
+])
+def test_invalid_values_exit_3(argv, tmp_path):
+    assert run_main(argv + ["--out", str(tmp_path)]) == 3
+
+
+@pytest.mark.parametrize("command", ["convergence", "stokes", "timescale"])
+def test_integrator_flags_only_where_read(command):
+    for flag in ("--rel-tol", "--abs-tol", "--max-step"):
+        with pytest.raises(SystemExit) as exc:
+            parse_cli([command, flag, "1e-9"])
+        assert exc.value.code == 2

@@ -229,3 +229,15 @@ def test_tabulated_validation():
         user_tabulated([0, 1, 1, 2], [1] * 4, [0] * 4)  # non-monotonic
     with pytest.raises(ConfigError):
         profile_from_dict({"kind": "user_tabulated", "params": {}})
+
+
+def test_json_rejects_unknown_keys_and_coefficient_gaps():
+    with pytest.raises(ConfigError):
+        profile_from_dict({"kind": "constant", "params": {"B0": 1.0}, "epsilom": 2.0})
+    for params in ({"B0": 1.0, "c0": 0.0, "c2": 0.1}, {"B0": 1.0, "c0": 0.0, "x": 0.1}):
+        with pytest.raises(ConfigError):
+            profile_from_dict({"kind": "polynomial_angle", "params": params})
+    with pytest.raises(ConfigError):
+        uniform_rotation(1.0, float("nan"))
+    with pytest.raises(ConfigError):
+        uniform_rotation(1.0, 0.1, epsilon=float("inf"))
