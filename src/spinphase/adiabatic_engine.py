@@ -43,16 +43,18 @@ PERTURBATIVE_LIMIT = 0.5
 class AdiabaticParams:
     """Dimensionless slowness parameters and effective precession frequency."""
 
-    delta: float
-    gamma: float
-    b_eff: float
+    delta: float | np.ndarray
+    gamma: float | np.ndarray
+    b_eff: float | np.ndarray
 
 
 @dataclass(frozen=True)
 class TransformChain:
     """The three-step frame chain in both representations.
 
-    u0/r0 are exactly unitary/orthogonal; u1, u2, r1, r2 are truncated at
+    Each factor is a matrix on the last two axes: (2, 2) or (3, 3) at one
+    instant, (n, 2, 2) or (n, 3, 3) on a time grid.  u0/r0 are exactly
+    unitary/orthogonal; u1, u2, r1, r2 are truncated at
     second order and unitary/orthogonal only up to third-order residuals.
     """
 
@@ -126,9 +128,10 @@ def adiabatic_params(profile: FieldProfile, t: float) -> AdiabaticParams:
 
 
 def _guard_perturbative(params: AdiabaticParams):
-    if abs(params.delta) >= PERTURBATIVE_LIMIT or abs(params.gamma) >= PERTURBATIVE_LIMIT:
+    delta, gamma = np.max(np.abs(params.delta)), np.max(np.abs(params.gamma))
+    if delta >= PERTURBATIVE_LIMIT or gamma >= PERTURBATIVE_LIMIT:
         raise PerturbativeRegimeViolation(
-            f"delta={params.delta}, gamma={params.gamma} exceed the "
+            f"|delta|={delta}, |gamma|={gamma} exceed the "
             f"|.| < {PERTURBATIVE_LIMIT} perturbative guard"
         )
 
@@ -137,28 +140,31 @@ def _guard_perturbative(params: AdiabaticParams):
 # Transform chains
 # ---------------------------------------------------------------------------
 
-def transform_chain(theta: float, params: AdiabaticParams) -> TransformChain:
+def transform_chain(theta, params: AdiabaticParams) -> TransformChain:
     """Build the three frame-change factors in both representations.
 
+    ``theta`` and ``params`` are given at one instant or on a time grid.
     The truncated factors keep terms through second order in the slowness
     parameters; their unitarity/orthogonality defect is fourth order.
     """
     _guard_perturbative(params)
     d, g = params.delta, params.gamma
-    ch, sh = math.cos(0.5 * theta), math.sin(0.5 * theta)
-    u0 = np.array([[ch, -sh], [sh, ch]], dtype=complex)
-    u1 = np.array(
-        [[1.0 - d * d / 8.0, -0.5j * d], [-0.5j * d, 1.0 - d * d / 8.0]], dtype=complex
-    )
-    u2 = np.array([[1.0, 0.5 * g], [-0.5 * g, 1.0]], dtype=complex)
+    ch, sh = np.cos(0.5 * theta), np.sin(0.5 * theta)
+    u0 = _matrices([[ch, -sh], [sh, ch]], complex)
+    u1 = _matrices([[1.0 - d * d / 8.0, -0.5j * d], [-0.5j * d, 1.0 - d * d / 8.0]], complex)
+    u2 = _matrices([[1.0, 0.5 * g], [-0.5 * g, 1.0]], complex)
 
-    ct, st = math.cos(theta), math.sin(theta)
-    r0 = np.array([[ct, 0.0, st], [0.0, 1.0, 0.0], [-st, 0.0, ct]])
-    r1 = np.array(
-        [[1.0, 0.0, 0.0], [0.0, 1.0 - d * d / 2.0, -d], [0.0, d, 1.0 - d * d / 2.0]]
-    )
-    r2 = np.array([[1.0, 0.0, -g], [0.0, 1.0, 0.0], [g, 0.0, 1.0]])
+    ct, st = np.cos(theta), np.sin(theta)
+    r0 = _matrices([[ct, 0.0, st], [0.0, 1.0, 0.0], [-st, 0.0, ct]])
+    r1 = _matrices([[1.0, 0.0, 0.0], [0.0, 1.0 - d * d / 2.0, -d], [0.0, d, 1.0 - d * d / 2.0]])
+    r2 = _matrices([[1.0, 0.0, -g], [0.0, 1.0, 0.0], [g, 0.0, 1.0]])
     return TransformChain(u0=u0, u1=u1, u2=u2, r0=r0, r1=r1, r2=r2)
+
+
+def _matrices(rows, dtype=float) -> np.ndarray:
+    """Matrices on the last two axes from entries that are floats or arrays on one grid."""
+    entries = np.broadcast_arrays(*(entry for row in rows for entry in row))
+    return np.stack(entries, axis=-1, dtype=dtype).reshape(entries[0].shape + (len(rows), -1))
 
 
 def _chain_at(profile: FieldProfile, t: float) -> tuple[FieldSample, TransformChain]:
@@ -210,17 +216,18 @@ def classical_solution(
     return chain.r_total @ s3
 
 
-def tracked_eigenvector(profile: FieldProfile, t: float, branch: int = +1) -> np.ndarray:
+def tracked_eigenvector(profile: FieldProfile, t, branch: int = +1) -> np.ndarray:
     """Second-order quasi-stationary spinor direction (phase factor stripped).
 
     branch=+1 follows the upper level, branch=-1 the lower one.  Seeding an
     exact integration with this vector (instead of the instantaneous
     eigenvector) leaves only third-order residual oscillation around the
-    quasi-stationary branch.  Returned unit-normalized.
+    quasi-stationary branch.  Returned unit-normalized, with shape (2,) at a
+    float time and (n, 2) on a grid of n times.
     """
     _, chain = _chain_at(profile, t)
-    col = chain.u_total[:, 0 if branch == +1 else 1]
-    return col / np.linalg.norm(col)
+    col = chain.u_total[..., 0 if branch == +1 else 1]
+    return col / np.linalg.norm(col, axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +240,8 @@ class QuasiStationary:
 
     s0 follows the field direction, s1 is the lateral velocity-type
     deflection, s2 combines the acceleration-type deflection with the radial
-    term that restores unit norm; s_total = s0 + s1 + s2.
+    term that restores unit norm; s_total = s0 + s1 + s2.  Each is a (3,)
+    vector at one instant and an (n, 3) array on a grid of n times.
     """
 
     s_total: np.ndarray
@@ -242,7 +250,7 @@ class QuasiStationary:
     s2: np.ndarray
 
 
-def quasi_stationary(profile: FieldProfile, t: float) -> QuasiStationary:
+def quasi_stationary(profile: FieldProfile, t) -> QuasiStationary:
     """Quasi-stationary spin via the coordinate-free corrections.
 
     Valid for general 3-D field evolution:
@@ -254,34 +262,36 @@ def quasi_stationary(profile: FieldProfile, t: float) -> QuasiStationary:
     The derivatives are evaluated analytically from the profile's angle
     derivatives (chain rule through the moving spherical basis), never by
     finite differences, so s2 is not polluted by differencing error.
+    ``t`` is a float or a 1-D time grid.
     """
     s = sample(profile, t)
     B = s.B_mag
-    st, ct = math.sin(s.theta), math.cos(s.theta)
-    sp, cp = math.sin(s.phi), math.cos(s.phi)
+    st, ct = np.sin(s.theta), np.cos(s.theta)
+    sp, cp = np.sin(s.phi), np.cos(s.phi)
+    # vectors keep their components on the first axis, so per-node scalars broadcast
     e_r = np.array([st * cp, st * sp, ct])
     e_th = np.array([ct * cp, ct * sp, -st])
-    e_ph = np.array([-sp, cp, 0.0])
+    e_ph = np.array([-sp, cp, np.zeros_like(cp)])
 
     td, tdd = s.theta_dot, s.theta_ddot
     pd, pdd = s.phi_dot, s.phi_ddot
 
     s0 = e_r
     ds0 = td * e_th + pd * st * e_ph
-    s1 = np.cross(ds0, s0) / B
+    s1 = np.cross(ds0, s0, axis=0) / B
     dds0 = (
         -(td * td + pd * pd * st * st) * e_r
         + (tdd - pd * pd * st * ct) * e_th
         + (pdd * st + 2.0 * td * pd * ct) * e_ph
     )
-    ds1 = np.cross(dds0, s0) / B - (s.B_dot / B) * s1
-    s1_sq = float(np.dot(s1, s1))
-    if s1_sq >= PERTURBATIVE_LIMIT**2:
+    ds1 = np.cross(dds0, s0, axis=0) / B - (s.B_dot / B) * s1
+    s1_sq = np.sum(s1 * s1, axis=0)
+    if np.max(s1_sq) >= PERTURBATIVE_LIMIT**2:
         raise PerturbativeRegimeViolation(
-            f"|s1|={math.sqrt(s1_sq)} exceeds the perturbative guard {PERTURBATIVE_LIMIT}"
+            f"|s1|={math.sqrt(np.max(s1_sq))} exceeds the perturbative guard {PERTURBATIVE_LIMIT}"
         )
-    s2 = np.cross(ds1, s0) / B - 0.5 * s1_sq * s0
-    return QuasiStationary(s_total=s0 + s1 + s2, s0=s0, s1=s1, s2=s2)
+    s2 = np.cross(ds1, s0, axis=0) / B - 0.5 * s1_sq * s0
+    return QuasiStationary(s_total=(s0 + s1 + s2).T, s0=s0.T, s1=s1.T, s2=s2.T)
 
 
 def quasi_stationary_cartesian(profile: FieldProfile, t: float) -> QuasiStationary:

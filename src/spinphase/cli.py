@@ -27,6 +27,7 @@ import numpy as np
 from . import verification
 from .errors import ConfigError, IoError, SpinPhaseError
 from .exact_dynamics import (
+    MAX_GRID_NODES,
     IntegratorConfig,
     bloch_series,
     bloch_to_spinor,
@@ -75,7 +76,7 @@ _PARAMS = {
     "stokes": {"theta0": 0.3, "Omega": 0.05, "B_list": [1.0], "n_nodes": 801},
     "timescale": {"B": 1.0, "omega": 0.05},
 }
-# lower bounds of the integer counts and of the list lengths
+# lower bounds of the integer counts (all capped at MAX_GRID_NODES) and of the list lengths
 _MIN_INT = {"grid_n": 2, "n_nodes": 4}
 _MIN_LEN = {"eps_list": 2, "B_list": 1}
 
@@ -183,8 +184,10 @@ def _params(command: str, given) -> dict:
         if value is _OPTIONAL:
             continue
         if name in _MIN_INT:
-            if isinstance(value, bool) or not isinstance(value, int) or value < _MIN_INT[name]:
-                raise ConfigError(f"{name} must be an integer >= {_MIN_INT[name]}, got {value!r}")
+            if (isinstance(value, bool) or not isinstance(value, int)
+                    or not _MIN_INT[name] <= value <= MAX_GRID_NODES):
+                raise ConfigError(f"{name} must be an integer in [{_MIN_INT[name]}, "
+                                  f"{MAX_GRID_NODES}], got {value!r}")
         elif name in _MIN_LEN:
             if not isinstance(value, list) or len(value) < _MIN_LEN[name]:
                 raise ConfigError(f"{name} needs at least {_MIN_LEN[name]} values, got {value!r}")
@@ -360,32 +363,21 @@ def _cmd_simulate(rc: RunConfig) -> dict:
     s_traj = integrate_bloch(profile, spinor_to_bloch(psi0), t_span, cfg)
     spins = bloch_series(s_traj)
 
-    samples = [sample(profile, float(t)) for t in traj.times]
-    b_mags = np.array([s.B_mag for s in samples])
-    td2_over_b = np.array([s.theta_dot**2 / s.B_mag for s in samples])
+    samples = sample(profile, traj.times)
+    td2_over_b = samples.theta_dot**2 / samples.B_mag
     dt = np.diff(traj.times)
     phi0_series = np.concatenate(
-        [[0.0], np.cumsum(-0.5 * 0.5 * (b_mags[1:] + b_mags[:-1]) * dt)]
+        [[0.0], np.cumsum(-0.5 * 0.5 * (samples.B_mag[1:] + samples.B_mag[:-1]) * dt)]
     )
     phi2_series = np.concatenate(
         [[0.0], np.cumsum(-0.25 * 0.5 * (td2_over_b[1:] + td2_over_b[:-1]) * dt)]
     )
 
+    up, dn = traj.states[:, 0], traj.states[:, 1]
+    table = np.column_stack([traj.times, samples.B_vec, spins, up.real, up.imag, dn.real, dn.imag,
+                             phases, phi0_series, phi2_series])
     rows = ["t,Bx,By,Bz,Sx,Sy,Sz,re_up,im_up,re_dn,im_dn,phase_total,phi0,phi2"]
-    for i, t in enumerate(traj.times):
-        b = samples[i].B_vec
-        up, dn = traj.states[i]
-        s = spins[i]
-        rows.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    t, b[0], b[1], b[2], s[0], s[1], s[2],
-                    up.real, up.imag, dn.real, dn.imag,
-                    phases[i], phi0_series[i], phi2_series[i],
-                )
-            )
-        )
+    rows += [",".join(map(_fmt, row)) for row in table]
     summary = {
         "command": "simulate",
         "profile": profile_to_dict(profile),

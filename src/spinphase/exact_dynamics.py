@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .adiabatic_engine import tracked_eigenvector
+from .adiabatic_engine import _matrices, tracked_eigenvector
 from .errors import (
     BranchJump,
     ConfigError,
@@ -35,6 +35,8 @@ from .errors import (
 from .field_profiles import FieldProfile, FieldSample, sample
 
 MAX_GRID_REFINE = 16
+# largest time grid any run may build, in nodes (about 160 MB of spinor states)
+MAX_GRID_NODES = 10**7
 
 
 @dataclass(frozen=True)
@@ -107,9 +109,7 @@ def spinor_to_bloch(psi) -> np.ndarray:
     nn = float(np.vdot(psi, psi).real)
     if abs(nn - 1.0) > 1e-3:
         raise NormalizationError(f"spinor norm^2 {nn} too far from 1")
-    up, dn = psi
-    cross = np.conj(up) * dn
-    return np.array([2.0 * cross.real, 2.0 * cross.imag, abs(up) ** 2 - abs(dn) ** 2]) / nn
+    return _mean_spin(psi)
 
 
 def bloch_to_spinor(S) -> np.ndarray:
@@ -124,12 +124,17 @@ def bloch_series(traj: Trajectory) -> np.ndarray:
     """Mean-spin series of a spinor trajectory (vectorized, norm-corrected)."""
     if traj.kind != "spinor":
         return np.asarray(traj.states, dtype=float)
-    up, dn = traj.states[:, 0], traj.states[:, 1]
+    return _mean_spin(traj.states)
+
+
+def _mean_spin(psi: np.ndarray) -> np.ndarray:
+    """<psi|sigma|psi> / <psi|psi> for spinors on the last axis of a (..., 2) array."""
+    up, dn = psi[..., 0], psi[..., 1]
     nn = (np.abs(up) ** 2 + np.abs(dn) ** 2).real
     cross = np.conj(up) * dn
     return np.stack(
-        [2.0 * cross.real, 2.0 * cross.imag, np.abs(up) ** 2 - np.abs(dn) ** 2], axis=1
-    ) / nn[:, None]
+        [2.0 * cross.real, 2.0 * cross.imag, np.abs(up) ** 2 - np.abs(dn) ** 2], axis=-1
+    ) / nn[..., None]
 
 
 def hamiltonian_matrix(s: FieldSample) -> np.ndarray:
@@ -142,18 +147,20 @@ def hamiltonian_matrix(s: FieldSample) -> np.ndarray:
 # Adaptive integration
 # ---------------------------------------------------------------------------
 
-def default_grid(profile: FieldProfile, t_span: tuple[float, float], per_unit: float | None = None) -> np.ndarray:
+def default_grid(profile: FieldProfile, t_span: tuple[float, float]) -> np.ndarray:
     """Uniform output grid dense enough for phase unwrapping.
 
     Node spacing targets ~16 nodes per radian of the fastest expected phase
-    rate (the field magnitude), with a floor of 257 nodes.
+    rate (the field magnitude), with a floor of 257 nodes; a span needing
+    ``MAX_GRID_NODES`` or more raises ConfigError before anything is allocated.
     """
     t0, t1 = t_span
-    probes = np.linspace(t0, t1, 65)
-    b_max = max(sample(profile, float(t)).B_mag for t in probes)
-    rate = per_unit if per_unit is not None else 16.0 * max(b_max, 1e-3)
-    n = max(257, int(math.ceil(abs(t1 - t0) * rate)) + 1)
-    return np.linspace(t0, t1, n)
+    b_max = float(np.max(sample(profile, np.linspace(t0, t1, 65)).B_mag))
+    nodes = abs(t1 - t0) * 16.0 * max(b_max, 1e-3)
+    if not nodes < MAX_GRID_NODES:
+        raise ConfigError(f"span {t_span} needs {nodes:.3g} grid nodes, "
+                          f"more than the limit of {MAX_GRID_NODES}")
+    return np.linspace(t0, t1, max(257, int(math.ceil(nodes)) + 1))
 
 
 def _run_solver(rhs, y0, t_span, grid, cfg):
@@ -253,25 +260,17 @@ def exponential_midpoint_schrodinger(
     """
     t0, t1 = t_span
     h = (t1 - t0) / n_steps
-    psi = as_spinor(psi0).astype(complex)
     times = t0 + h * np.arange(n_steps + 1)
+    s = sample(profile, t0 + (np.arange(n_steps) + 0.5) * h)
+    ang = 0.5 * s.B_mag * h
+    c, si = np.cos(ang), np.sin(ang)
+    nx, ny, nz = (s.B_vec / s.B_mag[:, None]).T
+    u = _matrices([[c - 1j * si * nz, -1j * si * (nx - 1j * ny)],
+                   [-1j * si * (nx + 1j * ny), c + 1j * si * nz]], complex)
     states = np.empty((n_steps + 1, 2), dtype=complex)
-    states[0] = psi
+    states[0] = as_spinor(psi0)
     for k in range(n_steps):
-        s = sample(profile, t0 + (k + 0.5) * h)
-        B = s.B_mag
-        ang = 0.5 * B * h
-        n_hat = s.B_vec / B
-        c, si = math.cos(ang), math.sin(ang)
-        nx, ny, nz = n_hat
-        u = np.array(
-            [
-                [c - 1j * si * nz, -1j * si * (nx - 1j * ny)],
-                [-1j * si * (nx + 1j * ny), c + 1j * si * nz],
-            ]
-        )
-        psi = u @ psi
-        states[k + 1] = psi
+        states[k + 1] = u[k] @ states[k]
     return Trajectory(times=times, states=states, kind="spinor", profile=profile,
                       metadata={"method": "exp_midpoint", "n_steps": n_steps})
 
@@ -338,8 +337,10 @@ def extract_total_phase(traj: Trajectory, reference: str = "tracked_eigenvector"
     OverlapLoss
         Tracked overlap fell to 0.5 or below (state left the branch).
     BranchJump
-        Phase moved more than pi/2 between adjacent nodes, or the overlap
-        passed through zero; the grid is too coarse to unwrap safely.
+        Phase moved more than pi/2 between adjacent nodes, the a-priori
+        step bound 0.5*|B|*dt reached pi/2 (aliasing, which the wrapped steps
+        cannot show), or the overlap passed through zero; the grid is too
+        coarse to unwrap safely.
     """
     if traj.kind != "spinor":
         raise DomainError("phase extraction needs a spinor trajectory")
@@ -348,9 +349,14 @@ def extract_total_phase(traj: Trajectory, reference: str = "tracked_eigenvector"
     elif reference == "tracked_eigenvector":
         if traj.profile is None:
             raise DomainError("tracked reference requires the trajectory's profile")
-        refs = np.array([tracked_eigenvector(traj.profile, float(t)) for t in traj.times])
+        refs = tracked_eigenvector(traj.profile, traj.times)
     else:
         raise DomainError(f"unknown phase reference {reference!r}")
+    if traj.profile is not None:
+        b_steps = 0.5 * sample(traj.profile, traj.times).B_mag[:-1] * np.abs(np.diff(traj.times))
+        if b_steps.size and float(np.max(b_steps)) >= 0.5 * np.pi:
+            raise BranchJump(f"a-priori phase step {float(np.max(b_steps)):.3g} rad "
+                             "reaches pi/2; refine the grid")
 
     overlaps = np.sum(np.conj(refs) * traj.states, axis=1)
     mags = np.abs(overlaps)
@@ -381,9 +387,9 @@ def schrodinger_phase(
 ) -> tuple[Trajectory, np.ndarray]:
     """Integrate and extract the total phase, refining the grid on branch jumps.
 
-    The dense-output grid is doubled (up to 16x) whenever unwrapping detects
-    a step larger than pi/2; the final trajectory and phase series are
-    returned together.
+    The dense-output grid is doubled (up to 16x, and to no more than
+    ``MAX_GRID_NODES``) whenever unwrapping raises BranchJump; the final
+    trajectory and phase series are returned together.
     """
     grid = _grid_for(profile, t_span, cfg)
     factor = 1
@@ -392,7 +398,7 @@ def schrodinger_phase(
         try:
             return traj, extract_total_phase(traj, reference)
         except BranchJump:
-            if factor >= MAX_GRID_REFINE:
+            if factor >= MAX_GRID_REFINE or 2 * len(grid) > MAX_GRID_NODES:
                 raise
             factor *= 2
             grid = np.linspace(t_span[0], t_span[1], 2 * (len(grid) - 1) + 1)

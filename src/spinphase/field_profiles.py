@@ -39,23 +39,26 @@ DEFAULT_B_MIN = 1e-6
 
 @dataclass(frozen=True)
 class FieldSample:
-    """Field state at one instant: Cartesian vector, spherical data, derivatives.
+    """Field state at one instant or a time grid: Cartesian vector, spherical data, derivatives.
 
-    Angles are kept unwrapped (theta continuous, not reduced mod 2*pi) so
-    contour integrals over theta are well defined.  All rates are in lab-time
-    units (the epsilon chain rule is already applied).
+    Sampled at a float time, every field is a float and ``B_vec`` has shape
+    (3,); sampled on a 1-D grid of n times, every field has shape (n,) and
+    ``B_vec`` has shape (n, 3).  Angles are kept unwrapped (theta continuous,
+    not reduced mod 2*pi) so contour integrals over theta are well defined.
+    All rates are in lab-time units (the epsilon chain rule is already
+    applied).
     """
 
-    t: float
+    t: float | np.ndarray
     B_vec: np.ndarray
-    B_mag: float
-    theta: float
-    phi: float
-    theta_dot: float
-    theta_ddot: float
-    phi_dot: float
-    phi_ddot: float
-    B_dot: float
+    B_mag: float | np.ndarray
+    theta: float | np.ndarray
+    phi: float | np.ndarray
+    theta_dot: float | np.ndarray
+    theta_ddot: float | np.ndarray
+    phi_dot: float | np.ndarray
+    phi_ddot: float | np.ndarray
+    B_dot: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -87,9 +90,6 @@ class FieldProfile:
         lo, hi = self.t_domain
         if not lo < hi:
             raise ConfigError(f"empty t_domain {self.t_domain}")
-
-    def sample(self, t: float) -> FieldSample:
-        return sample(self, t)
 
 
 # ---------------------------------------------------------------------------
@@ -227,17 +227,18 @@ def _number(name: str, value) -> float:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def _base_eval(profile: FieldProfile, tau: float):
-    """Evaluate (B, dB, theta, dtheta, ddtheta, phi, dphi, ddphi) in tau units."""
+def _base_eval(profile: FieldProfile, tau):
+    """Evaluate (B, dB, theta, dtheta, ddtheta, phi, dphi, ddphi) in tau units and tau's shape."""
     p = profile.params
     kind = profile.kind
+    zero = 0.0 * tau
     if kind == "constant":
-        return p["B0"], 0.0, p["theta0"], 0.0, 0.0, p["phi0"], 0.0, 0.0
+        return p["B0"] + zero, zero, p["theta0"] + zero, zero, zero, p["phi0"] + zero, zero, zero
     if kind == "uniform_rotation":
         return (
-            p["B0"], 0.0,
-            p["theta_init"] + p["omega"] * tau, p["omega"], 0.0,
-            0.0, 0.0, 0.0,
+            p["B0"] + zero, zero,
+            p["theta_init"] + p["omega"] * tau, p["omega"] + zero, zero,
+            zero, zero, zero,
         )
     if kind == "polynomial_angle":
         coeffs = [p[k] for k in sorted(p, key=_coeff_index) if k.startswith("c")]
@@ -246,62 +247,69 @@ def _base_eval(profile: FieldProfile, tau: float):
             d2 = d2 * tau + 2.0 * d1
             d1 = d1 * tau + th
             th = th * tau + c
-        return p["B0"], 0.0, th, d1, d2, 0.0, 0.0, 0.0
+        return p["B0"] + zero, zero, th, d1, d2, zero, zero, zero
     if kind == "sinusoidal_angle":
         th0, Om = p["theta0"], p["Omega"]
-        s, c = math.sin(Om * tau), math.cos(Om * tau)
+        s, c = np.sin(Om * tau), np.cos(Om * tau)
         bamp, bfreq = p["b_amp"], p["b_freq"]
         if bamp != 0.0:
-            B = p["B0"] * (1.0 + bamp * math.sin(bfreq * tau))
-            dB = p["B0"] * bamp * bfreq * math.cos(bfreq * tau)
+            B = p["B0"] * (1.0 + bamp * np.sin(bfreq * tau))
+            dB = p["B0"] * bamp * bfreq * np.cos(bfreq * tau)
         else:
-            B, dB = p["B0"], 0.0
+            B, dB = p["B0"] + zero, zero
         return (
             B, dB,
             p["theta_offset"] + th0 * s, th0 * Om * c, -th0 * Om * Om * s,
-            0.0, 0.0, 0.0,
+            zero, zero, zero,
         )
     if kind == "cone_3d":
         return (
-            p["B0"], 0.0,
-            p["theta_c"], 0.0, 0.0,
-            p["phi_init"] + p["omega_phi"] * tau, p["omega_phi"], 0.0,
+            p["B0"] + zero, zero,
+            p["theta_c"] + zero, zero, zero,
+            p["phi_init"] + p["omega_phi"] * tau, p["omega_phi"] + zero, zero,
         )
     if kind == "user_tabulated":
-        sB, sth, sph = profile._tables
         h = p["fd_step"]
-        B = float(sB(tau))
-        th = float(sth(tau))
-        ph = float(sph(tau))
-        dB = float(sB(tau + h) - sB(tau - h)) / (2.0 * h)
-        dth = float(sth(tau + h) - sth(tau - h)) / (2.0 * h)
-        ddth = float(sth(tau + h) - 2.0 * sth(tau) + sth(tau - h)) / (h * h)
-        dph = float(sph(tau + h) - sph(tau - h)) / (2.0 * h)
-        ddph = float(sph(tau + h) - 2.0 * sph(tau) + sph(tau - h)) / (h * h)
+        stencil = np.add.outer((-h, 0.0, h), tau)  # rows tau - h, tau, tau + h
+        (Bm, B, Bp), (thm, th, thp), (phm, ph, php) = (s(stencil) for s in profile._tables)
+        dB = (Bp - Bm) / (2.0 * h)
+        dth = (thp - thm) / (2.0 * h)
+        ddth = (thp - 2.0 * th + thm) / (h * h)
+        dph = (php - phm) / (2.0 * h)
+        ddph = (php - 2.0 * ph + phm) / (h * h)
         return B, dB, th, dth, ddth, ph, dph, ddph
     raise ConfigError(f"unknown profile kind {kind!r}")
 
 
-def sample(profile: FieldProfile, t: float) -> FieldSample:
-    """Evaluate the field and its derivatives at lab time t.
+def _extent(x):
+    """(min, max) of a float or of an array."""
+    return (x, x) if isinstance(x, float) else (np.min(x), np.max(x))
+
+
+def sample(profile: FieldProfile, t) -> FieldSample:
+    """Evaluate the field and its derivatives at lab time t, a float or a 1-D grid.
 
     Raises
     ------
     DomainError
-        If t lies outside the profile's declared domain.
+        If any time lies outside the profile's declared domain.
     DegenerateField
-        If the magnitude falls below the profile's b_min floor.
+        If the magnitude falls below the profile's b_min floor anywhere.
     """
     lo, hi = profile.t_domain
-    if not (lo <= t <= hi):
-        raise DomainError(f"t={t} outside profile domain [{lo}, {hi}]")
+    t_min, t_max = _extent(t)
+    if not (lo <= t_min and t_max <= hi):
+        bad = t_min if t_min < lo else t_max
+        raise DomainError(f"t={bad} outside profile domain [{lo}, {hi}]")
     eps = profile.epsilon
     B, dB, th, dth, ddth, ph, dph, ddph = _base_eval(profile, eps * t)
-    if B < profile.b_min:
-        raise DegenerateField(f"|B|={B} below floor {profile.b_min} at t={t}")
-    sin_th, cos_th = math.sin(th), math.cos(th)
-    sin_ph, cos_ph = math.sin(ph), math.cos(ph)
-    vec = np.array([B * sin_th * cos_ph, B * sin_th * sin_ph, B * cos_th])
+    B_lo = _extent(B)[0]
+    if B_lo < profile.b_min:
+        t_lo = np.ravel(t)[np.argmin(B)]
+        raise DegenerateField(f"|B|={B_lo} below floor {profile.b_min} at t={t_lo}")
+    sin_th, cos_th = np.sin(th), np.cos(th)
+    sin_ph, cos_ph = np.sin(ph), np.cos(ph)
+    vec = np.array([B * sin_th * cos_ph, B * sin_th * sin_ph, B * cos_th]).T
     return FieldSample(
         t=t,
         B_vec=vec,
@@ -337,25 +345,19 @@ def derivative_selftest(
     """
     if not h > 0:
         raise DomainError(f"step h must be positive, got {h}")
-    rows = []
-    for t in t_grid:
-        s0 = sample(profile, t)
-        sp = sample(profile, t + h)
-        sm = sample(profile, t - h)
-        rows.append(
-            (
-                s0.theta_dot - (sp.theta - sm.theta) / (2 * h),
-                s0.theta_ddot - (sp.theta_dot - sm.theta_dot) / (2 * h),
-                s0.phi_dot - (sp.phi - sm.phi) / (2 * h),
-                s0.phi_ddot - (sp.phi_dot - sm.phi_dot) / (2 * h),
-                s0.B_dot - (sp.B_mag - sm.B_mag) / (2 * h),
-                s0.theta_dot, s0.theta_ddot, s0.phi_dot, s0.phi_ddot, s0.B_dot,
-            )
-        )
-    arr = np.asarray(rows)
-    errs, vals = arr[:, :5], arr[:, 5:]
-    scales = np.maximum(1.0, np.max(np.abs(vals), axis=0))
-    return float(np.max(np.abs(errs) / scales))
+    t = np.asarray(t_grid, dtype=float)
+    s0, sp, sm = sample(profile, t), sample(profile, t + h), sample(profile, t - h)
+    worst = 0.0
+    for exact, fwd, bwd in (
+        (s0.theta_dot, sp.theta, sm.theta),
+        (s0.theta_ddot, sp.theta_dot, sm.theta_dot),
+        (s0.phi_dot, sp.phi, sm.phi),
+        (s0.phi_ddot, sp.phi_dot, sm.phi_dot),
+        (s0.B_dot, sp.B_mag, sm.B_mag),
+    ):
+        err = np.max(np.abs(exact - (fwd - bwd) / (2 * h)))
+        worst = max(worst, float(err) / max(1.0, float(np.max(np.abs(exact)))))
+    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -238,10 +238,7 @@ def phi_dyn_expect(traj: Trajectory, profile: FieldProfile) -> float:
     decimation when the grid is uniform.  The per-step phase must stay below
     pi/2 or the grid is rejected.
     """
-    S = bloch_series(traj)
-    h_expect = np.array(
-        [0.5 * float(np.dot(sample(profile, float(t)).B_vec, s)) for t, s in zip(traj.times, S)]
-    )
+    h_expect = 0.5 * np.sum(sample(profile, traj.times).B_vec * bloch_series(traj), axis=1)
     steps = np.abs(h_expect[:-1] * np.diff(traj.times))
     if steps.size and float(np.max(steps)) >= 0.5 * np.pi:
         raise GridTooCoarse("per-step dynamical phase exceeds pi/2; refine the grid")
@@ -357,14 +354,11 @@ def loop_from_profile(
     reverse: bool = False,
 ) -> MLoop:
     """Sample (theta, theta_dot) along a profile into a closed loop."""
-    ts = np.linspace(t_span[0], t_span[1], n_nodes)
-    samples = [sample(profile, float(t)) for t in ts]
-    th = np.array([s.theta for s in samples])
-    td = np.array([s.theta_dot for s in samples])
-    b0 = samples[0].B_mag
+    s = sample(profile, np.linspace(t_span[0], t_span[1], n_nodes))
+    th, td = s.theta, s.theta_dot
     if reverse:
         th, td = th[::-1], td[::-1]
-    return MLoop(theta=th, theta_dot=td, time_unit=1.0 / b0)
+    return MLoop(theta=th, theta_dot=td, time_unit=1.0 / s.B_mag[0])
 
 
 def generalized_field(B_mag: float) -> float:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tracemalloc
 
 import pytest
 
@@ -228,3 +229,26 @@ def test_integrator_flags_only_where_read(command):
         with pytest.raises(SystemExit) as exc:
             parse_cli([command, flag, "1e-9"])
         assert exc.value.code == 2
+
+
+def test_simulate_aliased_explicit_grid_exits_5(tmp_path, capsys):
+    # three nodes over t = 50 alias the phase; simulate does not refine an explicit grid
+    argv = ["simulate", "--profile", "uniform_rotation", "--t-end", "50", "--grid-n", "3"]
+    assert run_main(argv + ["--out", str(tmp_path)]) == 5
+    assert "a-priori phase step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--t-end", "1e300"],
+    ["simulate", "--t-end", "10", "--grid-n", "100000000"],
+    ["stokes", "--n-nodes", "100000000"],
+])
+def test_oversized_grids_exit_3_without_allocating(argv, tmp_path):
+    tracemalloc.start()
+    try:
+        code = run_main(argv + ["--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert peak < 20 * 2**20  # a 10**8-node time grid alone is 800 MB

@@ -288,3 +288,16 @@ def test_csv_export_round_trips_17_digits(tight_cfg):
     blines = trajectory_to_csv(btraj).strip().split("\n")
     assert blines[0] == "t,Sx,Sy,Sz"
     assert float(blines[-1].split(",")[3]) == btraj.states[-1][2]
+
+
+def test_aliased_grid_raises_branch_jump_and_refines_to_oracle():
+    # 0.5*|B|*dt = 12.5 rad per node step: the wrapped steps alias to a tiny phase
+    t_span = (0.0, 50.0)
+    cfg = uniform_grid_cfg(t_span, 3)
+    psi0 = tracked_eigenvector(UNIFORM, 0.0)
+    traj = integrate_schrodinger(UNIFORM, psi0, t_span, cfg)
+    for reference in ("tracked_eigenvector", "initial_state"):
+        with pytest.raises(BranchJump, match="a-priori"):
+            extract_total_phase(traj, reference)
+    _, phases = schrodinger_phase(UNIFORM, psi0, t_span, cfg)
+    assert phases[-1] == pytest.approx(-0.5 * math.sqrt(1.01) * 50.0, abs=1e-5)
