@@ -12,9 +12,7 @@ from .adiabatic_engine import (
     QuasiStationary,
     SolutionConstants,
     TransformChain,
-    adiabatic_params,
     classical_solution,
-    constants_map,
     quasi_stationary,
     spinor_solution,
     tracked_eigenvector,
@@ -36,7 +34,6 @@ from .errors import (
     SelfIntersection,
     SpinPhaseError,
     StepSizeUnderflow,
-    UsageError,
 )
 from .exact_dynamics import (
     IntegratorConfig,
@@ -81,6 +78,7 @@ from .geometric_phases import (
     generalized_line_integral,
     loop_from_profile,
     phase_decomposition,
+    phase_series,
     phi0,
     phi2,
     phi2_byparts_direct,

@@ -105,12 +105,6 @@ class SolutionConstants:
         return abs(self.alpha) ** 2 - abs(self.beta) ** 2
 
 
-def constants_map(alpha: complex, beta: complex) -> tuple[float, float, float]:
-    """Map spinor amplitudes to classical precession constants (A, B, C)."""
-    c = SolutionConstants(complex(alpha), complex(beta))
-    return c.A, c.B, c.C
-
-
 # ---------------------------------------------------------------------------
 # Adiabatic parameters
 # ---------------------------------------------------------------------------
@@ -120,11 +114,6 @@ def params_from_sample(s: FieldSample) -> AdiabaticParams:
     delta = s.theta_dot / B
     gamma = (s.theta_ddot - s.theta_dot * s.B_dot / B) / (B * B)
     return AdiabaticParams(delta=delta, gamma=gamma, b_eff=B * (1.0 + 0.5 * delta * delta))
-
-
-def adiabatic_params(profile: FieldProfile, t: float) -> AdiabaticParams:
-    """Slowness parameters (delta, gamma) and effective frequency at time t."""
-    return params_from_sample(sample(profile, t))
 
 
 def _guard_perturbative(params: AdiabaticParams):
@@ -323,6 +312,6 @@ def quasi_stationary_spherical(profile: FieldProfile, t: float) -> tuple[float, 
     """
     if not is_in_plane(profile):
         raise DomainError("spherical quasi-stationary form assumes an in-plane profile")
-    p = adiabatic_params(profile, t)
+    p = params_from_sample(sample(profile, t))
     _guard_perturbative(p)
     return 1.0 - 0.5 * p.delta * p.delta, -p.gamma, -p.delta

@@ -47,7 +47,7 @@ from .field_profiles import (
 )
 from . import field_profiles
 from .adiabatic_engine import tracked_eigenvector
-from .geometric_phases import loop_from_profile
+from .geometric_phases import loop_from_profile, phase_series
 from .verification import _fmt
 
 OUT_DIR_ENV = "SPINPHASE_OUT_DIR"
@@ -364,14 +364,7 @@ def _cmd_simulate(rc: RunConfig) -> dict:
     spins = bloch_series(s_traj)
 
     samples = sample(profile, traj.times)
-    td2_over_b = samples.theta_dot**2 / samples.B_mag
-    dt = np.diff(traj.times)
-    phi0_series = np.concatenate(
-        [[0.0], np.cumsum(-0.5 * 0.5 * (samples.B_mag[1:] + samples.B_mag[:-1]) * dt)]
-    )
-    phi2_series = np.concatenate(
-        [[0.0], np.cumsum(-0.25 * 0.5 * (td2_over_b[1:] + td2_over_b[:-1]) * dt)]
-    )
+    phi0_series, phi2_series = phase_series(samples, traj.times)
 
     up, dn = traj.states[:, 0], traj.states[:, 1]
     table = np.column_stack([traj.times, samples.B_vec, spins, up.real, up.imag, dn.real, dn.imag,

@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all spinphase modules.
 
-Every error carries an ``exit_code`` used by the CLI: 2 usage, 3 config,
-4 I/O, 5 any numerical/physics failure.
+Every error carries an ``exit_code`` used by the CLI: 3 config, 4 I/O,
+5 any numerical/physics failure (exit 2, usage, comes from argparse).
 """
 
 
@@ -57,12 +57,6 @@ class LoopNotClosed(SpinPhaseError):
 
 class SelfIntersection(SpinPhaseError):
     """Parameter-space loop crosses itself; surface integral undefined."""
-
-
-class UsageError(SpinPhaseError):
-    """Malformed command line."""
-
-    exit_code = 2
 
 
 class ConfigError(SpinPhaseError):

@@ -147,12 +147,10 @@ def hamiltonian_matrix(s: FieldSample) -> np.ndarray:
 # Adaptive integration
 # ---------------------------------------------------------------------------
 
-def default_grid(profile: FieldProfile, t_span: tuple[float, float]) -> np.ndarray:
-    """Uniform output grid dense enough for phase unwrapping.
+def _span_nodes(profile: FieldProfile, t_span: tuple[float, float]) -> float:
+    """Nodes the span needs at ~16 per radian of the fastest phase rate (the field magnitude).
 
-    Node spacing targets ~16 nodes per radian of the fastest expected phase
-    rate (the field magnitude), with a floor of 257 nodes; a span needing
-    ``MAX_GRID_NODES`` or more raises ConfigError before anything is allocated.
+    A span needing ``MAX_GRID_NODES`` or more raises ConfigError.
     """
     t0, t1 = t_span
     b_max = float(np.max(sample(profile, np.linspace(t0, t1, 65)).B_mag))
@@ -160,7 +158,17 @@ def default_grid(profile: FieldProfile, t_span: tuple[float, float]) -> np.ndarr
     if not nodes < MAX_GRID_NODES:
         raise ConfigError(f"span {t_span} needs {nodes:.3g} grid nodes, "
                           f"more than the limit of {MAX_GRID_NODES}")
-    return np.linspace(t0, t1, max(257, int(math.ceil(nodes)) + 1))
+    return nodes
+
+
+def default_grid(profile: FieldProfile, t_span: tuple[float, float]) -> np.ndarray:
+    """Uniform output grid dense enough for phase unwrapping.
+
+    ``_span_nodes`` nodes with a floor of 257; a span needing
+    ``MAX_GRID_NODES`` or more raises ConfigError before anything is allocated.
+    """
+    nodes = _span_nodes(profile, t_span)
+    return np.linspace(t_span[0], t_span[1], max(257, int(math.ceil(nodes)) + 1))
 
 
 def _run_solver(rhs, y0, t_span, grid, cfg):
@@ -226,10 +234,12 @@ def _integrate(kind, profile, y0, t_span, cfg):
 
 
 def _grid_for(profile, t_span, cfg):
+    """The run's output grid; any span the default grid could not cover raises ConfigError."""
     if cfg.dense_output_grid is not None:
         grid = np.asarray(cfg.dense_output_grid, dtype=float)
         if grid[0] != t_span[0] or grid[-1] != t_span[1]:
             raise DomainError("dense_output_grid must start/end exactly at t_span")
+        _span_nodes(profile, t_span)
         return grid
     return default_grid(profile, t_span)
 

@@ -42,7 +42,7 @@ from .errors import (
     PoleSingularity,
     SelfIntersection,
 )
-from .field_profiles import FieldProfile, sample
+from .field_profiles import FieldProfile, FieldSample, sample
 from .exact_dynamics import Trajectory, bloch_series
 
 _QUAD_OPTS = {"epsabs": 1e-12, "epsrel": 1e-12, "limit": 500}
@@ -95,41 +95,46 @@ class Phi2Terms:
 # Profile quadratures
 # ---------------------------------------------------------------------------
 
-def phi0(profile: FieldProfile, t_span: tuple[float, float]) -> float:
-    """Dynamical phase -(1/2) integral of B over the span."""
+# Each functional is a prefactor times the integral of one integrand of a FieldSample;
+# the prefactor stays outside quad, so its absolute tolerance sees the bare integrand.
+_PHI0 = (-0.5, lambda s: s.B_mag)
+_PHI2 = (-0.25, lambda s: s.theta_dot**2 / s.B_mag)
+
+
+def _integral(prefactor, integrand, profile: FieldProfile, t_span: tuple[float, float]) -> float:
     t0, t1 = t_span
     if t0 == t1:
         return 0.0
-    val, _ = quad(lambda t: sample(profile, t).B_mag, t0, t1, **_QUAD_OPTS)
-    return -0.5 * val
+    return prefactor * quad(lambda t: integrand(sample(profile, t)), t0, t1, **_QUAD_OPTS)[0]
+
+
+def phi0(profile: FieldProfile, t_span: tuple[float, float]) -> float:
+    """Dynamical phase -(1/2) integral of B over the span."""
+    return _integral(*_PHI0, profile, t_span)
 
 
 def phi2(profile: FieldProfile, t_span: tuple[float, float]) -> float:
     """Second-order phase correction -(1/4) integral of theta_dot**2/B."""
-    t0, t1 = t_span
-    if t0 == t1:
-        return 0.0
-
-    def integrand(t):
-        s = sample(profile, t)
-        return s.theta_dot**2 / s.B_mag
-
-    val, _ = quad(integrand, t0, t1, **_QUAD_OPTS)
-    return -0.25 * val
+    return _integral(*_PHI2, profile, t_span)
 
 
 def berry_phi1(profile: FieldProfile, t_span: tuple[float, float]) -> float:
     """First-order geometric phase (1/2) int (1 - cos theta) dphi over the field path."""
-    t0, t1 = t_span
-    if t0 == t1:
-        return 0.0
+    return _integral(0.5, lambda s: (1.0 - math.cos(s.theta)) * s.phi_dot, profile, t_span)
 
-    def integrand(t):
-        s = sample(profile, t)
-        return (1.0 - math.cos(s.theta)) * s.phi_dot
 
-    val, _ = quad(integrand, t0, t1, **_QUAD_OPTS)
-    return 0.5 * val
+def phase_series(samples: FieldSample, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Running phi0 and phi2 over an already-sampled grid, by the trapezoid rule.
+
+    The integrands are the ones :func:`phi0` and :func:`phi2` integrate with
+    quad; both series are 0.0 on the first node.
+    """
+    def running(prefactor, integrand):
+        f = integrand(samples)
+        steps = 0.5 * (f[1:] + f[:-1]) * np.diff(times)
+        return np.concatenate([[0.0], prefactor * np.cumsum(steps)])
+
+    return running(*_PHI0), running(*_PHI2)
 
 
 def phi2_decomposition(profile: FieldProfile, t_span: tuple[float, float]) -> Phi2Terms:
@@ -140,19 +145,6 @@ def phi2_decomposition(profile: FieldProfile, t_span: tuple[float, float]) -> Ph
     = (1/2) tan(theta/2) delta reported separately; only theta near pi is
     singular for it.
     """
-    t0, t1 = t_span
-
-    def accel(t):
-        s = sample(profile, t)
-        return params_from_sample(s).gamma * math.sin(s.theta) * s.phi_dot
-
-    def byparts(t):
-        s = sample(profile, t)
-        return params_from_sample(s).delta * s.theta_dot
-
-    a_val = 0.0 if t0 == t1 else -0.5 * quad(accel, t0, t1, **_QUAD_OPTS)[0]
-    b_val = 0.0 if t0 == t1 else -0.5 * quad(byparts, t0, t1, **_QUAD_OPTS)[0]
-
     def endpoint(t):
         s = sample(profile, t)
         half = 0.5 * s.theta
@@ -160,8 +152,14 @@ def phi2_decomposition(profile: FieldProfile, t_span: tuple[float, float]) -> Ph
             raise PoleSingularity(f"boundary term singular: theta={s.theta} near pi")
         return 0.5 * math.tan(half) * params_from_sample(s).delta
 
-    boundary = endpoint(t1) - endpoint(t0)
-    return Phi2Terms(term_accel=a_val, term_byparts=b_val, boundary=boundary)
+    return Phi2Terms(
+        term_accel=_integral(
+            -0.5, lambda s: params_from_sample(s).gamma * math.sin(s.theta) * s.phi_dot,
+            profile, t_span),
+        term_byparts=_integral(
+            -0.5, lambda s: params_from_sample(s).delta * s.theta_dot, profile, t_span),
+        boundary=endpoint(t_span[1]) - endpoint(t_span[0]),
+    )
 
 
 def phi2_byparts_direct(profile: FieldProfile, t_span: tuple[float, float]) -> float:
@@ -170,22 +168,16 @@ def phi2_byparts_direct(profile: FieldProfile, t_span: tuple[float, float]) -> f
     Cross-check form for the by-parts evaluation; requires sin theta >= 1e-3
     along the path (the connection has a coordinate singularity there).
     """
-    t0, t1 = t_span
-    if t0 == t1:
-        return 0.0
-
-    def integrand(t):
-        s = sample(profile, t)
+    def integrand(s):
         st = math.sin(s.theta)
         if abs(st) < MIN_SIN_POLAR:
-            raise PoleSingularity(f"sin(theta)={st} below {MIN_SIN_POLAR} at t={t}")
+            raise PoleSingularity(f"sin(theta)={st} below {MIN_SIN_POLAR} at t={s.t}")
         p = params_from_sample(s)
         ddelta = p.gamma * s.B_mag
         rate = (ddelta * st - p.delta * s.theta_dot * math.cos(s.theta)) / (st * st)
         return (1.0 - math.cos(s.theta)) * rate
 
-    val, _ = quad(integrand, t0, t1, **_QUAD_OPTS)
-    return 0.5 * val
+    return _integral(0.5, integrand, profile, t_span)
 
 
 # ---------------------------------------------------------------------------
@@ -372,9 +364,7 @@ def generalized_line_integral(loop: MLoop, B_mag: float) -> float:
     """Holonomy -(contour integral of (theta_dot/(4B)) dtheta) around the loop."""
     if B_mag < 1e-6:
         raise DegenerateField(f"|B|={B_mag} below floor 1e-6")
-    x = loop.theta
-    y = loop.theta_dot / B_mag
-    return -0.25 * float(np.sum(0.5 * (y[1:] + y[:-1]) * np.diff(x)))
+    return -0.25 * _stieltjes(loop.theta, loop.theta_dot / B_mag)
 
 
 def stokes_surface_integral(loop: MLoop, B_mag: float) -> float:

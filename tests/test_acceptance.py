@@ -12,6 +12,7 @@ import numpy as np
 from spinphase import (
     AdiabaticParams,
     IntegratorConfig,
+    SolutionConstants,
     Trajectory,
     aa_geometric_phase_coordinate,
     aa_geometric_phase_solid_angle,
@@ -19,7 +20,6 @@ from spinphase import (
     bloch_series,
     cone_3d,
     constant,
-    constants_map,
     extract_total_phase,
     integrate_bloch,
     integrate_schrodinger,
@@ -197,7 +197,8 @@ def test_criterion_7_ehrenfest_and_chain_consistency():
         chain = transform_chain(rng.uniform(0.0, 2 * math.pi),
                                 AdiabaticParams(delta=eps, gamma=eps**2, b_eff=1.0))
         lhs = spinor_to_bloch(chain.u_total @ psi3)
-        rhs = chain.r_total @ np.array(constants_map(psi3[0], psi3[1]))
+        c = SolutionConstants(psi3[0], psi3[1])
+        rhs = chain.r_total @ np.array([c.A, c.B, c.C])
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     bound = 5.0 * eps**3
     ok = ehrenfest <= 1e-8 and worst <= bound

@@ -9,11 +9,9 @@ from spinphase import (
     NormalizationError,
     PerturbativeRegimeViolation,
     SolutionConstants,
-    adiabatic_params,
     classical_solution,
     cone_3d,
     constant,
-    constants_map,
     quasi_stationary,
     sample,
     sinusoidal_angle,
@@ -38,19 +36,19 @@ UNIFORM = uniform_rotation(1.0, 0.1)
 # ---------------------------------------------------------------------------
 
 def test_params_uniform_rotation():
-    p = adiabatic_params(UNIFORM, 3.0)
+    p = params_from_sample(sample(UNIFORM, 3.0))
     assert p.delta == pytest.approx(0.1, rel=1e-12)
     assert p.gamma == 0.0
     assert p.b_eff == pytest.approx(1.005, rel=1e-12)
 
 
 def test_params_static_limit():
-    p = adiabatic_params(constant(2.5), 1.0)
+    p = params_from_sample(sample(constant(2.5), 1.0))
     assert (p.delta, p.gamma, p.b_eff) == (0.0, 0.0, 2.5)
 
 
 def test_params_sinusoidal_at_origin():
-    p = adiabatic_params(sinusoidal_angle(1.0, theta0=0.3, Omega=0.05), 0.0)
+    p = params_from_sample(sample(sinusoidal_angle(1.0, theta0=0.3, Omega=0.05), 0.0))
     assert p.delta == pytest.approx(0.015, abs=1e-15)
     assert p.gamma == 0.0  # theta_ddot = -theta0 Omega^2 sin(Omega t) vanishes at t=0
     assert p.b_eff == pytest.approx(1.0 + 1.125e-4, rel=1e-12)
@@ -60,9 +58,13 @@ def test_gamma_tracks_delta_rate_with_varying_magnitude():
     # gamma = (d delta/dt)/B, checked against a centered difference of delta
     prof = sinusoidal_angle(1.0, theta0=0.3, Omega=0.2, b_amp=0.3, b_freq=0.13)
     h = 1e-6
+
+    def params(t):
+        return params_from_sample(sample(prof, t))
+
     for t in (0.7, 4.0, 11.3):
-        g = adiabatic_params(prof, t).gamma
-        ddel = (adiabatic_params(prof, t + h).delta - adiabatic_params(prof, t - h).delta) / (2 * h)
+        g = params(t).gamma
+        ddel = (params(t + h).delta - params(t - h).delta) / (2 * h)
         assert g == pytest.approx(ddel / sample(prof, t).B_mag, abs=1e-9)
 
 
@@ -146,10 +148,11 @@ def test_chain_diagonalizes_hamiltonian(eps):
 # ---------------------------------------------------------------------------
 
 def test_constants_map_examples():
-    assert constants_map(1.0, 0.0) == pytest.approx((0.0, 0.0, 1.0))
     r2 = 1 / math.sqrt(2)
-    assert constants_map(r2, r2) == pytest.approx((1.0, 0.0, 0.0))
-    assert constants_map(r2, 1j * r2) == pytest.approx((0.0, 1.0, 0.0))
+    for (alpha, beta), abc in [((1.0, 0.0), (0.0, 0.0, 1.0)), ((r2, r2), (1.0, 0.0, 0.0)),
+                               ((r2, 1j * r2), (0.0, 1.0, 0.0))]:
+        c = SolutionConstants(alpha, beta)
+        assert (c.A, c.B, c.C) == pytest.approx(abc)
 
 
 def test_constants_map_matches_spin_map_convention():
@@ -159,14 +162,15 @@ def test_constants_map_matches_spin_map_convention():
         z = rng.normal(size=4)
         psi = np.array([z[0] + 1j * z[1], z[2] + 1j * z[3]])
         psi /= np.linalg.norm(psi)
-        abc = np.array(constants_map(psi[0], psi[1]))
+        c = SolutionConstants(psi[0], psi[1])
+        abc = np.array([c.A, c.B, c.C])
         assert np.allclose(abc, spinor_to_bloch(psi), atol=1e-12)
         assert np.dot(abc, abc) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_constants_map_rejects_unnormalized():
     with pytest.raises(NormalizationError):
-        constants_map(1.0, 1.0)
+        SolutionConstants(1.0, 1.0)
     with pytest.raises(NormalizationError):
         SolutionConstants(0.5, 0.5)
 

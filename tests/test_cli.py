@@ -1,10 +1,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 
+from spinphase import phi0, phi2
 from spinphase.cli import RunConfig, main, parse_cli
 
 
@@ -252,3 +255,31 @@ def test_oversized_grids_exit_3_without_allocating(argv, tmp_path):
         tracemalloc.stop()
     assert code == 3
     assert peak < 20 * 2**20  # a 10**8-node time grid alone is 800 MB
+
+
+def test_unbounded_span_with_explicit_grid_exits_3(tmp_path):
+    # with --grid-n the solver alone would cover the span; the node bound stops it first
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    for profile in ("uniform_rotation", "cone"):
+        argv = ["simulate", "--profile", profile, "--t-end", "1e300", "--grid-n", "5",
+                "--out", str(tmp_path)]
+        proc = subprocess.run([sys.executable, "-m", "spinphase", *argv], env=env,
+                              capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 3, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["--profile", "uniform_rotation", "--t-end", "200"],
+    ["--profile", "sinusoidal", "--t-end", "300"],
+])
+def test_simulate_phase_columns_match_library(argv, tmp_path):
+    # the trapezoid columns on the default grid and the quad functionals share their integrands
+    argv = ["simulate", *argv, "--formats", "csv", "--out", str(tmp_path)]
+    rc = parse_cli(argv)
+    assert run_main(argv) == 0
+    last = (tmp_path / "traj.csv").read_text().splitlines()[-1].split(",")
+    span = (rc.params["t_start"], rc.params["t_end"])
+    assert float(last[-2]) == pytest.approx(phi0(rc.profile, span), abs=1e-8)
+    assert float(last[-1]) == pytest.approx(phi2(rc.profile, span), abs=1e-8)

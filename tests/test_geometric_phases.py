@@ -58,8 +58,16 @@ def test_phi0_modulated_magnitude_over_period():
     assert phi0(p, (0.0, T)) == pytest.approx(-0.5 * T, abs=1e-8)
 
 
-def test_phi0_empty_span():
-    assert phi0(constant(1.0), (3.0, 3.0)) == 0.0
+@pytest.mark.parametrize("functional", [
+    phi0, phi2, berry_phi1, phi2_byparts_direct,
+    lambda p, span: phi2_decomposition(p, span).term_accel,
+    lambda p, span: phi2_decomposition(p, span).term_byparts,
+    lambda p, span: phi2_decomposition(p, span).boundary,
+], ids=["phi0", "phi2", "berry_phi1", "phi2_byparts_direct",
+        "term_accel", "term_byparts", "boundary"])
+def test_empty_span_is_plus_zero(functional):
+    value = functional(uniform_rotation(1.0, 0.1), (3.0, 3.0))
+    assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 def test_phi2_uniform_rotation():
