@@ -356,7 +356,8 @@ def _cmd_simulate(rc: RunConfig) -> dict:
         psi0 = tracked_eigenvector(profile, t_span[0])
         reference = "tracked_eigenvector"
     else:
-        psi0 = bloch_to_spinor(sample(profile, t_span[0]).B_vec / sample(profile, t_span[0]).B_mag)
+        s0 = sample(profile, t_span[0])
+        psi0 = bloch_to_spinor(s0.B_vec / s0.B_mag)
         reference = "initial_state"
     traj = integrate_schrodinger(profile, psi0, t_span, cfg)
     phases = extract_total_phase(traj, reference)

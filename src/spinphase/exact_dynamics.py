@@ -138,7 +138,11 @@ def _mean_spin(psi: np.ndarray) -> np.ndarray:
 
 
 def hamiltonian_matrix(s: FieldSample) -> np.ndarray:
-    """Two-level Hamiltonian (1/2) B . sigma for the sampled field."""
+    """Two-level Hamiltonian (1/2) B . sigma for the sampled field.
+
+    The reference form of H: the solvers' right-hand side writes ``-i H psi``
+    out component by component and is tested against this matrix.
+    """
     bx, by, bz = s.B_vec
     return 0.5 * np.array([[bz, bx - 1j * by], [bx + 1j * by, -bz]], dtype=complex)
 
@@ -213,10 +217,27 @@ def integrate_bloch(
 
 
 def _rhs(kind: str, profile: FieldProfile):
-    """Right-hand side of i dpsi/dt = H psi ("spinor") or dS/dt = B x S ("bloch")."""
+    """Right-hand side of i dpsi/dt = H psi ("spinor") or dS/dt = B x S ("bloch").
+
+    Both are written out component by component on Python scalars, because
+    ``np.cross`` and a complex 2x2 matmul cost several times this arithmetic.
+    The spinor state stays complex, so the solver's error norm and step
+    sequence do not change.  The tests check both against their reference
+    forms, ``-i H psi`` with :func:`hamiltonian_matrix` and ``np.cross(B, S)``.
+    """
     if kind == "spinor":
-        return lambda t, y: -1j * (hamiltonian_matrix(sample(profile, t)) @ y)
-    return lambda t, y: np.cross(sample(profile, t).B_vec, y)
+        def spinor(t, y):
+            bx, by, bz = sample(profile, t).B_vec.tolist()
+            up, dn = y.tolist()
+            return np.array([-0.5j * (bz * up + (bx - 1j * by) * dn),
+                             -0.5j * ((bx + 1j * by) * up - bz * dn)])
+        return spinor
+
+    def bloch(t, y):
+        bx, by, bz = sample(profile, t).B_vec.tolist()
+        sx, sy, sz = y.tolist()
+        return np.array([by * sz - bz * sy, bz * sx - bx * sz, bx * sy - by * sx])
+    return bloch
 
 
 def _integrate(kind, profile, y0, t_span, cfg):

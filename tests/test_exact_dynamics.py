@@ -14,20 +14,25 @@ from spinphase import (
     Trajectory,
     bloch_series,
     bloch_to_spinor,
+    cone_3d,
     constant,
     exponential_midpoint_bloch,
     exponential_midpoint_schrodinger,
     extract_total_phase,
     integrate_bloch,
     integrate_schrodinger,
+    polynomial_angle,
     residual_defect,
+    sample,
     schrodinger_phase,
     sinusoidal_angle,
     spinor_to_bloch,
     tracked_eigenvector,
     trajectory_to_csv,
     uniform_rotation,
+    user_tabulated,
 )
+from spinphase.exact_dynamics import _rhs, hamiltonian_matrix
 from conftest import uniform_grid_cfg
 
 UNIFORM = uniform_rotation(1.0, 0.1)
@@ -56,6 +61,41 @@ def test_bloch_to_spinor_round_trip():
         v = rng.normal(size=3)
         v /= np.linalg.norm(v)
         assert np.allclose(spinor_to_bloch(bloch_to_spinor(v)), v, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Right-hand sides against their reference forms
+# ---------------------------------------------------------------------------
+
+_TAUS = np.linspace(0.0, 40.0, 161)
+RHS_PROFILES = {
+    "constant": constant(1.3, theta0=0.7, phi0=2.1),
+    "uniform_rotation": uniform_rotation(1.1, 0.2, theta_init=0.4),
+    "polynomial_angle": polynomial_angle(0.9, [0.3, -0.2, 0.05]),
+    "sinusoidal_angle": sinusoidal_angle(1.0, 0.6, 0.5, theta_offset=0.2, b_amp=0.3, b_freq=0.7),
+    "cone_3d": cone_3d(1.2, 0.9, 0.3, phi_init=0.5),
+    "user_tabulated": user_tabulated(_TAUS, 1.0 + 0.2 * np.sin(0.3 * _TAUS),
+                                     0.8 + 0.5 * np.sin(0.2 * _TAUS), 0.4 * _TAUS - 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RHS_PROFILES))
+def test_rhs_matches_reference_forms(name):
+    # the written-out components against -i H psi and np.cross(B, S); the
+    # times and states are generic, so by != 0 and every sign is exercised
+    prof = RHS_PROFILES[name]
+    spinor, bloch = _rhs("spinor", prof), _rhs("bloch", prof)
+    rng = np.random.default_rng(11)
+    for t in (1.0, 7.3, 22.9, 38.4):
+        s = sample(prof, t)
+        for _ in range(5):
+            psi = rng.normal(size=2) + 1j * rng.normal(size=2)
+            psi /= np.linalg.norm(psi)
+            got, want = spinor(t, psi), -1j * (hamiltonian_matrix(s) @ psi)
+            assert got.dtype == np.complex128
+            assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+            S = rng.normal(size=3)
+            assert np.array_equal(bloch(t, S), np.cross(s.B_vec, S))
 
 
 # ---------------------------------------------------------------------------
@@ -153,13 +193,16 @@ def test_aligned_spin_is_stationary(tight_cfg):
 
 def test_ehrenfest_consistency():
     # matched initial conditions: the mean spin of the spinor run equals the
-    # directly integrated classical spin
+    # directly integrated classical spin, in-plane and on a cone where all
+    # three field components are non-zero
     t_span = (0.0, 50.0)
     cfg = uniform_grid_cfg(t_span, 2001, rel_tol=1e-10, abs_tol=1e-13)
-    psi0 = tracked_eigenvector(UNIFORM, 0.0)
-    straj = integrate_schrodinger(UNIFORM, psi0, t_span, cfg)
-    btraj = integrate_bloch(UNIFORM, spinor_to_bloch(psi0), t_span, cfg)
-    assert np.max(np.abs(bloch_series(straj) - btraj.states)) <= 1e-8
+    tilted = bloch_to_spinor([0.6, -0.48, 0.64])
+    for prof, psi0 in ((UNIFORM, tracked_eigenvector(UNIFORM, 0.0)),
+                       (cone_3d(1.0, 0.8, 0.1, phi_init=0.3), tilted)):
+        straj = integrate_schrodinger(prof, psi0, t_span, cfg)
+        btraj = integrate_bloch(prof, spinor_to_bloch(psi0), t_span, cfg)
+        assert np.max(np.abs(bloch_series(straj) - btraj.states)) <= 1e-8
 
 
 def test_adaptive_error_drops_with_max_step():
