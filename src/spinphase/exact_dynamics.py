@@ -287,8 +287,10 @@ def exponential_midpoint_schrodinger(
 
     Each step multiplies by exp(-i H(t_mid) h) evaluated in closed form, so
     the norm is conserved to roundoff regardless of horizon; accuracy is
-    second order in the step.
+    second order in the step.  ``n_steps`` must be a positive integer.
     """
+    if not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
+        raise ConfigError(f"n_steps must be a positive integer, got {n_steps!r}")
     t0, t1 = t_span
     h = (t1 - t0) / n_steps
     times = t0 + h * np.arange(n_steps + 1)

@@ -27,7 +27,7 @@ realize the two sides of that identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -47,6 +47,7 @@ from .exact_dynamics import Trajectory, bloch_series
 
 _QUAD_OPTS = {"epsabs": 1e-12, "epsrel": 1e-12, "limit": 500}
 MIN_SIN_POLAR = 1e-3
+_SWEEP_BLOCK = 1 << 16  # candidate edge pairs per block of the crossing sweep
 
 
 @dataclass(frozen=True)
@@ -66,14 +67,7 @@ class PhaseDecomposition:
     phi_geom_aa: float
 
     def as_dict(self) -> dict:
-        return {
-            "phi0": self.phi0,
-            "phi1": self.phi1,
-            "phi2": self.phi2,
-            "phi_total_exact": self.phi_total_exact,
-            "phi_dyn_expect": self.phi_dyn_expect,
-            "phi_geom_aa": self.phi_geom_aa,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -289,7 +283,7 @@ def _fan_area(S: np.ndarray) -> float:
     """Signed spherical area of the closed polygon S, fanned from +z."""
     closed = S if np.allclose(S[0], S[-1], atol=1e-12) else np.vstack([S, S[0]])
     p, q = closed[:-1], closed[1:]
-    a = _arc(p, q)
+    a = np.arctan2(np.linalg.norm(np.cross(p, q), axis=1), np.sum(p * q, axis=1))
     b = np.arccos(np.clip(p[:, 2], -1.0, 1.0))
     c = np.arccos(np.clip(q[:, 2], -1.0, 1.0))
     s = 0.5 * (a + b + c)
@@ -302,10 +296,6 @@ def _fan_area(S: np.ndarray) -> float:
     excess = 4.0 * np.arctan(np.sqrt(np.maximum(prod, 0.0)))
     sign = np.sign(np.cross(p, q)[:, 2])
     return float(np.sum(sign * excess))
-
-
-def _arc(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return np.arctan2(np.linalg.norm(np.cross(p, q), axis=1), np.sum(p * q, axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +322,8 @@ class MLoop:
         object.__setattr__(self, "theta_dot", td)
         if th.shape != td.shape or th.ndim != 1 or th.size < 4:
             raise LoopNotClosed("loop needs matching 1-D coordinate arrays of >= 4 nodes")
+        if not (np.isfinite(th).all() and np.isfinite(td).all()):
+            raise DomainError("loop coordinates must be finite")
         gap_th = abs(th[0] - th[-1])
         gap_td = abs(td[0] - td[-1]) * self.time_unit
         if gap_th > self.closure_tol or gap_td > self.closure_tol:
@@ -353,17 +345,20 @@ def loop_from_profile(
     return MLoop(theta=th, theta_dot=td, time_unit=1.0 / s.B_mag[0])
 
 
+def _check_field(B_mag: float) -> None:
+    if not 1e-6 <= B_mag < math.inf:
+        raise DegenerateField(f"|B|={B_mag} is not a finite field at or above the floor 1e-6")
+
+
 def generalized_field(B_mag: float) -> float:
     """Curvature of the second-order connection on the parameter plane: -1/(4B)."""
-    if B_mag < 1e-6:
-        raise DegenerateField(f"|B|={B_mag} below floor 1e-6")
+    _check_field(B_mag)
     return -0.25 / B_mag
 
 
 def generalized_line_integral(loop: MLoop, B_mag: float) -> float:
     """Holonomy -(contour integral of (theta_dot/(4B)) dtheta) around the loop."""
-    if B_mag < 1e-6:
-        raise DegenerateField(f"|B|={B_mag} below floor 1e-6")
+    _check_field(B_mag)
     return -0.25 * _stieltjes(loop.theta, loop.theta_dot / B_mag)
 
 
@@ -373,13 +368,12 @@ def stokes_surface_integral(loop: MLoop, B_mag: float) -> float:
     Counterclockwise loops in the (theta, theta_dot/B) plane count positive
     area.  The polygon must be simple; properly crossing edges raise
     SelfIntersection (collinear overlaps of degenerate zero-area loops are
-    tolerated and integrate to zero).
+    tolerated and integrate to zero).  The crossing test sweeps the edges' bounding
+    boxes: O(m log m) time plus the candidate pairs (O(m) on a smooth loop), O(m)
+    memory plus one fixed-size block; a loop revisiting one theta-range k times costs O(k*m).
     """
-    if B_mag < 1e-6:
-        raise DegenerateField(f"|B|={B_mag} below floor 1e-6")
-    x = loop.theta
-    y = loop.theta_dot / B_mag
-    pts = np.stack([x, y], axis=1)
+    _check_field(B_mag)
+    pts = np.stack([loop.theta, loop.theta_dot / B_mag], axis=1)
     if np.hypot(*(pts[0] - pts[-1])) <= 1e-12 + loop.closure_tol:
         pts = pts[:-1]
     if _has_proper_crossing(pts):
@@ -390,19 +384,25 @@ def stokes_surface_integral(loop: MLoop, B_mag: float) -> float:
 
 
 def _has_proper_crossing(pts: np.ndarray) -> bool:
-    """Detect strictly transversal edge crossings of a closed polygon."""
-    m = len(pts)
-    a = pts
-    b = np.roll(pts, -1, axis=0)
-    for ii in range(m - 2):
-        # pair edge ii with all non-adjacent edges j > ii + 1
-        j = np.arange(ii + 2, m - 1 if ii == 0 else m)
-        if j.size == 0:
-            continue
-        d1 = _cross2(b[j] - a[j], a[ii] - a[j])
-        d2 = _cross2(b[j] - a[j], b[ii] - a[j])
-        d3 = _cross2(b[ii] - a[ii], a[j] - a[ii])
-        d4 = _cross2(b[ii] - a[ii], b[j] - a[ii])
+    """Detect strictly transversal edge crossings of a closed polygon by sweeping edge boxes."""
+    m, a, b = len(pts), pts, np.roll(pts, -1, axis=0)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    order = np.argsort(lo[:, 0])
+    # sorted edge k pairs with sorted edges k+1 .. k+counts[k], which start inside its x-range;
+    # taken _SWEEP_BLOCK at a time, non-adjacent pairs whose y-ranges overlap get the exact test
+    counts = np.searchsorted(lo[order, 0], hi[order, 0], side="right") - np.arange(1, m + 1)
+    ends = np.cumsum(counts)
+    for r0 in range(0, int(ends[-1]), _SWEEP_BLOCK):
+        r = np.arange(r0, min(r0 + _SWEEP_BLOCK, int(ends[-1])))
+        k = np.searchsorted(ends, r, side="right")
+        p, q = order[k], order[k + 1 + r - (ends[k] - counts[k])]
+        i, j = np.minimum(p, q), np.maximum(p, q)
+        keep = ((j - i > 1) & ((i > 0) | (j < m - 1))
+                & (lo[i, 1] <= hi[j, 1]) & (lo[j, 1] <= hi[i, 1]))
+        i, j = i[keep], j[keep]
+        ei, ej = b[i] - a[i], b[j] - a[j]
+        d1, d2 = _cross2(ej, a[i] - a[j]), _cross2(ej, b[i] - a[j])
+        d3, d4 = _cross2(ei, a[j] - a[i]), _cross2(ei, b[j] - a[i])
         if np.any((d1 * d2 < 0.0) & (d3 * d4 < 0.0)):
             return True
     return False

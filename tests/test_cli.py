@@ -257,17 +257,29 @@ def test_oversized_grids_exit_3_without_allocating(argv, tmp_path):
     assert peak < 20 * 2**20  # a 10**8-node time grid alone is 800 MB
 
 
-def test_unbounded_span_with_explicit_grid_exits_3(tmp_path):
-    # with --grid-n the solver alone would cover the span; the node bound stops it first
+def _run_module(argv, timeout):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-m", "spinphase", *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def test_unbounded_span_with_explicit_grid_exits_3(tmp_path):
+    # with --grid-n the solver alone would cover the span; the node bound stops it first
     for profile in ("uniform_rotation", "cone"):
         argv = ["simulate", "--profile", profile, "--t-end", "1e300", "--grid-n", "5",
                 "--out", str(tmp_path)]
-        proc = subprocess.run([sys.executable, "-m", "spinphase", *argv], env=env,
-                              capture_output=True, text=True, timeout=30)
+        proc = _run_module(argv, timeout=30)
         assert proc.returncode == 3, proc.stderr
+
+
+def test_stokes_large_loop_finishes(tmp_path):
+    # 10**5 nodes: the crossing sweep takes milliseconds where an all-pairs loop took minutes
+    argv = ["stokes", "--n-nodes", "100000", "--out", str(tmp_path)]
+    proc = _run_module(argv, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "stokes.csv").read_text().startswith("loop_id,")
 
 
 @pytest.mark.parametrize("argv", [

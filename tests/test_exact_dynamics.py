@@ -251,6 +251,16 @@ def test_exponential_midpoint_bloch_matches_adaptive(tight_cfg):
     assert np.linalg.norm(ref.states[-1] - fix.states[-1]) <= 1e-6
 
 
+@pytest.mark.parametrize("n_steps", [0, -3, 2.5])
+@pytest.mark.parametrize("stepper, state0", [
+    (exponential_midpoint_schrodinger, [1.0, 0.0]),
+    (exponential_midpoint_bloch, [0.0, 0.0, 1.0]),
+])
+def test_exponential_midpoint_rejects_invalid_step_count(stepper, state0, n_steps):
+    with pytest.raises(ConfigError, match="n_steps"):
+        stepper(UNIFORM, state0, (0.0, 10.0), n_steps)
+
+
 def test_residual_defect_small_at_tight_tolerance(tight_cfg):
     traj = integrate_schrodinger(UNIFORM, tracked_eigenvector(UNIFORM, 0.0), (0.0, 50.0), tight_cfg)
     assert residual_defect(traj, UNIFORM) <= 1e-9

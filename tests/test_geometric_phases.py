@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from spinphase import (
     ArcTooLong,
     DegenerateField,
+    DomainError,
     GridTooCoarse,
     LoopNotClosed,
     MLoop,
@@ -33,6 +36,8 @@ from spinphase import (
     stokes_surface_integral,
     uniform_rotation,
 )
+from spinphase import geometric_phases
+from spinphase.geometric_phases import _has_proper_crossing
 from conftest import uniform_grid_cfg
 
 R2 = 1 / math.sqrt(2)
@@ -367,6 +372,108 @@ def test_self_intersection_detected():
                   theta_dot=np.array([0.0, 1.0, 0.0, 1.0, 0.0]))
     with pytest.raises(SelfIntersection):
         stokes_surface_integral(eight, 1.0)
+
+
+def _crossing_reference(pts):
+    # the O(m^2) pair loop the sweep replaced: edge ii against every non-adjacent j > ii + 1
+    def cross2(u, v):
+        return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+    m = len(pts)
+    a = pts
+    b = np.roll(pts, -1, axis=0)
+    for ii in range(m - 2):
+        j = np.arange(ii + 2, m - 1 if ii == 0 else m)
+        if j.size == 0:
+            continue
+        d1 = cross2(b[j] - a[j], a[ii] - a[j])
+        d2 = cross2(b[j] - a[j], b[ii] - a[j])
+        d3 = cross2(b[ii] - a[ii], a[j] - a[ii])
+        d4 = cross2(b[ii] - a[ii], b[j] - a[ii])
+        if np.any((d1 * d2 < 0.0) & (d3 * d4 < 0.0)):
+            return True
+    return False
+
+
+def _random_polygon(rng, k):
+    m = int(rng.integers(4, 31))
+    if k % 2:  # star-shaped around the origin: simple unless rounding folds it
+        ang = np.sort(rng.uniform(0.0, 2 * math.pi, m))
+        r = rng.uniform(0.5, 3.0, m)
+        pts = np.stack([r * np.cos(ang), r * np.sin(ang)], axis=1)
+    else:
+        pts = rng.uniform(-3.0, 3.0, (m, 2))
+    # every third polygon on integer nodes: collinear edges, touching and shared vertices
+    return np.round(pts) if k % 3 == 0 else pts
+
+
+def test_crossing_sweep_matches_pair_loop(monkeypatch):
+    rng = np.random.default_rng(11)
+    cases = [(pts, _crossing_reference(pts))
+             for pts in (_random_polygon(rng, k) for k in range(1200))]
+    crossing = sum(want for _, want in cases)
+    assert min(crossing, len(cases) - crossing) >= 300  # both answers well represented
+    for pts, want in cases:
+        assert _has_proper_crossing(pts) == want, pts
+        shift = int(rng.integers(1, len(pts)))
+        assert _has_proper_crossing(np.roll(pts, shift, axis=0)) == want, (pts, shift)
+        assert _has_proper_crossing(pts[::-1]) == want, pts
+    # blocks of a few pairs put most candidate pairs past the first block
+    monkeypatch.setattr(geometric_phases, "_SWEEP_BLOCK", 7)
+    for pts, want in cases[:300]:
+        assert _has_proper_crossing(pts) == want, pts
+
+
+def test_stokes_801_node_ellipse_takes_at_most_10_ms():
+    loop = ellipse_loop()
+    best = math.inf
+    for _ in range(3):
+        t0 = time.perf_counter()
+        stokes_surface_integral(loop, 1.0)
+        best = min(best, time.perf_counter() - t0)
+    assert best <= 0.010
+
+
+def test_stokes_large_loop_bounded_in_time_and_memory():
+    loop = ellipse_loop(n=100_001)
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        val = stokes_surface_integral(loop, 1.0)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert val == pytest.approx(ELLIPSE_PHI2, abs=1e-6)
+    assert elapsed < 1.0
+    assert peak < 100 * 2**20  # an all-pairs box mask alone would be ~10 GB
+
+
+def test_lemniscate_self_intersection_detected():
+    # figure-eight of Gerono; the offset keeps both passes through the origin off the nodes
+    t = np.linspace(0.0, 2 * math.pi, 2000) + 0.3
+    loop = MLoop(theta=np.sin(t), theta_dot=np.sin(t) * np.cos(t))
+    with pytest.raises(SelfIntersection):
+        stokes_surface_integral(loop, 1.0)
+
+
+@pytest.mark.parametrize("B_mag", [math.nan, math.inf, 1e-9])
+@pytest.mark.parametrize("fn", [
+    lambda b: generalized_field(b),
+    lambda b: generalized_line_integral(ellipse_loop(n=101), b),
+    lambda b: stokes_surface_integral(ellipse_loop(n=101), b),
+], ids=["generalized_field", "generalized_line_integral", "stokes_surface_integral"])
+def test_non_finite_or_tiny_field_is_degenerate(fn, B_mag):
+    with pytest.raises(DegenerateField):
+        fn(B_mag)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_loop_coordinates_rejected(bad):
+    with pytest.raises(DomainError):
+        MLoop(theta=[0.0, 1.0, bad, 0.0, 0.0], theta_dot=[0.0, 0.0, 1.0, 1.0, 0.0])
+    with pytest.raises(DomainError):
+        MLoop(theta=[0.0, 1.0, 1.0, 0.0, 0.0], theta_dot=[0.0, 0.0, bad, 1.0, 0.0])
 
 
 def test_loop_closure_enforced():
