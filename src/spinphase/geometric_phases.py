@@ -283,7 +283,8 @@ def _fan_area(S: np.ndarray) -> float:
     """Signed spherical area of the closed polygon S, fanned from +z."""
     closed = S if np.allclose(S[0], S[-1], atol=1e-12) else np.vstack([S, S[0]])
     p, q = closed[:-1], closed[1:]
-    a = np.arctan2(np.linalg.norm(np.cross(p, q), axis=1), np.sum(p * q, axis=1))
+    pxq = np.cross(p, q)
+    a = np.arctan2(np.linalg.norm(pxq, axis=1), np.sum(p * q, axis=1))
     b = np.arccos(np.clip(p[:, 2], -1.0, 1.0))
     c = np.arccos(np.clip(q[:, 2], -1.0, 1.0))
     s = 0.5 * (a + b + c)
@@ -294,7 +295,7 @@ def _fan_area(S: np.ndarray) -> float:
         * np.tan(0.5 * (s - c))
     )
     excess = 4.0 * np.arctan(np.sqrt(np.maximum(prod, 0.0)))
-    sign = np.sign(np.cross(p, q)[:, 2])
+    sign = np.sign(pxq[:, 2])
     return float(np.sum(sign * excess))
 
 
@@ -367,10 +368,12 @@ def stokes_surface_integral(loop: MLoop, B_mag: float) -> float:
 
     Counterclockwise loops in the (theta, theta_dot/B) plane count positive
     area.  The polygon must be simple; properly crossing edges raise
-    SelfIntersection (collinear overlaps of degenerate zero-area loops are
-    tolerated and integrate to zero).  The crossing test sweeps the edges' bounding
-    boxes: O(m log m) time plus the candidate pairs (O(m) on a smooth loop), O(m)
-    memory plus one fixed-size block; a loop revisiting one theta-range k times costs O(k*m).
+    SelfIntersection, and so do two passes through one node whose incoming and
+    outgoing edges interleave in angle (collinear overlaps of degenerate zero-area
+    loops, retraced edges and passes that only touch at a node are tolerated).
+    The crossing test sweeps the edges' bounding boxes: O(m log m) time plus the
+    candidate pairs (O(m) on a smooth loop), O(m) memory plus one fixed-size block;
+    a loop revisiting one theta-range k times costs O(k*m), one node k times O(k**2).
     """
     _check_field(B_mag)
     pts = np.stack([loop.theta, loop.theta_dot / B_mag], axis=1)
@@ -378,6 +381,8 @@ def stokes_surface_integral(loop: MLoop, B_mag: float) -> float:
         pts = pts[:-1]
     if _has_proper_crossing(pts):
         raise SelfIntersection("loop edges cross; oriented area is undefined")
+    if _crosses_at_vertex(pts):
+        raise SelfIntersection("loop crosses itself at a node; oriented area is undefined")
     x_c, y_c = pts[:, 0], pts[:, 1]
     area = 0.5 * float(np.sum(x_c * np.roll(y_c, -1) - np.roll(x_c, -1) * y_c))
     return area / 4.0
@@ -406,6 +411,41 @@ def _has_proper_crossing(pts: np.ndarray) -> bool:
         if np.any((d1 * d2 < 0.0) & (d3 * d4 < 0.0)):
             return True
     return False
+
+
+def _crosses_at_vertex(pts: np.ndarray) -> bool:
+    """Detect two passes through one node whose in/out edge directions interleave in angle.
+
+    Repeated consecutive nodes are merged first, so every pass has two nonzero
+    rays; a ray shared by both passes, or a pass that reverses on itself, is a touch.
+    """
+    p = pts[np.any(pts != np.roll(pts, -1, axis=0), axis=1)]
+    m = len(p)
+    order = np.lexsort((p[:, 1], p[:, 0]))
+    same = np.all(p[order[1:]] == p[order[:-1]], axis=1)
+    if not same.any():
+        return False
+    # sorted node r pairs with the later nodes r+1 .. ends[run[r]]-1 of its run of equal nodes
+    ends = np.flatnonzero(np.append(~same, True)) + 1
+    counts = ends[np.append(0, np.cumsum(~same))] - np.arange(1, m + 1)
+    r = np.repeat(np.arange(m), counts)
+    offset = np.arange(len(r)) - np.repeat(np.cumsum(counts) - counts, counts)
+    i, j = order[r], order[r + 1 + offset]
+    rays_in, rays_out = np.roll(p, 1, axis=0) - p, np.roll(p, -1, axis=0) - p
+    u, v = rays_in[i], rays_out[i]
+    return bool(np.any(_side(u, v, rays_in[j]) * _side(u, v, rays_out[j]) < 0))
+
+
+def _side(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """+1 if ray w lies strictly inside the counterclockwise wedge from ray u to ray v,
+    -1 strictly outside, 0 on u or v (and everywhere when v retraces u)."""
+    c, cu, cv = _cross2(u, v), _cross2(u, w), _cross2(w, v)
+    side = np.where(c > 0, np.where((cu > 0) & (cv > 0), 1, -1),
+                    np.where(c < 0, np.where((cu < 0) & (cv < 0), -1, 1),
+                             np.sign(cu) * (np.sum(u * v, axis=-1) < 0)))
+    on_u = (cu == 0) & (np.sum(u * w, axis=-1) > 0)
+    on_v = (cv == 0) & (np.sum(v * w, axis=-1) > 0)
+    return np.where(on_u | on_v, 0, side)
 
 
 def _cross2(u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -457,6 +457,80 @@ def test_lemniscate_self_intersection_detected():
         stokes_surface_integral(loop, 1.0)
 
 
+def _closed(pts):
+    pts = np.asarray(pts, dtype=float)
+    pts = np.vstack([pts, pts[:1]])
+    return MLoop(theta=pts[:, 0], theta_dot=pts[:, 1])
+
+
+# a figure-eight whose two passes cross exactly at the shared node (0, 0)
+FIGURE_EIGHT_AT_NODE = [[0, 0], [1, 1], [1, -1], [0, 0], [-1, 1], [-1, -1]]
+# two clockwise lobes that only touch at (0, 0): simple enough for an area
+KISSING_LOBES = [[0, 0], [1, 1], [1, -1], [0, 0], [-1, -1], [-1, 1]]
+
+
+def test_figure_eight_through_shared_node_detected():
+    for shift in range(len(FIGURE_EIGHT_AT_NODE)):
+        pts = np.roll(FIGURE_EIGHT_AT_NODE, shift, axis=0)
+        for loop in (_closed(pts), _closed(pts[::-1])):
+            with pytest.raises(SelfIntersection):
+                stokes_surface_integral(loop, 1.0)
+
+
+def test_lobes_touching_at_a_node_are_tolerated():
+    for shift in range(len(KISSING_LOBES)):
+        pts = np.roll(KISSING_LOBES, shift, axis=0)
+        assert stokes_surface_integral(_closed(pts), 1.0) == -0.5
+        assert stokes_surface_integral(_closed(pts[::-1]), 1.0) == 0.5
+    # a doubled node, and a pass that reverses at the shared node, still only touch
+    doubled = [[0, 0], [0, 0], [1, 1], [1, -1], [0, 0], [-1, -1], [-1, 1]]
+    assert stokes_surface_integral(_closed(doubled), 1.0) == -0.5
+    spike = [[0, 0], [1, 1], [1, -1], [0, 0], [-1, 0], [0, 0], [-1, -1], [-1, 1]]
+    assert stokes_surface_integral(_closed(spike), 1.0) == -0.5
+
+
+def _vertex_crossing_reference(pts):
+    # every pair of passes through one node on an integer polygon, rays compared
+    # as gcd-reduced integer directions and ordered by angle
+    keep = [k for k in range(len(pts)) if tuple(pts[k]) != tuple(pts[(k + 1) % len(pts)])]
+    p = [tuple(int(c) for c in pts[k]) for k in keep]
+    m = len(p)
+
+    def ray(k, step):
+        dx, dy = p[(k + step) % m][0] - p[k][0], p[(k + step) % m][1] - p[k][1]
+        g = math.gcd(dx, dy)
+        return dx // g, dy // g
+
+    def ccw(frm, to):
+        return (math.atan2(to[1], to[0]) - math.atan2(frm[1], frm[0])) % (2 * math.pi)
+
+    for i in range(m):
+        for j in range(i + 1, m):
+            if p[i] != p[j]:
+                continue
+            a1, a2, b1, b2 = ray(i, -1), ray(i, 1), ray(j, -1), ray(j, 1)
+            if a1 == a2 or b1 == b2 or {b1, b2} & {a1, a2}:
+                continue  # a pass reversing on itself, or a shared ray: a touch
+            if (ccw(a1, b1) < ccw(a1, a2)) != (ccw(a1, b2) < ccw(a1, a2)):
+                return True
+    return False
+
+
+def test_vertex_crossing_matches_pass_pair_loop():
+    rng = np.random.default_rng(17)
+    cases = []
+    for _ in range(600):
+        pts = rng.integers(-2, 3, (int(rng.integers(4, 25)), 2)).astype(float)
+        cases.append((pts, _vertex_crossing_reference(pts)))
+    crossing = sum(want for _, want in cases)
+    assert min(crossing, len(cases) - crossing) >= 100
+    for pts, want in cases:
+        assert geometric_phases._crosses_at_vertex(pts) == want, pts
+        shift = int(rng.integers(1, len(pts)))
+        assert geometric_phases._crosses_at_vertex(np.roll(pts, shift, axis=0)) == want, pts
+        assert geometric_phases._crosses_at_vertex(pts[::-1]) == want, pts
+
+
 @pytest.mark.parametrize("B_mag", [math.nan, math.inf, 1e-9])
 @pytest.mark.parametrize("fn", [
     lambda b: generalized_field(b),
