@@ -81,7 +81,6 @@ from .geometric_phases import (
     phase_series,
     phi0,
     phi2,
-    phi2_byparts_direct,
     phi2_decomposition,
     phi_dyn_expect,
     stokes_surface_integral,

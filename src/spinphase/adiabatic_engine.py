@@ -282,36 +282,3 @@ def quasi_stationary(profile: FieldProfile, t) -> QuasiStationary:
     s2 = np.cross(ds1, s0, axis=0) / B - 0.5 * s1_sq * s0
     return QuasiStationary(s_total=(s0 + s1 + s2).T, s0=s0.T, s1=s1.T, s2=s2.T)
 
-
-def quasi_stationary_cartesian(profile: FieldProfile, t: float) -> QuasiStationary:
-    """In-plane Cartesian view of the quasi-stationary corrections.
-
-    Cross-check form: must agree with :func:`quasi_stationary` to 1e-12 for
-    in-plane profiles.
-    """
-    if not is_in_plane(profile):
-        raise DomainError("Cartesian quasi-stationary form assumes an in-plane profile")
-    s = sample(profile, t)
-    p = params_from_sample(s)
-    _guard_perturbative(p)
-    st, ct = math.sin(s.theta), math.cos(s.theta)
-    d, g = p.delta, p.gamma
-    s0 = np.array([st, 0.0, ct])
-    s1 = np.array([0.0, -d, 0.0])
-    s2 = np.array([-g * ct - 0.5 * d * d * st, 0.0, g * st - 0.5 * d * d * ct])
-    return QuasiStationary(s_total=s0 + s1 + s2, s0=s0, s1=s1, s2=s2)
-
-
-def quasi_stationary_spherical(profile: FieldProfile, t: float) -> tuple[float, float, float]:
-    """In-plane spherical-basis coefficients (radial, e_theta, e_phi).
-
-    Returns (1 - delta**2/2, -gamma, -delta): the unit radial part carries
-    the second-order normalization correction, the polar component is the
-    acceleration-type deflection, the azimuthal one the velocity-type
-    deflection.
-    """
-    if not is_in_plane(profile):
-        raise DomainError("spherical quasi-stationary form assumes an in-plane profile")
-    p = params_from_sample(sample(profile, t))
-    _guard_perturbative(p)
-    return 1.0 - 0.5 * p.delta * p.delta, -p.gamma, -p.delta

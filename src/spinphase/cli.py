@@ -29,6 +29,7 @@ from .errors import ConfigError, IoError, SpinPhaseError
 from .exact_dynamics import (
     MAX_GRID_NODES,
     IntegratorConfig,
+    _csv,
     bloch_series,
     bloch_to_spinor,
     default_grid,
@@ -39,6 +40,7 @@ from .exact_dynamics import (
 )
 from .field_profiles import (
     FieldProfile,
+    _finite,
     _number,
     is_in_plane,
     profile_from_dict,
@@ -48,7 +50,6 @@ from .field_profiles import (
 from . import field_profiles
 from .adiabatic_engine import tracked_eigenvector
 from .geometric_phases import loop_from_profile, phase_series
-from .verification import _fmt
 
 OUT_DIR_ENV = "SPINPHASE_OUT_DIR"
 FORMATS = ("csv", "json", "gnuplot")
@@ -57,7 +58,7 @@ _KIND_ALIASES = {
     "polynomial": "polynomial_angle",
     "cone": "cone_3d",
 }
-# Profile params the factories do not default; given params replace them
+# Profile params that field_profiles.KIND_PARAMS does not default; given params replace them
 # key by key, except that given coefficients replace the default c0, c1.
 _PROFILE_DEFAULTS = {
     "constant": {"B0": 1.0},
@@ -200,13 +201,6 @@ def _params(command: str, given) -> dict:
             or params.get("horizon") == 0.0 or command == "stokes" and params["Omega"] == 0.0):
         raise ConfigError(f"{command} needs a non-empty time span")
     return params
-
-
-def _finite(name: str, value) -> float:
-    x = _number(name, value)
-    if not math.isfinite(x):
-        raise ConfigError(f"{name} must be finite, got {value!r}")
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +364,7 @@ def _cmd_simulate(rc: RunConfig) -> dict:
     up, dn = traj.states[:, 0], traj.states[:, 1]
     table = np.column_stack([traj.times, samples.B_vec, spins, up.real, up.imag, dn.real, dn.imag,
                              phases, phi0_series, phi2_series])
-    rows = ["t,Bx,By,Bz,Sx,Sy,Sz,re_up,im_up,re_dn,im_dn,phase_total,phi0,phi2"]
-    rows += [",".join(map(_fmt, row)) for row in table]
+    csv = _csv("t,Bx,By,Bz,Sx,Sy,Sz,re_up,im_up,re_dn,im_dn,phase_total,phi0,phi2", table)
     summary = {
         "command": "simulate",
         "profile": profile_to_dict(profile),
@@ -393,7 +386,7 @@ def _cmd_simulate(rc: RunConfig) -> dict:
         ]
     ) + "\n"
     return {
-        "csv": {"traj.csv": "\n".join(rows) + "\n"},
+        "csv": {"traj.csv": csv},
         "json": {"summary.json": summary},
         "gnuplot": {"plot.gp": gnuplot},
         "stdout": [f"phase_total({t_span[1]:g}) = {phases[-1]:.12g}"],

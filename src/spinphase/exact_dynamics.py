@@ -357,16 +357,16 @@ def exponential_midpoint_bloch(
 
 
 # ---------------------------------------------------------------------------
-# Defect estimate (step doubling)
+# Defect estimate (RK4 half-steps)
 # ---------------------------------------------------------------------------
 
 def residual_defect(traj: Trajectory, profile: FieldProfile, n_probe: int = 16) -> float:
-    """Max step-doubling defect of the stored trajectory at probe nodes.
+    """Max local defect of the stored trajectory at probe nodes.
 
-    From each probe node a classical RK4 step of the local grid spacing is
-    taken once with h and once with two h/2 substeps; the distance of the
-    stored next node from the doubled-step result estimates the local
-    defect of the stored solution at grid resolution.
+    From each probe node, two classical RK4 half-steps of h/2 cover the
+    local grid spacing h; the distance of the stored next node from their
+    result estimates the local defect of the stored solution at grid
+    resolution.
     """
     rhs = _rhs(traj.kind, profile)
     idx = np.unique(np.linspace(0, len(traj.times) - 2, n_probe).astype(int))
@@ -478,15 +478,21 @@ def schrodinger_phase(
 
 def trajectory_to_csv(traj: Trajectory) -> str:
     """Render a trajectory as CSV text with 17-significant-digit floats."""
-    lines = []
     if traj.kind == "spinor":
-        lines.append("t,re_up,im_up,re_dn,im_dn")
-        for t, (up, dn) in zip(traj.times, traj.states):
-            lines.append(
-                f"{t:.17g},{up.real:.17g},{up.imag:.17g},{dn.real:.17g},{dn.imag:.17g}"
-            )
-    else:
-        lines.append("t,Sx,Sy,Sz")
-        for t, (x, y, z) in zip(traj.times, traj.states):
-            lines.append(f"{t:.17g},{x:.17g},{y:.17g},{z:.17g}")
-    return "\n".join(lines) + "\n"
+        up, dn = traj.states[:, 0], traj.states[:, 1]
+        return _csv("t,re_up,im_up,re_dn,im_dn",
+                    np.column_stack([traj.times, up.real, up.imag, dn.real, dn.imag]))
+    return _csv("t,Sx,Sy,Sz", np.column_stack([traj.times, traj.states]))
+
+
+def _csv(header: str, table, labels: Sequence[str] | None = None) -> str:
+    """CSV text: the header line, one line per row of the 2-D float ``table``, a final newline.
+
+    Every cell is written with 17 significant digits, which round-trips a
+    float exactly; given ``labels``, each line starts with its row's label.
+    """
+    lines = [",".join(map("{:.17g}".format, row.tolist()))
+             for row in np.asarray(table, dtype=float)]
+    if labels is not None:
+        lines = [f"{label},{line}" for label, line in zip(labels, lines)]
+    return "\n".join([header, *lines]) + "\n"

@@ -19,20 +19,25 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateField, DomainError
 
-KINDS = (
-    "constant",
-    "uniform_rotation",
-    "polynomial_angle",
-    "sinusoidal_angle",
-    "cone_3d",
-    "user_tabulated",
-)
+# Each kind's params and their defaults, in stored order; a param without a
+# default (None) is required.  polynomial_angle also takes the coefficients
+# c0, c1, ... with no gap, stored as floats after B0.
+KIND_PARAMS: dict[str, dict[str, float | None]] = {
+    "constant": {"B0": None, "theta0": 0.0, "phi0": 0.0},
+    "uniform_rotation": {"B0": None, "omega": None, "theta_init": 0.0},
+    "polynomial_angle": {"B0": None},
+    "sinusoidal_angle": {"B0": None, "theta0": None, "Omega": None,
+                         "theta_offset": 0.0, "b_amp": 0.0, "b_freq": 0.0},
+    "cone_3d": {"B0": None, "theta_c": None, "omega_phi": None, "phi_init": 0.0},
+    "user_tabulated": {"fd_step": 1e-4},
+}
+KINDS = tuple(KIND_PARAMS)
 
 DEFAULT_B_MIN = 1e-6
 
@@ -65,9 +70,12 @@ class FieldSample:
 class FieldProfile:
     """Immutable field trajectory; sampling is pure and thread-safe.
 
-    ``params`` holds the kind-specific scalars.  ``t_domain`` bounds the
-    admissible sampling times (lab time); ``b_min`` is the degeneracy floor
-    below which sampling raises :class:`DegenerateField`.
+    ``params`` holds the kind-specific scalars, checked at construction
+    against the kind's row of ``KIND_PARAMS`` and stored in its order with
+    the defaults filled in.  ``t_domain`` bounds the admissible sampling
+    times (lab time); ``b_min`` is the degeneracy floor below which
+    sampling raises :class:`DegenerateField`.  Any invalid setting raises
+    :class:`ConfigError`.
     """
 
     kind: str
@@ -78,11 +86,35 @@ class FieldProfile:
     _tables: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        table = KIND_PARAMS.get(self.kind)
+        if table is None:
             raise ConfigError(f"unknown profile kind {self.kind!r}")
-        for name, value in {**self.params, "epsilon": self.epsilon}.items():
-            if not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
+        given = dict(self.params)
+        params = {}
+        for name, default in table.items():
+            value = given.pop(name, default)
+            if value is None:
+                raise ConfigError(f"{self.kind} requires param {name}")
+            _finite(f"{self.kind} param {name}", value)
+            params[name] = value
+        if self.kind == "polynomial_angle":
+            coeffs = [f"c{k}" for k in range(len(given))]
+            if not coeffs or set(given) != set(coeffs):
+                raise ConfigError("polynomial_angle takes B0 and c0, c1, ... with no gap; "
+                                  f"got {sorted(map(str, self.params))}")
+            params.update((c, _finite(f"polynomial_angle param {c}", given[c])) for c in coeffs)
+        elif given:
+            raise ConfigError(f"{self.kind} takes no param {next(iter(given))!r}")
+        for name in ("B0", "fd_step"):
+            if name in params and not params[name] > 0:
+                raise ConfigError(f"{name} must be positive, got {params[name]}")
+        if abs(params.get("b_amp", 0.0)) >= 1.0:
+            raise ConfigError("|b_amp| must be < 1 to keep the field non-degenerate, "
+                              f"got {params['b_amp']}")
+        if self.kind == "user_tabulated" and self._tables is None:
+            raise ConfigError("user_tabulated profiles are built from tables by user_tabulated()")
+        object.__setattr__(self, "params", params)
+        _finite("epsilon", self.epsilon)
         if not (self.epsilon > 0):
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
         if not (self.b_min > 0):
@@ -98,13 +130,11 @@ class FieldProfile:
 
 def constant(B0: float, theta0: float = 0.0, phi0: float = 0.0, **kw) -> FieldProfile:
     """Static field of magnitude B0 pointing along (theta0, phi0)."""
-    _require_positive("B0", B0)
     return FieldProfile("constant", {"B0": B0, "theta0": theta0, "phi0": phi0}, **kw)
 
 
 def uniform_rotation(B0: float, omega: float, theta_init: float = 0.0, **kw) -> FieldProfile:
     """In-plane field of constant magnitude rotating at uniform rate omega."""
-    _require_positive("B0", B0)
     return FieldProfile(
         "uniform_rotation", {"B0": B0, "omega": omega, "theta_init": theta_init}, **kw
     )
@@ -112,10 +142,9 @@ def uniform_rotation(B0: float, omega: float, theta_init: float = 0.0, **kw) -> 
 
 def polynomial_angle(B0: float, coeffs: Sequence[float], **kw) -> FieldProfile:
     """In-plane field with theta(tau) = sum_k c_k tau**k, constant magnitude."""
-    _require_positive("B0", B0)
-    params = {"B0": B0}
-    params.update({f"c{k}": float(c) for k, c in enumerate(coeffs)})
-    return FieldProfile("polynomial_angle", params, **kw)
+    return FieldProfile(
+        "polynomial_angle", {"B0": B0, **{f"c{k}": c for k, c in enumerate(coeffs)}}, **kw
+    )
 
 
 def sinusoidal_angle(
@@ -132,9 +161,6 @@ def sinusoidal_angle(
     Optionally modulates the magnitude as B(tau) = B0*(1 + b_amp*sin(b_freq*tau)),
     which is the one analytic kind exercising B_dot != 0.
     """
-    _require_positive("B0", B0)
-    if abs(b_amp) >= 1.0:
-        raise ConfigError(f"|b_amp| must be < 1 to keep the field non-degenerate, got {b_amp}")
     return FieldProfile(
         "sinusoidal_angle",
         {
@@ -153,7 +179,6 @@ def cone_3d(
     B0: float, theta_c: float, omega_phi: float, phi_init: float = 0.0, **kw
 ) -> FieldProfile:
     """Constant-magnitude field on a cone: theta fixed, phi(tau) = phi_init + omega_phi*tau."""
-    _require_positive("B0", B0)
     return FieldProfile(
         "cone_3d",
         {"B0": B0, "theta_c": theta_c, "omega_phi": omega_phi, "phi_init": phi_init},
@@ -184,8 +209,6 @@ def user_tabulated(
         raise ConfigError("user_tabulated needs at least 4 nodes")
     if np.any(np.diff(taus) <= 0):
         raise ConfigError("tabulated times must be strictly increasing")
-    if not fd_step > 0:
-        raise ConfigError(f"fd_step must be positive, got {fd_step}")
     B = np.asarray(B, dtype=float)
     theta = np.asarray(theta, dtype=float)
     phi = np.zeros_like(taus) if phi is None else np.asarray(phi, dtype=float)
@@ -204,11 +227,6 @@ def user_tabulated(
     )
 
 
-def _require_positive(name, value):
-    if not value > 0:
-        raise ConfigError(f"{name} must be positive, got {value}")
-
-
 def _coeff_index(key: str) -> int:
     return int(key[1:]) if key.startswith("c") and key[1:].isdigit() else -1
 
@@ -221,6 +239,14 @@ def _number(name: str, value) -> float:
         return float(value)
     except OverflowError:
         raise ConfigError(f"{name} is out of float range") from None
+
+
+def _finite(name: str, value) -> float:
+    """``value`` as a float; ConfigError unless it is a finite real number."""
+    x = _number(name, value)
+    if not math.isfinite(x):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -378,14 +404,6 @@ def profile_to_dict(profile: FieldProfile) -> dict:
     return d
 
 
-_FACTORIES: dict[str, Callable] = {
-    "constant": constant,
-    "uniform_rotation": uniform_rotation,
-    "sinusoidal_angle": sinusoidal_angle,
-    "cone_3d": cone_3d,
-}
-
-
 def profile_from_dict(d: Mapping) -> FieldProfile:
     """Build a profile from {"kind", "params", "epsilon", "t_domain"[, "b_min"]}."""
     try:
@@ -404,27 +422,7 @@ def profile_from_dict(d: Mapping) -> FieldProfile:
         kw["t_domain"] = tuple(_number("t_domain", t) for t in t_domain)
     if "b_min" in d:
         kw["b_min"] = _number("b_min", d["b_min"])
-    for name, value in params.items():
-        _number(f"profile param {name!r}", value)
-    if kind == "polynomial_angle":
-        try:
-            B0 = params.pop("B0")
-        except KeyError:
-            raise ConfigError("polynomial_angle requires B0") from None
-        if sorted(map(_coeff_index, params)) != list(range(len(params))):
-            raise ConfigError(f"polynomial_angle takes B0 and c0, c1, ... with no gap; "
-                              f"got {sorted(params)}")
-        coeffs = [params[k] for k in sorted(params, key=_coeff_index)]
-        if not coeffs:
-            raise ConfigError("polynomial_angle requires coefficients c0, c1, ...")
-        return polynomial_angle(B0, coeffs, **kw)
-    factory = _FACTORIES.get(kind)
-    if factory is None:
-        raise ConfigError(f"unknown profile kind {kind!r}")
-    try:
-        return factory(**params, **kw)
-    except TypeError as exc:
-        raise ConfigError(f"bad parameters for {kind}: {exc}") from exc
+    return FieldProfile(kind, params, **kw)
 
 
 def profile_from_json(text: str) -> FieldProfile:

@@ -156,24 +156,6 @@ def phi2_decomposition(profile: FieldProfile, t_span: tuple[float, float]) -> Ph
     )
 
 
-def phi2_byparts_direct(profile: FieldProfile, t_span: tuple[float, float]) -> float:
-    """Direct quadrature (1/2) int (1 - cos theta) d(delta/sin theta).
-
-    Cross-check form for the by-parts evaluation; requires sin theta >= 1e-3
-    along the path (the connection has a coordinate singularity there).
-    """
-    def integrand(s):
-        st = math.sin(s.theta)
-        if abs(st) < MIN_SIN_POLAR:
-            raise PoleSingularity(f"sin(theta)={st} below {MIN_SIN_POLAR} at t={s.t}")
-        p = params_from_sample(s)
-        ddelta = p.gamma * s.B_mag
-        rate = (ddelta * st - p.delta * s.theta_dot * math.cos(s.theta)) / (st * st)
-        return (1.0 - math.cos(s.theta)) * rate
-
-    return _integral(0.5, integrand, profile, t_span)
-
-
 # ---------------------------------------------------------------------------
 # Trajectory integrals with decimation-Richardson refinement
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 
 from .adiabatic_engine import quasi_stationary, tracked_eigenvector
 from .errors import ConfigError
-from .exact_dynamics import IntegratorConfig, integrate_bloch, schrodinger_phase
+from .exact_dynamics import IntegratorConfig, _csv, integrate_bloch, schrodinger_phase
 from .field_profiles import FieldProfile, sample, sinusoidal_angle
 from .geometric_phases import (
     MLoop,
@@ -26,10 +26,6 @@ from .geometric_phases import (
     phase_decomposition,
     stokes_surface_integral,
 )
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def check_horizon(profile: FieldProfile, t_span: tuple[float, float]) -> float:
@@ -64,12 +60,8 @@ class ConvergenceReport:
     slopes: list[tuple[float, float]]  # (slope, standard error) per order
 
     def to_csv(self) -> str:
-        lines = ["epsilon,err_order0,err_order1,err_order2"]
-        for e, a, b, c in zip(
-            self.epsilons, self.errors_order0, self.errors_order1, self.errors_order2
-        ):
-            lines.append(f"{_fmt(e)},{_fmt(a)},{_fmt(b)},{_fmt(c)}")
-        return "\n".join(lines) + "\n"
+        return _csv("epsilon,err_order0,err_order1,err_order2", list(zip(
+            self.epsilons, self.errors_order0, self.errors_order1, self.errors_order2)))
 
     def summary(self) -> dict:
         return {
@@ -239,12 +231,9 @@ def run_stokes_check(
 
 
 def stokes_csv(rows: Sequence[StokesRow]) -> str:
-    lines = ["loop_id,line_integral,surface_integral,abs_diff"]
-    for r in rows:
-        lines.append(
-            f"{r.loop_id},{_fmt(r.line_integral)},{_fmt(r.surface_integral)},{_fmt(r.abs_diff)}"
-        )
-    return "\n".join(lines) + "\n"
+    return _csv("loop_id,line_integral,surface_integral,abs_diff",
+                [(r.line_integral, r.surface_integral, r.abs_diff) for r in rows],
+                labels=[r.loop_id for r in rows])
 
 
 # ---------------------------------------------------------------------------

@@ -408,11 +408,16 @@ def test_csv_export_round_trips_17_digits(tight_cfg):
     t, re_up, im_up, re_dn, im_dn = map(float, lines[-1].split(","))
     assert t == traj.times[-1]
     assert re_up == traj.states[-1][0].real and im_dn == traj.states[-1][1].imag
+    # reference: one f-string per row
+    assert lines[1:] == [f"{t:.17g},{u.real:.17g},{u.imag:.17g},{d.real:.17g},{d.imag:.17g}"
+                         for t, (u, d) in zip(traj.times, traj.states)]
 
     btraj = integrate_bloch(UNIFORM, [0.0, 0.0, 1.0], (0.0, 1.0), tight_cfg)
     blines = trajectory_to_csv(btraj).strip().split("\n")
     assert blines[0] == "t,Sx,Sy,Sz"
     assert float(blines[-1].split(",")[3]) == btraj.states[-1][2]
+    assert blines[1:] == [f"{t:.17g},{x:.17g},{y:.17g},{z:.17g}"
+                          for t, (x, y, z) in zip(btraj.times, btraj.states)]
 
 
 def test_aliased_grid_raises_branch_jump_and_refines_to_oracle():

@@ -8,6 +8,7 @@ from spinphase import (
     ConfigError,
     DegenerateField,
     DomainError,
+    FieldProfile,
     cone_3d,
     constant,
     derivative_selftest,
@@ -20,6 +21,7 @@ from spinphase import (
     uniform_rotation,
     user_tabulated,
 )
+from spinphase.field_profiles import KIND_PARAMS
 
 
 def test_constant_field_is_static():
@@ -241,3 +243,79 @@ def test_json_rejects_unknown_keys_and_coefficient_gaps():
         uniform_rotation(1.0, float("nan"))
     with pytest.raises(ConfigError):
         uniform_rotation(1.0, 0.1, epsilon=float("inf"))
+
+
+# one valid bare-constructor params dict per kind (user_tabulated also needs tables)
+VALID_PARAMS = {
+    "constant": {"B0": 1.0},
+    "uniform_rotation": {"B0": 1.0, "omega": 0.1},
+    "polynomial_angle": {"B0": 1.0, "c0": 0.0, "c1": 0.1},
+    "sinusoidal_angle": {"B0": 1.0, "theta0": 0.3, "Omega": 0.05},
+    "cone_3d": {"B0": 1.0, "theta_c": 1.0, "omega_phi": 0.05},
+    "user_tabulated": {"fd_step": 1e-3},
+}
+TABLES = user_tabulated(np.linspace(0.0, 10.0, 40), B=np.ones(40), theta=np.zeros(40))._tables
+
+
+def _bare(kind, params):
+    return FieldProfile(kind, params, _tables=TABLES if kind == "user_tabulated" else None)
+
+
+def _bad_params(kind):
+    """(rule, params) pairs, each breaking one rule of the kind's row of KIND_PARAMS."""
+    good = VALID_PARAMS[kind]
+    first = next(iter(good))
+    cases = [("unknown", {**good, "bogus": 0.1})]
+    cases += [(f"missing {name}", {k: v for k, v in good.items() if k != name})
+              for name, default in KIND_PARAMS[kind].items() if default is None]
+    cases += [(f"{first}={value!r}", {**good, first: value})
+              for value in ("1.0", None, True, [1.0], math.nan, math.inf, -math.inf, 10**400)]
+    if "B0" in good:
+        cases += [(f"B0={b}", {**good, "B0": b}) for b in (0.0, -1.0)]
+    if kind == "user_tabulated":
+        cases += [(f"fd_step={h}", {"fd_step": h}) for h in (0.0, -1e-3)]
+    if kind == "sinusoidal_angle":
+        cases += [(f"b_amp={a}", {**good, "b_amp": a, "b_freq": 0.1}) for a in (1.0, -1.5)]
+    if kind == "polynomial_angle":
+        cases += [("no coefficients", {"B0": 1.0}),
+                  ("gap", {"B0": 1.0, "c0": 0.0, "c2": 0.1}),
+                  ("padded index", {"B0": 1.0, "c0": 0.0, "c01": 0.1}),
+                  ("bad coefficient", {"B0": 1.0, "c0": "0"})]
+    return cases
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_PARAMS))
+def test_bare_constructor_checks_params_at_construction(kind):
+    good = _bare(kind, VALID_PARAMS[kind])
+    sample(good, 0.5)
+    for rule, params in _bad_params(kind):
+        with pytest.raises(ConfigError):
+            _bare(kind, params)
+            pytest.fail(f"{kind} built with {rule}: {params}")
+    if kind == "user_tabulated":
+        with pytest.raises(ConfigError):
+            FieldProfile(kind, VALID_PARAMS[kind])  # no tables
+
+
+def test_bare_constructor_fills_defaults_in_table_order():
+    assert FieldProfile("constant", {"B0": 1.0}) == constant(1.0)
+    p = FieldProfile("sinusoidal_angle", {"Omega": 0.05, "theta0": 0.3, "B0": 1.0})
+    assert p == sinusoidal_angle(1.0, theta0=0.3, Omega=0.05)
+    assert list(p.params) == list(KIND_PARAMS["sinusoidal_angle"])
+    with pytest.raises(ConfigError):
+        FieldProfile("sinusoidal_angle", {"B0": 1.0})
+
+
+def test_construction_keeps_value_types():
+    # B0 and the other params keep their type; polynomial coefficients become floats
+    config = {"kind": "polynomial_angle", "params": {"B0": 1, "c0": 0, "c1": 0.1}}
+    for p in (FieldProfile("polynomial_angle", {"B0": 1, "c0": 0, "c1": 0.1}),
+              polynomial_angle(1, [0, 0.1]),
+              profile_from_dict(config)):
+        assert [(k, type(v)) for k, v in p.params.items()] == [
+            ("B0", int), ("c0", float), ("c1", float)]
+        again = profile_from_dict(profile_to_dict(p))
+        assert again == p
+        assert [type(v) for v in again.params.values()] == [int, float, float]
+    u = profile_from_dict(profile_to_dict(uniform_rotation(2, 0.1)))
+    assert type(u.params["B0"]) is int and type(u.params["theta_init"]) is float

@@ -29,7 +29,6 @@ from spinphase import (
     loop_from_profile,
     phi0,
     phi2,
-    phi2_byparts_direct,
     phi2_decomposition,
     phi_dyn_expect,
     sinusoidal_angle,
@@ -39,6 +38,7 @@ from spinphase import (
 from spinphase import geometric_phases
 from spinphase.geometric_phases import _has_proper_crossing
 from conftest import uniform_grid_cfg
+from oracles import phi2_byparts_direct
 
 R2 = 1 / math.sqrt(2)
 ELLIPSE_PHI2 = -math.pi * 0.3**2 * 0.05 / 4.0  # sinusoidal loop, one period, B=1
