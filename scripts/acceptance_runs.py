@@ -26,6 +26,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 from spinphase import cli  # noqa: E402  (imported from this checkout's src)
 
 POLYNOMIAL_CONFIG = "polynomial_config.json"
+ROTATION_CONFIG = "rotation_config.json"
 FORMATS = ["--formats", "csv,json,gnuplot"]
 RUNS = {
     "simulate_uniform_rotation": ["simulate", "--profile", "uniform_rotation", "--t-end", "200"],
@@ -36,8 +37,11 @@ RUNS = {
     "stokes": ["stokes"],
     "stokes_B2": ["stokes", "--B", "2.0", "--n-nodes", "4001"],
     "convergence": ["convergence"],
+    "timescale": ["timescale", "--B", "2", "--omega", "0.1"],
     # integer B0 and c0: the stored params keep B0 an int and turn coefficients into floats
     "simulate_polynomial_config": ["simulate", "--config", POLYNOMIAL_CONFIG],
+    # integer epsilon, max_step and t_start become floats; integer B0 stays an int
+    "phases_rotation_config": ["phases", "--config", ROTATION_CONFIG],
 }
 
 
@@ -51,6 +55,11 @@ def run_all(out_dir: str) -> dict[str, int]:
             json.dump({"profile": {"kind": "polynomial_angle",
                                    "params": {"B0": 1, "c0": 0, "c1": 0.1}},
                        "params": {"t_end": 100.0}}, fh)
+        with open(ROTATION_CONFIG, "w", encoding="utf-8") as fh:
+            json.dump({"profile": {"kind": "uniform_rotation", "params": {"B0": 2, "omega": 0.1},
+                                   "epsilon": 1, "t_domain": [0, 100]},
+                       "integrator": {"rel_tol": 1e-9, "max_step": 5},
+                       "params": {"t_start": 1, "t_end": 50}}, fh)
         codes = {}
         for name, argv in RUNS.items():
             out, err = io.StringIO(), io.StringIO()

@@ -21,6 +21,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -41,7 +42,6 @@ from .exact_dynamics import (
 from .field_profiles import (
     FieldProfile,
     _finite,
-    _number,
     is_in_plane,
     profile_from_dict,
     profile_to_dict,
@@ -52,7 +52,6 @@ from .adiabatic_engine import tracked_eigenvector
 from .geometric_phases import loop_from_profile, phase_series
 
 OUT_DIR_ENV = "SPINPHASE_OUT_DIR"
-FORMATS = ("csv", "json", "gnuplot")
 _KIND_ALIASES = {
     "sinusoidal": "sinusoidal_angle",
     "polynomial": "polynomial_angle",
@@ -68,18 +67,36 @@ _PROFILE_DEFAULTS = {
     "cone_3d": {"B0": 1.0, "theta_c": math.pi / 3, "omega_phi": 0.05},
 }
 _REQUIRED, _OPTIONAL = object(), object()
-# Per-command params and their defaults; the flags only ever override these.
-_PARAMS = {
-    "simulate": {"t_start": 0.0, "t_end": _REQUIRED, "grid_n": _OPTIONAL},
-    "phases": {"t_start": 0.0, "t_end": _REQUIRED},
-    "convergence": {"eps_list": [0.16, 0.08, 0.04, 0.02], "theta0": 0.3, "Omega": 1.0,
-                    "B0": 1.0, "horizon": 2.0 * math.pi},
-    "stokes": {"theta0": 0.3, "Omega": 0.05, "B_list": [1.0], "n_nodes": 801},
-    "timescale": {"B": 1.0, "omega": 0.05},
-}
-# lower bounds of the integer counts (all capped at MAX_GRID_NODES) and of the list lengths
-_MIN_INT = {"grid_n": 2, "n_nodes": 4}
-_MIN_LEN = {"eps_list": 2, "B_list": 1}
+_EXTENSIONS = {"csv": ".csv", "json": ".json", "gnuplot": ".gp"}  # output file of each format
+FORMATS = tuple(_EXTENSIONS)
+
+
+class _Param(NamedTuple):
+    """A command param.  ``least`` is the least value of an int count (capped at
+    MAX_GRID_NODES) or the least length of a list."""
+
+    flag: str
+    type: Callable
+    default: object  # or _REQUIRED, or _OPTIONAL (left out unless given)
+    least: int | None = None
+    help: str | None = None
+
+
+class _Command(NamedTuple):
+    """A subcommand.  ``profile`` is True when it builds one from the profile flags, the
+    kind of the profiles it builds itself (and alone accepts), or None.  ``flags`` are its
+    rows other than params.  ``body`` returns its files, keyed by file name, and its
+    stdout lines."""
+
+    help: str
+    body: Callable
+    profile: bool | str | None
+    flags: list
+    params: dict
+
+    def all_flags(self) -> list:
+        return self.flags + [(p.flag, f"params.{name}", p.type, p.help)
+                             for name, p in self.params.items()]
 
 
 @dataclass(frozen=True)
@@ -114,15 +131,15 @@ class RunConfig:
     def from_dict(d: dict) -> "RunConfig":
         """Validate a run description, from a config file or from flags.
 
-        Fills the per-command defaults of ``_PARAMS`` and the profile
-        defaults of ``_PROFILE_DEFAULTS``; any invalid, unknown or
+        Fills the param defaults of the command's ``_COMMANDS`` entry and the
+        profile defaults of ``_PROFILE_DEFAULTS``; any invalid, unknown or
         non-finite value raises :class:`ConfigError`.
         """
         try:
             command = d["command"]
         except (KeyError, TypeError):
             raise ConfigError("run config must name a command") from None
-        if not isinstance(command, str) or command not in _PARAMS:
+        if not isinstance(command, str) or command not in _COMMANDS:
             raise ConfigError(f"unknown command {command!r}")
         unknown = [k for k in d if k not in [f.name for f in fields(RunConfig)]]
         if unknown:
@@ -139,7 +156,7 @@ class RunConfig:
         return RunConfig(
             command=command,
             profile=_profile(command, d.get("profile")),
-            integrator=IntegratorConfig(**{k: _number(k, v) for k, v in integ.items()}),
+            integrator=IntegratorConfig(**integ),
             output_dir=str(d.get("output_dir", _default_out_dir())),
             formats=tuple(formats),
             params=_params(command, d.get("params", {})),
@@ -151,17 +168,18 @@ def _default_out_dir() -> str:
 
 
 def _profile(command: str, d) -> FieldProfile | None:
-    if d is None and command not in ("simulate", "phases"):
+    builds = _COMMANDS[command].profile
+    if d is None and builds is not True:
         return None
     d = {} if d is None else d
     if not isinstance(d, dict) or not isinstance(d.get("params", {}), dict):
         raise ConfigError(f"profile must be an object with a params object, got {d!r}")
     kind = str(d.get("kind", "uniform_rotation"))
     kind = _KIND_ALIASES.get(kind, kind)
-    if command not in ("simulate", "phases"):
-        if command == "convergence" and kind == "sinusoidal_angle" and list(d) == ["kind"]:
-            return None  # the sweep builds its own sinusoidal family
-        what = "sweeps sinusoidal profiles only" if command == "convergence" else "has no profile"
+    if builds is not True:
+        if kind == builds and list(d) == ["kind"]:
+            return None  # the command builds its own profiles of this kind
+        what = f"takes {builds} profiles only" if builds else "has no profile"
         raise ConfigError(f"{command} {what}; got profile {d!r}")
     params = d.get("params", {})
     defaults = _PROFILE_DEFAULTS.get(kind, {})
@@ -173,25 +191,25 @@ def _profile(command: str, d) -> FieldProfile | None:
 def _params(command: str, given) -> dict:
     if not isinstance(given, dict):
         raise ConfigError(f"params must be an object, got {given!r}")
-    table = _PARAMS[command]
+    table = _COMMANDS[command].params
     unknown = [k for k in given if k not in table]
     if unknown:
         raise ConfigError(f"{command} takes no param {unknown[0]!r}")
     params = {}
-    for name, default in table.items():
-        value = given.get(name, default)
+    for name, spec in table.items():
+        value = given.get(name, spec.default)
         if value is _REQUIRED:
             raise ConfigError(f"{command} requires {name}")
         if value is _OPTIONAL:
             continue
-        if name in _MIN_INT:
+        if spec.type is int:
             if (isinstance(value, bool) or not isinstance(value, int)
-                    or not _MIN_INT[name] <= value <= MAX_GRID_NODES):
-                raise ConfigError(f"{name} must be an integer in [{_MIN_INT[name]}, "
+                    or not spec.least <= value <= MAX_GRID_NODES):
+                raise ConfigError(f"{name} must be an integer in [{spec.least}, "
                                   f"{MAX_GRID_NODES}], got {value!r}")
-        elif name in _MIN_LEN:
-            if not isinstance(value, list) or len(value) < _MIN_LEN[name]:
-                raise ConfigError(f"{name} needs at least {_MIN_LEN[name]} values, got {value!r}")
+        elif spec.type is _floats:
+            if not isinstance(value, list) or len(value) < spec.least:
+                raise ConfigError(f"{name} needs at least {spec.least} values, got {value!r}")
             value = [_finite(name, v) for v in value]
         else:
             value = _finite(name, value)
@@ -231,7 +249,7 @@ _INTEGRATOR_FLAGS = [
     ("--abs-tol", "integrator.abs_tol", float, None),
     ("--max-step", "integrator.max_step", float, None),
 ]
-# flags of the commands that build a profile (simulate, phases)
+# flags of the commands that build a profile
 _PROFILE_RUN_FLAGS = [
     ("--profile", "profile.kind", str, "field profile kind"),
     ("--B0", "profile.params.B0", float, None),
@@ -243,34 +261,7 @@ _PROFILE_RUN_FLAGS = [
     ("--omega-phi", "profile.params.omega_phi", float, "cone azimuth rate"),
     ("--coeffs", "profile.params", _coeffs, "polynomial angle coefficients c0,c1,..."),
     ("--epsilon", "profile.epsilon", float, "adiabaticity scale"),
-    ("--t-start", "params.t_start", float, None),
-    ("--t-end", "params.t_end", float, None),
 ]
-_COMMAND_FLAGS = {
-    "simulate": ("integrate and export one trajectory",
-                 _INTEGRATOR_FLAGS + _PROFILE_RUN_FLAGS
-                 + [("--grid-n", "params.grid_n", int, "output grid size")]),
-    "phases": ("phase budget on the quasi-stationary branch",
-               _INTEGRATOR_FLAGS + _PROFILE_RUN_FLAGS),
-    "convergence": ("truncation-order study", [
-        ("--eps", "params.eps_list", _floats, "comma list of scales"),
-        ("--profile", "profile.kind", str, "sinusoidal only"),
-        ("--theta0", "params.theta0", float, None),
-        ("--Omega", "params.Omega", float, None),
-        ("--B0", "params.B0", float, None),
-        ("--horizon", "params.horizon", float, "fixed eps*t span"),
-    ]),
-    "stokes": ("holonomy identity table", [
-        ("--theta0", "params.theta0", float, None),
-        ("--Omega", "params.Omega", float, None),
-        ("--B", "params.B_list", _floats, "comma list of field strengths"),
-        ("--n-nodes", "params.n_nodes", int, None),
-    ]),
-    "timescale": ("second-order phase breakdown time", [
-        ("--B", "params.B", float, None),
-        ("--omega", "params.omega", float, None),
-    ]),
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -280,10 +271,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "solutions, phase corrections, and verification runs.",
     )
     subs = p.add_subparsers(dest="command", required=True)
-    for command, (help_text, flags) in _COMMAND_FLAGS.items():
+    for name, command in _COMMANDS.items():
         # only the flags actually given reach the namespace
-        sub = subs.add_parser(command, help=help_text, argument_default=argparse.SUPPRESS)
-        for flag, dest, type_, help_ in _COMMON_FLAGS + flags:
+        sub = subs.add_parser(name, help=command.help, argument_default=argparse.SUPPRESS)
+        for flag, dest, type_, help_ in _COMMON_FLAGS + command.all_flags():
             sub.add_argument(flag, dest=dest, metavar=dest, type=type_, help=help_)
     return p
 
@@ -301,7 +292,7 @@ def parse_cli(argv) -> RunConfig:
     config = given.pop("config", None)
     d = {"command": command}
     if config is not None:
-        extra = [flag for flag, dest, *_ in _COMMAND_FLAGS[command][1] if dest in given]
+        extra = [flag for flag, dest, *_ in _COMMANDS[command].all_flags() if dest in given]
         if extra:
             raise ConfigError(f"{extra[0]} cannot be combined with --config")
         d = _read_config(config, command)
@@ -337,7 +328,7 @@ def _read_config(path: str, command: str) -> dict:
 # Command bodies
 # ---------------------------------------------------------------------------
 
-def _cmd_simulate(rc: RunConfig) -> dict:
+def _cmd_simulate(rc: RunConfig) -> tuple[dict, list[str]]:
     profile = rc.profile
     t_span = (rc.params["t_start"], rc.params["t_end"])
     if "grid_n" in rc.params:
@@ -385,28 +376,19 @@ def _cmd_simulate(rc: RunConfig) -> dict:
             "pause -1",
         ]
     ) + "\n"
-    return {
-        "csv": {"traj.csv": csv},
-        "json": {"summary.json": summary},
-        "gnuplot": {"plot.gp": gnuplot},
-        "stdout": [f"phase_total({t_span[1]:g}) = {phases[-1]:.12g}"],
-    }
+    files = {"traj.csv": csv, "summary.json": summary, "plot.gp": gnuplot}
+    return files, [f"phase_total({t_span[1]:g}) = {phases[-1]:.12g}"]
 
 
-def _cmd_phases(rc: RunConfig) -> dict:
+def _cmd_phases(rc: RunConfig) -> tuple[dict, list[str]]:
     t_span = (rc.params["t_start"], rc.params["t_end"])
     budget = verification.run_phase_budget(rc.profile, t_span, rc.integrator)
     payload = budget.as_dict()
     payload["metadata"] = budget.metadata
-    return {
-        "csv": {},
-        "json": {"phases.json": payload},
-        "gnuplot": {},
-        "stdout": budget.report_lines(),
-    }
+    return {"phases.json": payload}, budget.report_lines()
 
 
-def _cmd_convergence(rc: RunConfig) -> dict:
+def _cmd_convergence(rc: RunConfig) -> tuple[dict, list[str]]:
     p = rc.params
     family = verification.sinusoidal_family(theta0=p["theta0"], Omega=p["Omega"], B0=p["B0"])
     report = verification.run_convergence(family, p["eps_list"], p["horizon"])
@@ -414,21 +396,19 @@ def _cmd_convergence(rc: RunConfig) -> dict:
         f"order-{k} slope = {s:.4f} (stderr {se:.4f})"
         for k, (s, se) in enumerate(report.slopes)
     ]
-    return {
-        "csv": {"convergence.csv": report.to_csv()},
-        "json": {"summary.json": report.summary()},
-        "gnuplot": {
-            "plot.gp": "set datafile separator ','\nset logscale xy\n"
-            "set key autotitle columnhead\n"
-            "plot 'convergence.csv' using 1:2 with linespoints, \\\n"
-            "     'convergence.csv' using 1:3 with linespoints, \\\n"
-            "     'convergence.csv' using 1:4 with linespoints\npause -1\n"
-        },
-        "stdout": lines,
+    files = {
+        "convergence.csv": report.to_csv(),
+        "summary.json": report.summary(),
+        "plot.gp": "set datafile separator ','\nset logscale xy\n"
+        "set key autotitle columnhead\n"
+        "plot 'convergence.csv' using 1:2 with linespoints, \\\n"
+        "     'convergence.csv' using 1:3 with linespoints, \\\n"
+        "     'convergence.csv' using 1:4 with linespoints\npause -1\n",
     }
+    return files, lines
 
 
-def _cmd_stokes(rc: RunConfig) -> dict:
+def _cmd_stokes(rc: RunConfig) -> tuple[dict, list[str]]:
     p = rc.params
     profile = field_profiles.sinusoidal_angle(p["B_list"][0], p["theta0"], p["Omega"])
     period = 2.0 * math.pi / p["Omega"]
@@ -439,40 +419,45 @@ def _cmd_stokes(rc: RunConfig) -> dict:
     ]
     rows = verification.run_stokes_check(loops, p["B_list"])
     worst = max(r.abs_diff for r in rows)
-    return {
-        "csv": {"stokes.csv": verification.stokes_csv(rows)},
-        "json": {
-            "summary.json": {
-                "rows": [r.__dict__ for r in rows],
-                "worst_abs_diff": worst,
-            }
-        },
-        "gnuplot": {},
-        "stdout": [f"{r.loop_id}: line={r.line_integral:.10g} surface={r.surface_integral:.10g}"
-                   for r in rows],
+    files = {
+        "stokes.csv": verification.stokes_csv(rows),
+        "summary.json": {"rows": [r.__dict__ for r in rows], "worst_abs_diff": worst},
     }
+    return files, [f"{r.loop_id}: line={r.line_integral:.10g} surface={r.surface_integral:.10g}"
+                   for r in rows]
 
 
-def _cmd_timescale(rc: RunConfig) -> dict:
+def _cmd_timescale(rc: RunConfig) -> tuple[dict, list[str]]:
     demo = verification.run_timescale_demo(rc.params["B"], rc.params["omega"])
-    return {
-        "csv": {},
-        "json": {"timescale.json": demo.as_dict()},
-        "gnuplot": {},
-        "stdout": [
-            f"t1 = {demo.t1:g}",
-            f"phi2(t1) = {demo.phi2_at_t1:g}",
-            f"t2 = {demo.t2:g}",
-        ],
-    }
+    return {"timescale.json": demo.as_dict()}, [
+        f"t1 = {demo.t1:g}", f"phi2(t1) = {demo.phi2_at_t1:g}", f"t2 = {demo.t2:g}"]
 
 
+_SPAN = {"t_start": _Param("--t-start", float, 0.0), "t_end": _Param("--t-end", float, _REQUIRED)}
+_RUN_FLAGS = _INTEGRATOR_FLAGS + _PROFILE_RUN_FLAGS
 _COMMANDS = {
-    "simulate": _cmd_simulate,
-    "phases": _cmd_phases,
-    "convergence": _cmd_convergence,
-    "stokes": _cmd_stokes,
-    "timescale": _cmd_timescale,
+    "simulate": _Command(
+        "integrate and export one trajectory", _cmd_simulate, True, _RUN_FLAGS,
+        {**_SPAN, "grid_n": _Param("--grid-n", int, _OPTIONAL, 2, "output grid size")}),
+    "phases": _Command(
+        "phase budget on the quasi-stationary branch", _cmd_phases, True, _RUN_FLAGS, _SPAN),
+    "convergence": _Command(
+        "truncation-order study", _cmd_convergence, "sinusoidal_angle",
+        [("--profile", "profile.kind", str, "sinusoidal only")], {
+            "eps_list": _Param("--eps", _floats, [0.16, 0.08, 0.04, 0.02], 2,
+                               "comma list of scales"),
+            "theta0": _Param("--theta0", float, 0.3),
+            "Omega": _Param("--Omega", float, 1.0),
+            "B0": _Param("--B0", float, 1.0),
+            "horizon": _Param("--horizon", float, 2.0 * math.pi, help="fixed eps*t span")}),
+    "stokes": _Command("holonomy identity table", _cmd_stokes, None, [], {
+        "theta0": _Param("--theta0", float, 0.3),
+        "Omega": _Param("--Omega", float, 0.05),
+        "B_list": _Param("--B", _floats, [1.0], 1, "comma list of field strengths"),
+        "n_nodes": _Param("--n-nodes", int, 801, 4)}),
+    "timescale": _Command("second-order phase breakdown time", _cmd_timescale, None, [], {
+        "B": _Param("--B", float, 1.0),
+        "omega": _Param("--omega", float, 0.05)}),
 }
 
 
@@ -480,22 +465,25 @@ _COMMANDS = {
 # Output writing and entry point
 # ---------------------------------------------------------------------------
 
-def write_outputs(results: dict, config: RunConfig) -> list[str]:
-    """Write the selected formats into the output directory; returns paths.
+def write_outputs(files: dict, config: RunConfig) -> list[str]:
+    """Write the files of the selected formats into the output directory; returns paths.
 
-    With an empty format list nothing is written and the JSON summaries go
-    to standard output instead.
+    ``files`` maps file names to payloads; a name's extension gives its
+    format.  With an empty format list nothing is written and the JSON
+    files go to standard output instead.
     """
-    paths = []
     if not config.formats:
-        for name, payload in results.get("json", {}).items():
-            sys.stdout.write(json.dumps({name: payload}, sort_keys=True, default=float))
-            sys.stdout.write("\n")
-        return paths
+        for name, payload in files.items():
+            if name.endswith(_EXTENSIONS["json"]):
+                sys.stdout.write(json.dumps({name: payload}, sort_keys=True, default=float) + "\n")
+        return []
+    paths = []
     try:
         os.makedirs(config.output_dir, exist_ok=True)
         for fmt in config.formats:
-            for name, payload in results.get(fmt, {}).items():
+            for name, payload in files.items():
+                if not name.endswith(_EXTENSIONS[fmt]):
+                    continue
                 path = os.path.join(config.output_dir, name)
                 with open(path, "w", encoding="utf-8", newline="") as fh:
                     if fmt == "json":
@@ -513,9 +501,9 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         rc = parse_cli(argv)
-        results = _COMMANDS[rc.command](rc)
-        paths = write_outputs(results, rc)
-        for line in results.get("stdout", []):
+        files, lines = _COMMANDS[rc.command].body(rc)
+        paths = write_outputs(files, rc)
+        for line in lines:
             print(line)
         for path in paths:
             print(f"wrote {path}")

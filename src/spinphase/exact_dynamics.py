@@ -32,16 +32,24 @@ from .errors import (
     OverlapLoss,
     StepSizeUnderflow,
 )
-from .field_profiles import FieldProfile, FieldSample, sample
+from .field_profiles import FieldProfile, FieldSample, _number, sample
 
 MAX_GRID_REFINE = 16
 # largest time grid any run may build, in nodes (about 160 MB of spinor states)
 MAX_GRID_NODES = 10**7
+# solve_ivp's methods that integrate complex states
+_METHODS = ("RK23", "RK45", "DOP853", "Radau", "BDF")
+_NORM_TOL = 1e-9  # largest norm defect as_spinor and as_bloch renormalize away
+_DEFECT_PROBES = 16  # nodes residual_defect probes
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Tolerances and output control for the adaptive integrators."""
+    """Tolerances and output control for the adaptive integrators.
+
+    The tolerances and ``max_step`` are stored as floats; any invalid
+    setting raises :class:`ConfigError`.
+    """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
@@ -50,11 +58,15 @@ class IntegratorConfig:
     method: str = "DOP853"
 
     def __post_init__(self):
+        for name in ("rel_tol", "abs_tol", "max_step"):
+            object.__setattr__(self, name, _number(name, getattr(self, name)))
         for name, tol in (("rel_tol", self.rel_tol), ("abs_tol", self.abs_tol)):
             if not (0.0 < tol <= 1e-2):
                 raise ConfigError(f"{name} must lie in (0, 1e-2], got {tol}")
         if not self.max_step > 0:
             raise ConfigError(f"max_step must be positive, got {self.max_step}")
+        if self.method not in _METHODS:
+            raise ConfigError(f"method must be one of {', '.join(_METHODS)}; got {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -80,21 +92,21 @@ class Trajectory:
 # State helpers
 # ---------------------------------------------------------------------------
 
-def as_spinor(psi, tol: float = 1e-9) -> np.ndarray:
+def as_spinor(psi) -> np.ndarray:
     """Validate and exactly renormalize a two-component state."""
     psi = np.asarray(psi, dtype=complex).reshape(2)
     norm = math.sqrt(float(np.vdot(psi, psi).real))
-    if abs(norm - 1.0) > tol:
-        raise NormalizationError(f"spinor norm {norm} deviates from 1 beyond {tol}")
+    if abs(norm - 1.0) > _NORM_TOL:
+        raise NormalizationError(f"spinor norm {norm} deviates from 1 beyond {_NORM_TOL}")
     return psi / norm
 
 
-def as_bloch(S, tol: float = 1e-9) -> np.ndarray:
+def as_bloch(S) -> np.ndarray:
     """Validate and exactly renormalize a classical unit spin vector."""
     S = np.asarray(S, dtype=float).reshape(3)
     norm = float(np.linalg.norm(S))
-    if abs(norm - 1.0) > tol:
-        raise NormalizationError(f"spin norm {norm} deviates from 1 beyond {tol}")
+    if abs(norm - 1.0) > _NORM_TOL:
+        raise NormalizationError(f"spin norm {norm} deviates from 1 beyond {_NORM_TOL}")
     return S / norm
 
 
@@ -360,8 +372,8 @@ def exponential_midpoint_bloch(
 # Defect estimate (RK4 half-steps)
 # ---------------------------------------------------------------------------
 
-def residual_defect(traj: Trajectory, profile: FieldProfile, n_probe: int = 16) -> float:
-    """Max local defect of the stored trajectory at probe nodes.
+def residual_defect(traj: Trajectory, profile: FieldProfile) -> float:
+    """Max local defect of the stored trajectory at ``_DEFECT_PROBES`` probe nodes.
 
     From each probe node, two classical RK4 half-steps of h/2 cover the
     local grid spacing h; the distance of the stored next node from their
@@ -369,7 +381,7 @@ def residual_defect(traj: Trajectory, profile: FieldProfile, n_probe: int = 16) 
     resolution.
     """
     rhs = _rhs(traj.kind, profile)
-    idx = np.unique(np.linspace(0, len(traj.times) - 2, n_probe).astype(int))
+    idx = np.unique(np.linspace(0, len(traj.times) - 2, _DEFECT_PROBES).astype(int))
     worst = 0.0
     for i in idx:
         t, h = traj.times[i], traj.times[i + 1] - traj.times[i]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -74,7 +74,8 @@ class FieldProfile:
     against the kind's row of ``KIND_PARAMS`` and stored in its order with
     the defaults filled in.  ``t_domain`` bounds the admissible sampling
     times (lab time); ``b_min`` is the degeneracy floor below which
-    sampling raises :class:`DegenerateField`.  Any invalid setting raises
+    sampling raises :class:`DegenerateField`.  ``epsilon``, ``t_domain``
+    and ``b_min`` are stored as floats.  Any invalid setting raises
     :class:`ConfigError`.
     """
 
@@ -86,9 +87,11 @@ class FieldProfile:
     _tables: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        table = KIND_PARAMS.get(self.kind)
+        table = KIND_PARAMS.get(self.kind) if isinstance(self.kind, str) else None
         if table is None:
             raise ConfigError(f"unknown profile kind {self.kind!r}")
+        if not isinstance(self.params, Mapping):
+            raise ConfigError(f"profile params must be a mapping, got {self.params!r}")
         given = dict(self.params)
         params = {}
         for name, default in table.items():
@@ -114,14 +117,19 @@ class FieldProfile:
         if self.kind == "user_tabulated" and self._tables is None:
             raise ConfigError("user_tabulated profiles are built from tables by user_tabulated()")
         object.__setattr__(self, "params", params)
-        _finite("epsilon", self.epsilon)
+        object.__setattr__(self, "epsilon", _finite("epsilon", self.epsilon))
         if not (self.epsilon > 0):
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
+        object.__setattr__(self, "b_min", _number("b_min", self.b_min))
         if not (self.b_min > 0):
             raise ConfigError(f"b_min must be positive, got {self.b_min}")
-        lo, hi = self.t_domain
+        try:
+            lo, hi = (_number("t_domain", t) for t in self.t_domain)
+        except (TypeError, ValueError):
+            raise ConfigError(f"t_domain must be [lo, hi], got {self.t_domain!r}") from None
         if not lo < hi:
             raise ConfigError(f"empty t_domain {self.t_domain}")
+        object.__setattr__(self, "t_domain", (lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -215,16 +223,10 @@ def user_tabulated(
     if not (B.shape == theta.shape == phi.shape == taus.shape):
         raise ConfigError("tabulated arrays must share the time grid's shape")
     splines = (CubicSpline(taus, B), CubicSpline(taus, theta), CubicSpline(taus, phi))
-    lo = (taus[0] + fd_step) / epsilon
-    hi = (taus[-1] - fd_step) / epsilon
-    return FieldProfile(
-        "user_tabulated",
-        {"fd_step": fd_step},
-        epsilon=epsilon,
-        t_domain=(lo, hi),
-        b_min=b_min,
-        _tables=splines,
-    )
+    profile = FieldProfile("user_tabulated", {"fd_step": fd_step}, epsilon=epsilon,
+                           b_min=b_min, _tables=splines)
+    h, eps = profile.params["fd_step"], profile.epsilon  # checked by the constructor
+    return replace(profile, t_domain=((taus[0] + h) / eps, (taus[-1] - h) / eps))
 
 
 def _coeff_index(key: str) -> int:
@@ -405,24 +407,13 @@ def profile_to_dict(profile: FieldProfile) -> dict:
 
 
 def profile_from_dict(d: Mapping) -> FieldProfile:
-    """Build a profile from {"kind", "params", "epsilon", "t_domain"[, "b_min"]}."""
-    try:
-        kind = str(d["kind"])
-        params = dict(d["params"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"profile config missing field: {exc}") from exc
+    """Build a profile from {"kind", "params"[, "epsilon", "t_domain", "b_min"]}."""
+    if not isinstance(d, Mapping) or not {"kind", "params"} <= set(d):
+        raise ConfigError(f"profile config needs kind and params, got {d!r}")
     unknown = [k for k in d if k not in ("kind", "params", "epsilon", "t_domain", "b_min")]
     if unknown:
         raise ConfigError(f"unknown profile config key {unknown[0]!r}")
-    kw = {"epsilon": _number("epsilon", d.get("epsilon", 1.0))}
-    t_domain = d.get("t_domain")
-    if t_domain is not None:
-        if not isinstance(t_domain, (list, tuple)) or len(t_domain) != 2:
-            raise ConfigError(f"t_domain must be [lo, hi], got {t_domain}")
-        kw["t_domain"] = tuple(_number("t_domain", t) for t in t_domain)
-    if "b_min" in d:
-        kw["b_min"] = _number("b_min", d["b_min"])
-    return FieldProfile(kind, params, **kw)
+    return FieldProfile(**d)
 
 
 def profile_from_json(text: str) -> FieldProfile:

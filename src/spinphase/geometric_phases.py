@@ -48,6 +48,7 @@ from .exact_dynamics import Trajectory, bloch_series
 _QUAD_OPTS = {"epsabs": 1e-12, "epsrel": 1e-12, "limit": 500}
 MIN_SIN_POLAR = 1e-3
 _SWEEP_BLOCK = 1 << 16  # candidate edge pairs per block of the crossing sweep
+_ROMBERG_LEVELS = 4  # most step sizes (h, 2h, 4h, ...) a Romberg limit extrapolates from
 
 
 @dataclass(frozen=True)
@@ -174,10 +175,10 @@ def _romberg_limit(estimates: list[float], tol: float = 1e-9) -> float:
     return col[0]
 
 
-def _decimations(n_nodes: int, max_levels: int = 4) -> list[int]:
+def _decimations(n_nodes: int) -> list[int]:
     strides = [1]
     s = 2
-    while len(strides) < max_levels and (n_nodes - 1) % s == 0 and (n_nodes - 1) // s >= 8:
+    while len(strides) < _ROMBERG_LEVELS and (n_nodes - 1) % s == 0 and (n_nodes - 1) // s >= 8:
         strides.append(s)
         s *= 2
     return strides
@@ -350,9 +351,11 @@ def stokes_surface_integral(loop: MLoop, B_mag: float) -> float:
 
     Counterclockwise loops in the (theta, theta_dot/B) plane count positive
     area.  The polygon must be simple; properly crossing edges raise
-    SelfIntersection, and so do two passes through one node whose incoming and
-    outgoing edges interleave in angle (collinear overlaps of degenerate zero-area
-    loops, retraced edges and passes that only touch at a node are tolerated).
+    SelfIntersection, and so do a node strictly inside an edge of another pass
+    whose two neighbours lie strictly on opposite sides of that edge, and two
+    passes through one node whose incoming and outgoing edges interleave in angle
+    (collinear overlaps of degenerate zero-area loops, retraced edges and passes
+    that only touch at a node or an edge are tolerated).
     The crossing test sweeps the edges' bounding boxes: O(m log m) time plus the
     candidate pairs (O(m) on a smooth loop), O(m) memory plus one fixed-size block;
     a loop revisiting one theta-range k times costs O(k*m), one node k times O(k**2).
@@ -361,22 +364,20 @@ def stokes_surface_integral(loop: MLoop, B_mag: float) -> float:
     pts = np.stack([loop.theta, loop.theta_dot / B_mag], axis=1)
     if np.hypot(*(pts[0] - pts[-1])) <= 1e-12 + loop.closure_tol:
         pts = pts[:-1]
-    if _has_proper_crossing(pts):
-        raise SelfIntersection("loop edges cross; oriented area is undefined")
-    if _crosses_at_vertex(pts):
-        raise SelfIntersection("loop crosses itself at a node; oriented area is undefined")
+    _check_simple(pts)
     x_c, y_c = pts[:, 0], pts[:, 1]
     area = 0.5 * float(np.sum(x_c * np.roll(y_c, -1) - np.roll(x_c, -1) * y_c))
     return area / 4.0
 
 
-def _has_proper_crossing(pts: np.ndarray) -> bool:
-    """Detect strictly transversal edge crossings of a closed polygon by sweeping edge boxes."""
-    m, a, b = len(pts), pts, np.roll(pts, -1, axis=0)
+def _edge_pairs(a: np.ndarray, b: np.ndarray):
+    """Yield blocks (i, j) of the non-adjacent edges a[i]->b[i], a[j]->b[j] of a closed
+    polygon whose bounding boxes overlap, found by sweeping the boxes sorted by x-minimum."""
+    m = len(a)
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     order = np.argsort(lo[:, 0])
     # sorted edge k pairs with sorted edges k+1 .. k+counts[k], which start inside its x-range;
-    # taken _SWEEP_BLOCK at a time, non-adjacent pairs whose y-ranges overlap get the exact test
+    # taken _SWEEP_BLOCK at a time, non-adjacent pairs whose y-ranges overlap are kept
     counts = np.searchsorted(lo[order, 0], hi[order, 0], side="right") - np.arange(1, m + 1)
     ends = np.cumsum(counts)
     for r0 in range(0, int(ends[-1]), _SWEEP_BLOCK):
@@ -386,13 +387,52 @@ def _has_proper_crossing(pts: np.ndarray) -> bool:
         i, j = np.minimum(p, q), np.maximum(p, q)
         keep = ((j - i > 1) & ((i > 0) | (j < m - 1))
                 & (lo[i, 1] <= hi[j, 1]) & (lo[j, 1] <= hi[i, 1]))
-        i, j = i[keep], j[keep]
-        ei, ej = b[i] - a[i], b[j] - a[j]
-        d1, d2 = _cross2(ej, a[i] - a[j]), _cross2(ej, b[i] - a[j])
-        d3, d4 = _cross2(ei, a[j] - a[i]), _cross2(ei, b[j] - a[i])
-        if np.any((d1 * d2 < 0.0) & (d3 * d4 < 0.0)):
-            return True
-    return False
+        yield i[keep], j[keep]
+
+
+def _proper_crossings(a: np.ndarray, b: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Mask of the edge pairs (i, j) that cross strictly transversally."""
+    ei, ej = b[i] - a[i], b[j] - a[j]
+    d1, d2 = _cross2(ej, a[i] - a[j]), _cross2(ej, b[i] - a[j])
+    d3, d4 = _cross2(ei, a[j] - a[i]), _cross2(ei, b[j] - a[i])
+    return (d1 * d2 < 0.0) & (d3 * d4 < 0.0)
+
+
+def _nodes_inside_edges(a, b, prev, node: np.ndarray, edge: np.ndarray) -> np.ndarray:
+    """Mask of the nodes a[node] strictly inside edges a[edge]->b[edge] whose two
+    neighbours prev[node] and b[node] lie strictly on opposite sides of the edge's line."""
+    e, rel = b[edge] - a[edge], a[node] - a[edge]
+    along = np.sum(rel * e, axis=1)
+    inside = (_cross2(e, rel) == 0.0) & (along > 0.0) & (along < np.sum(e * e, axis=1))
+    return inside & (_cross2(e, prev[node] - a[edge]) * _cross2(e, b[node] - a[edge]) < 0.0)
+
+
+def _has_proper_crossing(pts: np.ndarray) -> bool:
+    """Detect strictly transversal edge crossings of a closed polygon (the edge-only test)."""
+    a, b = pts, np.roll(pts, -1, axis=0)
+    return any(np.any(_proper_crossings(a, b, i, j)) for i, j in _edge_pairs(a, b))
+
+
+def _check_simple(pts: np.ndarray) -> None:
+    """Raise SelfIntersection unless the closed polygon only touches itself.
+
+    Repeated consecutive nodes are merged first.  One sweep gives both edge tests
+    their pairs: node k starts edge k, whose box overlaps the box of any edge the
+    node lies in, and every such edge but k+1 (which holds a neighbour on its line,
+    so it never counts) is non-adjacent to edge k.
+    """
+    p = pts[np.any(pts != np.roll(pts, -1, axis=0), axis=1)]
+    if len(p) >= 4:  # fewer distinct nodes have no non-adjacent edges
+        a, b, prev = p, np.roll(p, -1, axis=0), np.roll(p, 1, axis=0)
+        for i, j in _edge_pairs(a, b):
+            if np.any(_proper_crossings(a, b, i, j)):
+                raise SelfIntersection("loop edges cross; oriented area is undefined")
+            if np.any(_nodes_inside_edges(a, b, prev, i, j)
+                      | _nodes_inside_edges(a, b, prev, j, i)):
+                raise SelfIntersection("loop crosses an edge at a node; "
+                                       "oriented area is undefined")
+    if _crosses_at_vertex(pts):
+        raise SelfIntersection("loop crosses itself at a node; oriented area is undefined")
 
 
 def _crosses_at_vertex(pts: np.ndarray) -> bool:

@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 
 from spinphase import phi0, phi2
-from spinphase.cli import RunConfig, main, parse_cli
+from spinphase.cli import RunConfig, _build_parser, main, parse_cli
 
 
 def run_main(argv):
@@ -295,3 +295,63 @@ def test_simulate_phase_columns_match_library(argv, tmp_path):
     span = (rc.params["t_start"], rc.params["t_end"])
     assert float(last[-2]) == pytest.approx(phi0(rc.profile, span), abs=1e-8)
     assert float(last[-1]) == pytest.approx(phi2(rc.profile, span), abs=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# One command table: each subcommand's flags and files
+# ---------------------------------------------------------------------------
+
+_COMMON = ["--config", "--out", "--formats"]
+_RUN = ["--rel-tol", "--abs-tol", "--max-step", "--profile", "--B0", "--omega", "--theta0",
+        "--Omega", "--theta-init", "--theta-c", "--omega-phi", "--coeffs", "--epsilon",
+        "--t-start", "--t-end"]
+FLAGS = {
+    "simulate": _COMMON + _RUN + ["--grid-n"],
+    "phases": _COMMON + _RUN,
+    "convergence": _COMMON + ["--profile", "--eps", "--theta0", "--Omega", "--B0", "--horizon"],
+    "stokes": _COMMON + ["--theta0", "--Omega", "--B", "--n-nodes"],
+    "timescale": _COMMON + ["--B", "--omega"],
+}
+
+
+def test_each_subcommand_accepts_exactly_its_flags():
+    subs = _build_parser()._subparsers._group_actions[0].choices
+    assert sorted(subs) == sorted(FLAGS)
+    for command, flags in FLAGS.items():
+        declared = [s for a in subs[command]._actions for s in a.option_strings
+                    if s not in ("-h", "--help")]
+        assert sorted(declared) == sorted(flags), command
+
+
+SMALL_RUNS = {
+    "simulate": ["--profile", "uniform_rotation", "--t-end", "10", "--grid-n", "101"],
+    "phases": ["--profile", "uniform_rotation", "--t-end", "20"],
+    "convergence": ["--eps", "0.16,0.08", "--horizon", "3.14"],
+    "stokes": ["--n-nodes", "101"],
+    "timescale": [],
+}
+# files written per format; with --formats "" the JSON files are printed instead
+FILES = {
+    "simulate": {"csv": ["traj.csv"], "json": ["summary.json"], "gnuplot": ["plot.gp"]},
+    "phases": {"csv": [], "json": ["phases.json"], "gnuplot": []},
+    "convergence": {"csv": ["convergence.csv"], "json": ["summary.json"],
+                    "gnuplot": ["plot.gp"]},
+    "stokes": {"csv": ["stokes.csv"], "json": ["summary.json"], "gnuplot": []},
+    "timescale": {"csv": [], "json": ["timescale.json"], "gnuplot": []},
+}
+
+
+@pytest.mark.parametrize("formats", ["json", "gnuplot", ""])
+@pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+def test_formats_write_or_print_exactly_their_files(command, formats, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = [command, *SMALL_RUNS[command], "--formats", formats, "--out", str(out)]
+    assert run_main(argv) == 0
+    stdout = capsys.readouterr().out.splitlines()
+    want = FILES[command][formats] if formats else []
+    written = sorted(p.name for p in out.iterdir()) if out.exists() else []
+    assert written == sorted(want)
+    assert [line for line in stdout if line.startswith("wrote ")] == [
+        f"wrote {out / name}" for name in want]
+    printed = [name for line in stdout if line.startswith("{") for name in json.loads(line)]
+    assert printed == ([] if formats else FILES[command]["json"])

@@ -175,6 +175,18 @@ def test_integrator_config_validation():
         IntegratorConfig(max_step=-1.0)
 
 
+@pytest.mark.parametrize("kw", [{"rel_tol": "x"}, {"abs_tol": None}, {"max_step": "x"},
+                                {"rel_tol": True}, {"method": "nope"}])
+def test_integrator_config_bad_types_raise_config_error(kw):
+    with pytest.raises(ConfigError):
+        IntegratorConfig(**kw)
+
+
+def test_integrator_config_stores_float_tolerances():
+    cfg = IntegratorConfig(max_step=5)
+    assert type(cfg.max_step) is float and cfg == IntegratorConfig(max_step=5.0)
+
+
 # ---------------------------------------------------------------------------
 # Bloch integration
 # ---------------------------------------------------------------------------

@@ -319,3 +319,25 @@ def test_construction_keeps_value_types():
         assert [type(v) for v in again.params.values()] == [int, float, float]
     u = profile_from_dict(profile_to_dict(uniform_rotation(2, 0.1)))
     assert type(u.params["B0"]) is int and type(u.params["theta_init"]) is float
+
+
+@pytest.mark.parametrize("kw", [{"b_min": "x"}, {"b_min": None}, {"t_domain": (0.0,)},
+                                {"t_domain": 5.0}, {"t_domain": (0.0, "x")},
+                                {"epsilon": "x"}, {"params": ["B0"]}, {"kind": ["constant"]}])
+def test_bad_profile_settings_raise_config_error(kw):
+    with pytest.raises(ConfigError):
+        FieldProfile(**{"kind": "constant", "params": {"B0": 1.0}, **kw})
+
+
+def test_profile_settings_stored_as_floats():
+    p = FieldProfile("constant", {"B0": 1.0}, epsilon=1, t_domain=[0, 5], b_min=1)
+    assert (p.epsilon, p.t_domain, p.b_min) == (1.0, (0.0, 5.0), 1.0)
+    assert [type(x) for x in (p.epsilon, *p.t_domain, p.b_min)] == [float] * 4
+
+
+@pytest.mark.parametrize("kw", [{"fd_step": "x"}, {"fd_step": 0.0}, {"epsilon": "x"},
+                                {"epsilon": 0.0}, {"b_min": "x"}])
+def test_bad_tabulated_settings_raise_config_error(kw):
+    taus = np.linspace(0.0, 5.0, 11)
+    with pytest.raises(ConfigError):
+        user_tabulated(taus, np.ones_like(taus), 0.1 * taus, **kw)

@@ -567,3 +567,83 @@ def test_partial_period_does_not_close():
     p = sinusoidal_angle(1.0, theta0=0.3, Omega=0.05)
     with pytest.raises(LoopNotClosed):
         loop_from_profile(p, (0.0, 0.75 * 2 * math.pi / 0.05), 401)
+
+
+# a bowtie whose second pass runs through the node (0, 0) of the first, inside an edge
+BOWTIE_THROUGH_EDGE = [[-1, -1], [0, 0], [1, 1], [1, -1], [-1, 1]]
+# two triangles on one base edge, touching it from above at its interior node (2, 0)
+TOUCHING_BASE = [[0, 0], [4, 0], [4, 3], [2, 0], [0, 3]]
+
+
+def test_node_inside_edge_crossing_detected():
+    for shift in range(len(BOWTIE_THROUGH_EDGE)):
+        pts = np.roll(BOWTIE_THROUGH_EDGE, shift, axis=0)
+        for loop in (_closed(pts), _closed(pts[::-1])):
+            with pytest.raises(SelfIntersection):
+                stokes_surface_integral(loop, 1.0)
+    doubled = [[-1, -1], [0, 0], [0, 0], [1, 1], [1, -1], [-1, 1]]
+    with pytest.raises(SelfIntersection):
+        stokes_surface_integral(_closed(doubled), 1.0)
+
+
+def test_node_touching_an_edge_from_one_side_is_tolerated():
+    for shift in range(len(TOUCHING_BASE)):
+        pts = np.roll(TOUCHING_BASE, shift, axis=0)
+        assert stokes_surface_integral(_closed(pts), 1.0) == 1.5
+        assert stokes_surface_integral(_closed(pts[::-1]), 1.0) == -1.5
+
+
+def _inside_edge_reference(pts):
+    # every node against every edge not incident to it, on the polygon with repeats merged
+    keep = [k for k in range(len(pts)) if tuple(pts[k]) != tuple(pts[(k + 1) % len(pts)])]
+    p = [tuple(pts[k]) for k in keep]
+    m = len(p)
+
+    def cross(o, u, v):
+        return (u[0] - o[0]) * (v[1] - o[1]) - (u[1] - o[1]) * (v[0] - o[0])
+
+    for k in range(m):
+        for e in range(m):
+            a, b = p[e], p[(e + 1) % m]
+            if k in (e, (e + 1) % m) or cross(a, b, p[k]) != 0:
+                continue
+            along = (p[k][0] - a[0]) * (b[0] - a[0]) + (p[k][1] - a[1]) * (b[1] - a[1])
+            if not 0 < along < (b[0] - a[0]) ** 2 + (b[1] - a[1]) ** 2:
+                continue
+            if cross(a, b, p[k - 1]) * cross(a, b, p[(k + 1) % m]) < 0:
+                return True
+    return False
+
+
+def _is_simple(pts):
+    try:
+        geometric_phases._check_simple(pts)
+    except SelfIntersection:
+        return False
+    return True
+
+
+def _polygon_through_edge(rng, k):
+    pts = 2.0 * rng.integers(-2, 3, (int(rng.integers(4, 9)), 2))
+    if k % 2:  # one more node, on the midpoint of an edge it does not share
+        e = int(rng.integers(len(pts)))
+        at = (e + 2 + int(rng.integers(len(pts) - 1))) % (len(pts) + 1)
+        pts = np.insert(pts, at, 0.5 * (pts[e] + pts[(e + 1) % len(pts)]), axis=0)
+    return pts
+
+
+def test_simplicity_check_matches_the_three_references():
+    rng = np.random.default_rng(23)
+    cases, inside_only = [], 0
+    for k in range(700):
+        pts = _polygon_through_edge(rng, k)
+        inside = _inside_edge_reference(pts)
+        other = _crossing_reference(pts) or _vertex_crossing_reference(pts)
+        inside_only += inside and not other
+        cases.append((pts, not (inside or other)))
+    simple = sum(want for _, want in cases)
+    assert inside_only >= 20 and min(simple, len(cases) - simple) >= 200
+    for pts, want in cases:
+        shift = int(rng.integers(1, len(pts)))
+        for q in (pts, np.roll(pts, shift, axis=0), pts[::-1]):
+            assert _is_simple(q) == want, q
