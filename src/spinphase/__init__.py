@@ -46,6 +46,8 @@ from .exact_dynamics import (
     extract_total_phase,
     integrate_bloch,
     integrate_schrodinger,
+    magnus4_bloch,
+    magnus4_schrodinger,
     residual_defect,
     schrodinger_phase,
     spinor_to_bloch,

@@ -265,15 +265,18 @@ _PROFILE_RUN_FLAGS = [
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False: a prefix of a flag is an unknown flag, never the flag itself
     p = argparse.ArgumentParser(
         prog="spinphase",
         description="Spin-1/2 evolution in a slowly varying magnetic field: "
         "solutions, phase corrections, and verification runs.",
+        allow_abbrev=False,
     )
     subs = p.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
         # only the flags actually given reach the namespace
-        sub = subs.add_parser(name, help=command.help, argument_default=argparse.SUPPRESS)
+        sub = subs.add_parser(name, help=command.help, argument_default=argparse.SUPPRESS,
+                              allow_abbrev=False)
         for flag, dest, type_, help_ in _COMMON_FLAGS + command.all_flags():
             sub.add_argument(flag, dest=dest, metavar=dest, type=type_, help=help_)
     return p

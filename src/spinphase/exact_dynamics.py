@@ -2,12 +2,19 @@
 
 Two independent references are provided:
 
-* adaptive embedded Runge-Kutta integration (scipy ``solve_ivp``, DOP853 by
-  default) of the spinor equation i dpsi/dt = H(t) psi and the classical
-  precession equation dS/dt = B x S;
-* a fixed-step exponential-midpoint stepper that advances by the exact
-  group element of the midpoint field (norm-preserving to roundoff), for
-  long horizons and order cross-checks.
+* the default ``magnus4`` integrator: the fourth-order commutator-free
+  Magnus method CF4 (Blanes & Moan 2006; Alvermann & Fehske 2011), two
+  exact SU(2) exponentials per step, so the norm holds to roundoff.  Each
+  interval of the output grid gets k steps, and k doubles until the
+  Richardson estimate |psi_k - psi_2k|/15 meets the tolerances.  The
+  classical spin is the mean spin of the spinor run;
+* opt-in adaptive embedded Runge-Kutta integration (scipy ``solve_ivp``,
+  e.g. ``method="DOP853"``) of i dpsi/dt = H(t) psi and of the precession
+  equation dS/dt = B x S.  scipy is imported when a config naming one of
+  these methods is built,
+
+plus fixed-step CF4 and exponential-midpoint steppers that keep every step,
+for long horizons and order cross-checks.
 
 The mean-spin map uses S = <psi|sigma|psi> with the standard Pauli
 matrices, i.e. Sx = 2 Re(conj(up) dn), Sy = 2 Im(conj(up) dn),
@@ -21,7 +28,6 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .adiabatic_engine import tracked_eigenvector
 from .errors import (
@@ -37,25 +43,33 @@ from .field_profiles import FieldProfile, FieldSample, _number, sample
 MAX_GRID_REFINE = 16
 # largest time grid any run may build, in nodes (about 160 MB of spinor states)
 MAX_GRID_NODES = 10**7
-# solve_ivp's methods that integrate complex states
-_METHODS = ("RK23", "RK45", "DOP853", "Radau", "BDF")
+# IntegratorConfig's methods: magnus4 (numpy only), then the solve_ivp methods that
+# integrate complex states, which need scipy
+_SOLVE_IVP_METHODS = ("RK23", "RK45", "DOP853", "Radau", "BDF")
+_METHODS = ("magnus4",) + _SOLVE_IVP_METHODS
+_BLOCK_STEPS = 1 << 16  # steps the fixed-step steppers sample and compose at a time
+# CF4: Gauss points of a step and the weights of its two exponentials
+_CF4_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+_CF4_A1, _CF4_A2 = (3.0 - 2.0 * math.sqrt(3.0)) / 12.0, (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
 _NORM_TOL = 1e-9  # largest norm defect as_spinor and as_bloch renormalize away
 _DEFECT_PROBES = 16  # nodes residual_defect probes
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Tolerances and output control for the adaptive integrators.
+    """Tolerances, method and output control for the exact integrators.
 
-    The tolerances and ``max_step`` are stored as floats; any invalid
-    setting raises :class:`ConfigError`.
+    ``method`` is ``"magnus4"`` (numpy only) or one of scipy's ``solve_ivp``
+    methods, which imports scipy here.  The tolerances and ``max_step`` are
+    stored as floats; any invalid setting, or a ``solve_ivp`` method without
+    scipy installed, raises :class:`ConfigError`.
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_step: float = math.inf
     dense_output_grid: Sequence[float] | None = None
-    method: str = "DOP853"
+    method: str = "magnus4"
 
     def __post_init__(self):
         for name in ("rel_tol", "abs_tol", "max_step"):
@@ -67,6 +81,18 @@ class IntegratorConfig:
             raise ConfigError(f"max_step must be positive, got {self.max_step}")
         if self.method not in _METHODS:
             raise ConfigError(f"method must be one of {', '.join(_METHODS)}; got {self.method!r}")
+        if self.method in _SOLVE_IVP_METHODS:
+            _solve_ivp()
+
+
+def _solve_ivp():
+    """scipy's ``solve_ivp``; ConfigError when scipy is not installed."""
+    try:
+        from scipy.integrate import solve_ivp
+    except ImportError:
+        raise ConfigError("the solve_ivp methods need scipy; install the reference extra, "
+                          "pip install 'spinphase[reference]'") from None
+    return solve_ivp
 
 
 @dataclass(frozen=True)
@@ -160,7 +186,7 @@ def hamiltonian_matrix(s: FieldSample) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Adaptive integration
+# Integration on an output grid
 # ---------------------------------------------------------------------------
 
 def _span_nodes(profile: FieldProfile, t_span: tuple[float, float]) -> float:
@@ -188,7 +214,7 @@ def default_grid(profile: FieldProfile, t_span: tuple[float, float]) -> np.ndarr
 
 
 def _run_solver(rhs, y0, t_span, grid, cfg):
-    sol = solve_ivp(
+    sol = _solve_ivp()(
         rhs,
         t_span,
         y0,
@@ -210,10 +236,11 @@ def integrate_schrodinger(
     t_span: tuple[float, float],
     cfg: IntegratorConfig = IntegratorConfig(),
 ) -> Trajectory:
-    """Integrate i dpsi/dt = H(t) psi over t_span.
+    """Integrate i dpsi/dt = H(t) psi over t_span, with ``cfg.method``.
 
-    The returned trajectory records the worst norm drift in its metadata;
-    the contract is |norm^2 - 1| <= 10 * rel_tol * span.
+    The returned trajectory records the worst norm drift in its metadata
+    (and, for ``magnus4``, the steps per grid interval and the Richardson
+    error estimate); the contract is |norm^2 - 1| <= 10 * rel_tol * span.
     """
     return _integrate("spinor", profile, as_spinor(psi0), t_span, cfg)
 
@@ -224,7 +251,10 @@ def integrate_bloch(
     t_span: tuple[float, float],
     cfg: IntegratorConfig = IntegratorConfig(),
 ) -> Trajectory:
-    """Integrate the precession equation dS/dt = B(t) x S over t_span."""
+    """Integrate the precession equation dS/dt = B(t) x S over t_span.
+
+    ``magnus4`` integrates the spinor of S0 and returns its mean spins.
+    """
     return _integrate("bloch", profile, as_bloch(S0), t_span, cfg)
 
 
@@ -254,16 +284,48 @@ def _rhs(kind: str, profile: FieldProfile):
 
 def _integrate(kind, profile, y0, t_span, cfg):
     grid = _grid_for(profile, t_span, cfg)
-    sol = _run_solver(_rhs(kind, profile), y0, t_span, grid, cfg)
-    states = sol.y.T
+    if cfg.method == "magnus4":
+        states, meta = _magnus4_on_grid(
+            profile, y0 if kind == "spinor" else bloch_to_spinor(y0), grid, cfg)
+        if kind == "bloch":
+            states = _mean_spin(states)
+    else:
+        sol = _run_solver(_rhs(kind, profile), y0, t_span, grid, cfg)
+        grid, states, meta = sol.t, sol.y.T, {}
     drift = float(np.max(np.abs(np.sum(np.abs(states) ** 2, axis=1) - 1.0)))
     return Trajectory(
-        times=sol.t,
+        times=grid,
         states=states,
         kind=kind,
         profile=profile,
-        metadata=_meta(cfg, norm_drift=drift),
+        metadata=_meta(cfg, norm_drift=drift, **meta),
     )
+
+
+def _magnus4_on_grid(profile, psi0, grid, cfg):
+    """CF4 states on the grid and their metadata, with k steps in every grid interval.
+
+    k starts at ceil(largest interval / max_step), at least 1, and doubles until the
+    Richardson estimate max |psi_k - psi_2k| / 15 of the 2k-step states is at most
+    abs_tol + rel_tol; those states are returned.  A k with k * (intervals) above
+    ``MAX_GRID_NODES`` raises StepSizeUnderflow.
+    """
+    intervals = len(grid) - 1
+    # clamped, so a denormal max_step gives a count past the limit, not an infinite one
+    k = max(1, math.ceil(min(float(np.max(np.abs(np.diff(grid)))) / cfg.max_step,
+                             MAX_GRID_NODES + 1.0)))
+    coarse = None
+    while True:
+        if k * intervals > MAX_GRID_NODES:
+            raise StepSizeUnderflow(
+                f"magnus4 would take {k} steps in each of {intervals} grid intervals, "
+                f"more than the limit of {MAX_GRID_NODES} steps")
+        fine = _cf4_states(profile, psi0, grid, k)
+        if coarse is not None:
+            err = float(np.max(np.linalg.norm(fine - coarse, axis=1))) / 15.0
+            if err <= cfg.abs_tol + cfg.rel_tol:
+                return fine, {"substeps": k, "richardson_error": err}
+        coarse, k = fine, 2 * k
 
 
 def _grid_for(profile, t_span, cfg):
@@ -289,8 +351,29 @@ def _meta(cfg, **extra):
 
 
 # ---------------------------------------------------------------------------
-# Norm-preserving exponential-midpoint stepper
+# Norm-preserving fixed-step steppers
 # ---------------------------------------------------------------------------
+
+def magnus4_schrodinger(
+    profile: FieldProfile, psi0, t_span: tuple[float, float], n_steps: int
+) -> Trajectory:
+    """Fixed-step fourth-order commutator-free Magnus stepper (CF4).
+
+    Each step samples the field at the two Gauss points of the step and
+    applies exp(-i h (a1 H1 + a2 H2)) exp(-i h (a2 H1 + a1 H2)), the right
+    factor first, with a1, a2 = (3 -+ 2 sqrt(3)) / 12; both factors are
+    exact SU(2) rotations, so the norm is conserved to roundoff, and the
+    error is fourth order in the step.  ``n_steps`` must be a positive
+    integer with ``n_steps + 1 <= MAX_GRID_NODES``, else ConfigError before
+    anything is allocated.  Steps are made and composed as in
+    :func:`exponential_midpoint_schrodinger`.
+    """
+    _check_steps(n_steps)
+    times = _step_times(t_span, n_steps)
+    return Trajectory(times=times, states=_cf4_states(profile, as_spinor(psi0), times, 1),
+                      kind="spinor", profile=profile,
+                      metadata={"method": "magnus4", "n_steps": n_steps})
+
 
 def exponential_midpoint_schrodinger(
     profile: FieldProfile, psi0, t_span: tuple[float, float], n_steps: int
@@ -303,36 +386,88 @@ def exponential_midpoint_schrodinger(
     ``n_steps + 1 <= MAX_GRID_NODES``, else ConfigError before anything is
     allocated.
 
-    All midpoints are sampled in one call and the steps are composed by a
-    numpy prefix product, later step on the left (state k is
-    U_{k-1} ... U_1 U_0 psi0): about 2 * n_steps SU(2) products in log2(n_steps)
-    whole-array levels, O(n_steps) time, and a peak of about 200 bytes per
-    step, most of it the field sample of all midpoints.
+    The midpoints are sampled ``_BLOCK_STEPS`` at a time and the steps are
+    composed by a numpy prefix product, later step on the left (state k is
+    U_{k-1} ... U_1 U_0 psi0): about 2 * n_steps SU(2) products in
+    log2(block) whole-array levels, O(n_steps) time, and a peak of the
+    states (32 bytes per step) plus one block.
     """
+    _check_steps(n_steps)
+    psi0 = as_spinor(psi0)
+    t0, t1 = t_span
+    h = (t1 - t0) / n_steps
+
+    def pairs(lo, hi):
+        s = sample(profile, t0 + (np.arange(lo, hi) + 0.5) * h)
+        return _su2(s.B_vec, s.B_mag, h)
+
+    return Trajectory(times=_step_times(t_span, n_steps),
+                      states=_stepped_states(pairs, n_steps, psi0), kind="spinor",
+                      profile=profile, metadata={"method": "exp_midpoint", "n_steps": n_steps})
+
+
+def _check_steps(n_steps) -> None:
     if not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
         raise ConfigError(f"n_steps must be a positive integer, got {n_steps!r}")
     if n_steps + 1 > MAX_GRID_NODES:
         raise ConfigError(f"{n_steps} steps need more than the limit of "
                           f"{MAX_GRID_NODES} grid nodes")
-    psi0 = as_spinor(psi0)
+
+
+def _step_times(t_span, n_steps: int) -> np.ndarray:
     t0, t1 = t_span
-    h = (t1 - t0) / n_steps
-    times = t0 + h * np.arange(n_steps + 1)
-    s = sample(profile, t0 + (np.arange(n_steps) + 0.5) * h)
-    ang = 0.5 * s.B_mag * h
+    return t0 + (t1 - t0) / n_steps * np.arange(n_steps + 1)
+
+
+def _cf4_states(profile: FieldProfile, psi0: np.ndarray, grid: np.ndarray, k: int) -> np.ndarray:
+    """psi0 and the states at the other grid nodes after k CF4 steps per grid interval."""
+    starts, widths = grid[:-1], np.diff(grid) / k
+
+    def pairs(lo, hi):
+        interval, j = np.divmod(np.arange(lo, hi), k)
+        h = widths[interval]
+        t = starts[interval] + j * h
+        m = len(t)
+        b = sample(profile, np.concatenate([t + _CF4_NODES[0] * h, t + _CF4_NODES[1] * h])).B_vec
+        first = _CF4_A2 * b[:m] + _CF4_A1 * b[m:]  # acts first
+        second = _CF4_A1 * b[:m] + _CF4_A2 * b[m:]
+        return _compose(*_su2(second, np.linalg.norm(second, axis=1), h),
+                        *_su2(first, np.linalg.norm(first, axis=1), h))
+
+    return _stepped_states(pairs, k * (len(grid) - 1), psi0, k)
+
+
+def _su2(vec: np.ndarray, mag: np.ndarray, h) -> tuple[np.ndarray, np.ndarray]:
+    """SU(2) pairs of exp(-i h vec . sigma / 2) for the (m, 3) field vectors ``vec`` of norms ``mag``.
+
+    Each pair (a, b) stands for the matrix [[a, -conj(b)], [b, conj(a)]].
+    """
+    ang = 0.5 * mag * h
     c, si = np.cos(ang), np.sin(ang)
-    nx, ny, nz = (s.B_vec / s.B_mag[:, None]).T
-    # each step is the SU(2) matrix [[a, -conj(b)], [b, conj(a)]]
-    a, b = c - 1j * si * nz, -1j * si * (nx + 1j * ny)
-    del s, ang, c, si, nx, ny, nz  # the midpoint sample would otherwise set the peak memory
-    _prefix_products(a, b)
-    states = np.empty((n_steps + 1, 2), dtype=complex)
+    nx, ny, nz = (vec / mag[:, None]).T
+    return c - 1j * si * nz, -1j * si * (nx + 1j * ny)
+
+
+def _stepped_states(pairs, n_steps: int, psi0: np.ndarray, stride: int = 1) -> np.ndarray:
+    """psi0 and the states after steps stride, 2 * stride, ..., n_steps of a stepper.
+
+    ``pairs(lo, hi)`` returns the SU(2) pairs of steps lo .. hi - 1.  They are
+    made and composed ``_BLOCK_STEPS`` at a time, and the state at the end of a
+    block starts the next one, so the peak memory is the kept states plus one block.
+    """
+    states = np.empty((n_steps // stride + 1, 2), dtype=complex)
     states[0] = psi0
     up, dn = psi0
-    states[1:, 0] = a * up - np.conj(b) * dn
-    states[1:, 1] = b * up + np.conj(a) * dn
-    return Trajectory(times=times, states=states, kind="spinor", profile=profile,
-                      metadata={"method": "exp_midpoint", "n_steps": n_steps})
+    for lo in range(0, n_steps, _BLOCK_STEPS):
+        a, b = pairs(lo, min(lo + _BLOCK_STEPS, n_steps))
+        _prefix_products(a, b)
+        first = (-lo - 1) % stride  # the block's first kept step
+        ka, kb = a[first::stride], b[first::stride]
+        kept = states[(lo + first + 1) // stride:][:len(ka)]
+        kept[:, 0] = ka * up - np.conj(kb) * dn
+        kept[:, 1] = kb * up + np.conj(ka) * dn
+        up, dn = a[-1] * up - np.conj(b[-1]) * dn, b[-1] * up + np.conj(a[-1]) * dn
+    return states
 
 
 def _compose(a_hi, b_hi, a_lo, b_lo):
@@ -355,6 +490,12 @@ def _prefix_products(a: np.ndarray, b: np.ndarray) -> None:
     a[2::2], b[2::2] = _compose(a[2::2], b[2::2], pa[:k], pb[:k])
 
 
+def magnus4_bloch(profile: FieldProfile, S0, t_span: tuple[float, float], n_steps: int) -> Trajectory:
+    """Fixed-step CF4 rotation of a classical spin: the mean spins of the
+    :func:`magnus4_schrodinger` run of the spinor of S0."""
+    return _as_bloch(magnus4_schrodinger(profile, bloch_to_spinor(S0), t_span, n_steps))
+
+
 def exponential_midpoint_bloch(
     profile: FieldProfile, S0, t_span: tuple[float, float], n_steps: int
 ) -> Trajectory:
@@ -364,7 +505,11 @@ def exponential_midpoint_bloch(
     and maps its states to mean spins, so both representations share one
     stepper.
     """
-    traj = exponential_midpoint_schrodinger(profile, bloch_to_spinor(S0), t_span, n_steps)
+    return _as_bloch(exponential_midpoint_schrodinger(profile, bloch_to_spinor(S0), t_span,
+                                                      n_steps))
+
+
+def _as_bloch(traj: Trajectory) -> Trajectory:
     return replace(traj, states=bloch_series(traj), kind="bloch")
 
 

@@ -84,7 +84,7 @@ class FieldProfile:
     epsilon: float = 1.0
     t_domain: tuple[float, float] = (-math.inf, math.inf)
     b_min: float = DEFAULT_B_MIN
-    _tables: tuple | None = field(default=None, repr=False, compare=False)
+    _tables: _Spline | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         table = KIND_PARAMS.get(self.kind) if isinstance(self.kind, str) else None
@@ -205,13 +205,12 @@ def user_tabulated(
 ) -> FieldProfile:
     """Profile interpolated from tables of (B, theta, phi) over slow time tau.
 
-    Interpolation is piecewise cubic; derivatives are central finite
-    differences of the splines with the declared step ``fd_step`` (in tau).
-    The usable lab-time domain shrinks by fd_step/epsilon at each end so the
+    Interpolation is by not-a-knot cubic splines (the same spline as
+    scipy's ``CubicSpline``); derivatives are central finite differences
+    of the splines with the declared step ``fd_step`` (in tau).  The usable
+    lab-time domain shrinks by fd_step/epsilon at each end so the
     difference stencils stay inside the tables.
     """
-    from scipy.interpolate import CubicSpline
-
     taus = np.asarray(taus, dtype=float)
     if taus.ndim != 1 or taus.size < 4:
         raise ConfigError("user_tabulated needs at least 4 nodes")
@@ -222,11 +221,78 @@ def user_tabulated(
     phi = np.zeros_like(taus) if phi is None else np.asarray(phi, dtype=float)
     if not (B.shape == theta.shape == phi.shape == taus.shape):
         raise ConfigError("tabulated arrays must share the time grid's shape")
-    splines = (CubicSpline(taus, B), CubicSpline(taus, theta), CubicSpline(taus, phi))
     profile = FieldProfile("user_tabulated", {"fd_step": fd_step}, epsilon=epsilon,
-                           b_min=b_min, _tables=splines)
+                           b_min=b_min, _tables=_Spline(taus, np.stack([B, theta, phi], axis=1)))
     h, eps = profile.params["fd_step"], profile.epsilon  # checked by the constructor
     return replace(profile, t_domain=((taus[0] + h) / eps, (taus[-1] - h) / eps))
+
+
+class _Spline:
+    """Not-a-knot cubic splines through the columns of ``y`` (n, m) over knots ``x`` (n,), n >= 4.
+
+    Called on an array of times, it returns the m splines' values stacked
+    on a new first axis; outside the knots the end pieces extrapolate.
+    Coefficients and evaluation follow scipy's ``CubicSpline`` operation for
+    operation.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        dx = np.diff(x)
+        slope = np.diff(y.T, axis=1) / dx
+        s = np.stack([_knot_slopes(x, col) for col in y.T])
+        t = (s[:, :-1] + s[:, 1:] - 2 * slope) / dx
+        self.x = x
+        # piece i of spline j is c3 + c2 u + c1 u**2 + c0 u**3 at u = tau - x[i], with
+        # ck = self.c[k, j, i]
+        self.c = np.stack([t / dx, (slope - s[:, :-1]) / dx - t, s[:, :-1], y.T[:, :-1]])
+
+    def __call__(self, tau) -> np.ndarray:
+        tau = np.asarray(tau, dtype=float)
+        i = np.clip(np.searchsorted(self.x, tau, side="right") - 1, 0, len(self.x) - 2)
+        u = tau - self.x[i]
+        c0, c1, c2, c3 = np.take(self.c, i, axis=-1)
+        u2 = u * u
+        return c3 + c2 * u + c1 * u2 + c0 * (u2 * u)
+
+
+def _knot_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """First derivatives at the knots of the not-a-knot cubic spline through (x, y).
+
+    One tridiagonal solve, by Gaussian elimination with partial pivoting in
+    LAPACK's ``gtsv`` order.
+    """
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    n = len(x)
+    diag, upper, lower, rhs = np.empty(n), np.empty(n - 1), np.empty(n - 1), np.empty(n)
+    diag[1:-1] = 2 * (dx[:-1] + dx[1:])
+    upper[1:] = dx[:-1]
+    lower[:-1] = dx[1:]
+    rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    d = x[2] - x[0]
+    diag[0], upper[0] = dx[1], d
+    rhs[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0]**2 * slope[1]) / d
+    d = x[-1] - x[-3]
+    diag[-1], lower[-1] = dx[-2], d
+    rhs[-1] = (dx[-1]**2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    dl, dg, du, b = lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()
+    du2 = [0.0] * n  # fill-in of row swaps, two places right of the diagonal
+    for i in range(n - 1):
+        if abs(dg[i]) >= abs(dl[i]):
+            fact = dl[i] / dg[i]
+            dg[i + 1] -= fact * du[i]
+            b[i + 1] -= fact * b[i]
+        else:  # swap rows i and i + 1
+            fact = dg[i] / dl[i]
+            dg[i], dg[i + 1], du[i] = dl[i], du[i] - fact * dg[i + 1], dg[i + 1]
+            if i < n - 2:
+                du2[i], du[i + 1] = du[i + 1], -fact * du[i + 1]
+            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+    b[n - 1] /= dg[n - 1]
+    b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / dg[n - 2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - du2[i] * b[i + 2]) / dg[i]
+    return np.array(b)
 
 
 def _coeff_index(key: str) -> int:
@@ -299,7 +365,7 @@ def _base_eval(profile: FieldProfile, tau):
     if kind == "user_tabulated":
         h = p["fd_step"]
         stencil = np.add.outer((-h, 0.0, h), tau)  # rows tau - h, tau, tau + h
-        (Bm, B, Bp), (thm, th, thp), (phm, ph, php) = (s(stencil) for s in profile._tables)
+        (Bm, B, Bp), (thm, th, thp), (phm, ph, php) = profile._tables(stencil)
         dB = (Bp - Bm) / (2.0 * h)
         dth = (thp - thm) / (2.0 * h)
         ddth = (thp - 2.0 * th + thm) / (h * h)

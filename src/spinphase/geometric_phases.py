@@ -30,7 +30,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .adiabatic_engine import params_from_sample
 from .errors import (
@@ -91,16 +90,76 @@ class Phi2Terms:
 # ---------------------------------------------------------------------------
 
 # Each functional is a prefactor times the integral of one integrand of a FieldSample;
-# the prefactor stays outside quad, so its absolute tolerance sees the bare integrand.
+# the prefactor stays outside the quadrature, so its absolute tolerance sees the bare integrand.
 _PHI0 = (-0.5, lambda s: s.B_mag)
 _PHI2 = (-0.25, lambda s: s.theta_dot**2 / s.B_mag)
+
+# QUADPACK's qk15 rule on [-1, 1]: the 15 Kronrod nodes, their weights, and the
+# weights of the 7-point Gauss rule on every second node
+_XK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+       0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+       0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+       0.207784955007898467600689403773245, 0.0)
+_WK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+       0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+       0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+       0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+       0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+_GK_NODES = np.array([-x for x in _XK[:7]] + list(_XK[::-1]))
+_GK_WEIGHTS = np.array(_WK[:7] + _WK[::-1])
+_G_WEIGHTS = np.array(_WG[:3] + _WG[::-1])  # on _GK_NODES[1::2]
 
 
 def _integral(prefactor, integrand, profile: FieldProfile, t_span: tuple[float, float]) -> float:
     t0, t1 = t_span
     if t0 == t1:
         return 0.0
-    return prefactor * quad(lambda t: integrand(sample(profile, t)), t0, t1, **_QUAD_OPTS)[0]
+    return prefactor * _gauss_kronrod(lambda t: integrand(sample(profile, t)), t0, t1)[0]
+
+
+def _gauss_kronrod(f, a: float, b: float) -> tuple[float, float, int]:
+    """Adaptive G7-K15 quadrature of f over [a, b]: (integral, error estimate, nodes used).
+
+    ``f`` maps a 1-D array of times to the integrand's values there.  All
+    active intervals are evaluated together, one ``f`` call per level, with
+    QUADPACK's qk15 error estimate; while the summed estimate exceeds
+    max(epsabs, epsrel * |integral|) of ``_QUAD_OPTS``, every interval whose
+    estimate exceeds its length's share of that tolerance is bisected, and
+    the others are kept.  When no interval is over its share, or bisecting
+    would pass ``_QUAD_OPTS["limit"]`` intervals, the current sums are
+    returned with their estimate, as quad returns its best result.
+    """
+    epsabs, epsrel, limit = _QUAD_OPTS["epsabs"], _QUAD_OPTS["epsrel"], _QUAD_OPTS["limit"]
+    lo, hi = np.array([a], dtype=float), np.array([b], dtype=float)
+    done = done_err = 0.0
+    n_done = nodes = 0
+    while True:
+        centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        fv = np.asarray(f((centre[:, None] + half[:, None] * _GK_NODES).ravel()),
+                        dtype=float).reshape(len(lo), 15)
+        nodes += fv.size
+        resk = fv @ _GK_WEIGHTS
+        err = np.abs((resk - fv[:, 1::2] @ _G_WEIGHTS) * half)
+        # QUADPACK's estimate: |K - G| scaled against the integral of |f - mean f|, and
+        # floored at 50 eps times the integral of |f|
+        resasc = np.abs(fv - 0.5 * resk[:, None]) @ _GK_WEIGHTS * np.abs(half)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            err = np.where(resasc > 0, resasc * np.minimum(1.0, (200.0 * err / resasc)**1.5), err)
+        err = np.maximum(err, 50.0 * np.finfo(float).eps * (np.abs(fv) @ _GK_WEIGHTS)
+                         * np.abs(half))
+        resk = resk * half
+        total, total_err = done + float(np.sum(resk)), done_err + float(np.sum(err))
+        tol = max(epsabs, epsrel * abs(total))
+        split = err > tol * np.abs(half) / abs(0.5 * (b - a))
+        n_split = np.count_nonzero(split)
+        # with no interval over its share, the excess is in intervals accepted earlier
+        if total_err <= tol or n_split == 0 or n_done + len(lo) + n_split > limit:
+            return total, total_err, nodes
+        done += float(np.sum(resk[~split]))
+        done_err += float(np.sum(err[~split]))
+        n_done += len(lo) - n_split
+        lo, hi = np.concatenate([lo[split], centre[split]]), np.concatenate([centre[split], hi[split]])
 
 
 def phi0(profile: FieldProfile, t_span: tuple[float, float]) -> float:
@@ -115,14 +174,14 @@ def phi2(profile: FieldProfile, t_span: tuple[float, float]) -> float:
 
 def berry_phi1(profile: FieldProfile, t_span: tuple[float, float]) -> float:
     """First-order geometric phase (1/2) int (1 - cos theta) dphi over the field path."""
-    return _integral(0.5, lambda s: (1.0 - math.cos(s.theta)) * s.phi_dot, profile, t_span)
+    return _integral(0.5, lambda s: (1.0 - np.cos(s.theta)) * s.phi_dot, profile, t_span)
 
 
 def phase_series(samples: FieldSample, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Running phi0 and phi2 over an already-sampled grid, by the trapezoid rule.
 
-    The integrands are the ones :func:`phi0` and :func:`phi2` integrate with
-    quad; both series are 0.0 on the first node.
+    The integrands are the ones :func:`phi0` and :func:`phi2` integrate
+    adaptively; both series are 0.0 on the first node.
     """
     def running(prefactor, integrand):
         f = integrand(samples)
@@ -149,7 +208,7 @@ def phi2_decomposition(profile: FieldProfile, t_span: tuple[float, float]) -> Ph
 
     return Phi2Terms(
         term_accel=_integral(
-            -0.5, lambda s: params_from_sample(s).gamma * math.sin(s.theta) * s.phi_dot,
+            -0.5, lambda s: params_from_sample(s).gamma * np.sin(s.theta) * s.phi_dot,
             profile, t_span),
         term_byparts=_integral(
             -0.5, lambda s: params_from_sample(s).delta * s.theta_dot, profile, t_span),

@@ -148,6 +148,11 @@ class PhaseBudget:
     r_total = phi_total_exact - (phi0 + phi2) is the fourth-order remainder;
     r_aa = phi_geom_aa - 2*phi2 records how far the geometric part is from
     twice the second-order correction.  Only r_total has an asserted scale.
+
+    On the uniform-rotation oracle, seeded with the exactly cyclic state
+    (tilted from B by chi, tan chi = omega/B), the ratio phi_geom_aa/phi2 is
+    exactly 2 cos chi = 2 - delta**2 + O(delta**4), and the tests pin it
+    there; for generic profiles it stays reported, not asserted.
     """
 
     decomposition: PhaseDecomposition

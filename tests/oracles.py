@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from spinphase import DomainError, PoleSingularity, is_in_plane, sample
+from spinphase import DomainError, PoleSingularity, bloch_to_spinor, is_in_plane, sample
 from spinphase.adiabatic_engine import QuasiStationary, _guard_perturbative, params_from_sample
 from spinphase.field_profiles import FieldProfile
 from spinphase.geometric_phases import MIN_SIN_POLAR, _integral
@@ -57,12 +57,39 @@ def phi2_byparts_direct(profile: FieldProfile, t_span: tuple[float, float]) -> f
     along the path (the connection has a coordinate singularity there).
     """
     def integrand(s):
-        st = math.sin(s.theta)
-        if abs(st) < MIN_SIN_POLAR:
-            raise PoleSingularity(f"sin(theta)={st} below {MIN_SIN_POLAR} at t={s.t}")
+        st = np.sin(s.theta)
+        if np.min(np.abs(st)) < MIN_SIN_POLAR:
+            raise PoleSingularity(f"sin(theta) below {MIN_SIN_POLAR} at "
+                                  f"t={np.ravel(s.t)[np.argmin(np.abs(st))]}")
         p = params_from_sample(s)
         ddelta = p.gamma * s.B_mag
-        rate = (ddelta * st - p.delta * s.theta_dot * math.cos(s.theta)) / (st * st)
-        return (1.0 - math.cos(s.theta)) * rate
+        rate = (ddelta * st - p.delta * s.theta_dot * np.cos(s.theta)) / (st * st)
+        return (1.0 - np.cos(s.theta)) * rate
 
     return _integral(0.5, integrand, profile, t_span)
+
+
+def uniform_rotation_exact(B0: float, omega: float, psi0, t) -> np.ndarray:
+    """Exact spinors (n, 2) at times t of i dpsi/dt = H psi under uniform_rotation(B0, omega).
+
+    The field B0 (sin(omega t), 0, cos(omega t)) turns about y, so
+    psi(t) = exp(-i omega t sigma_y / 2) exp(-i H_eff t) psi0 with the static
+    H_eff = (B0 z - omega y) . sigma / 2 of the co-rotating frame.
+    """
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    big = math.hypot(B0, omega)
+    nz, ny = B0 / big, -omega / big
+    c, s = np.cos(0.5 * big * t), np.sin(0.5 * big * t)
+    # exp(-i a (ny sigma_y + nz sigma_z)) = cos a - i sin a (ny sigma_y + nz sigma_z)
+    u, d = psi0
+    up = (c - 1j * s * nz) * u - s * ny * d
+    dn = s * ny * u + (c + 1j * s * nz) * d
+    cr, sr = np.cos(0.5 * omega * t), np.sin(0.5 * omega * t)
+    return np.stack([cr * up - sr * dn, sr * up + cr * dn], axis=1)
+
+
+def co_rotating_eigenstate(B0: float, omega: float) -> np.ndarray:
+    """The exactly cyclic state of uniform_rotation(B0, omega) at t = 0: spin up along the
+    co-rotating frame's static field B0 z - omega y, tilted from B by chi, tan chi = omega/B0."""
+    big = math.hypot(B0, omega)
+    return bloch_to_spinor([0.0, -omega / big, B0 / big])

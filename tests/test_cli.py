@@ -265,6 +265,50 @@ def _run_module(argv, timeout):
                           capture_output=True, text=True, timeout=timeout)
 
 
+def _run_python(code, cwd, timeout=120):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          cwd=cwd, capture_output=True, text=True, timeout=timeout)
+
+
+# each command with its default settings (and the span simulate and phases require)
+_DEFAULT_RUNS = [["simulate", "--t-end", "200"], ["phases", "--t-end", "200"],
+                 ["convergence"], ["stokes"], ["timescale"]]
+
+
+def test_default_runs_import_no_scipy(tmp_path):
+    code = f"""
+import sys
+from spinphase import cli
+loaded = lambda: sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded(), loaded()[:5]
+for argv in {_DEFAULT_RUNS!r}:
+    assert cli.main(argv + ["--out", argv[0]]) == 0, argv
+    assert not loaded(), (argv, loaded()[:5])
+"""
+    proc = _run_python(code, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_commands_run_without_scipy(tmp_path):
+    code = f"""
+import sys
+sys.modules["scipy"] = None  # every scipy import now fails
+from spinphase import ConfigError, IntegratorConfig, cli
+for argv in {_DEFAULT_RUNS!r}:
+    assert cli.main(argv + ["--out", argv[0]]) == 0, argv
+try:
+    IntegratorConfig(method="DOP853")
+except ConfigError as exc:
+    assert exc.exit_code == 3 and "reference" in str(exc), exc
+else:
+    raise AssertionError("a solve_ivp method without scipy was accepted")
+"""
+    proc = _run_python(code, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_unbounded_span_with_explicit_grid_exits_3(tmp_path):
     # with --grid-n the solver alone would cover the span; the node bound stops it first
     for profile in ("uniform_rotation", "cone"):
@@ -321,6 +365,17 @@ def test_each_subcommand_accepts_exactly_its_flags():
         declared = [s for a in subs[command]._actions for s in a.option_strings
                     if s not in ("-h", "--help")]
         assert sorted(declared) == sorted(flags), command
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_flag_prefixes_are_not_flags(command):
+    # a proper prefix of a flag is never taken for it, e.g. phases --eps is not --epsilon
+    required = ["--t-end", "10"] if command in ("simulate", "phases") else []
+    prefixes = {flag[:k] for flag in FLAGS[command] for k in range(1, len(flag))}
+    for prefix in sorted(prefixes - set(FLAGS[command])):
+        with pytest.raises(SystemExit) as exc:
+            parse_cli([command, *required, prefix, "1"])
+        assert exc.value.code == 2, prefix
 
 
 SMALL_RUNS = {

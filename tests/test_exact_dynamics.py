@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import co_rotating_eigenstate, uniform_rotation_exact
 from spinphase import (
     BranchJump,
     ConfigError,
@@ -28,13 +29,24 @@ from spinphase import (
     sample,
     schrodinger_phase,
     sinusoidal_angle,
+    StepSizeUnderflow,
+    aa_geometric_phase_coordinate,
+    aa_geometric_phase_solid_angle,
     spinor_to_bloch,
     tracked_eigenvector,
     trajectory_to_csv,
     uniform_rotation,
     user_tabulated,
 )
-from spinphase.exact_dynamics import MAX_GRID_NODES, _rhs, hamiltonian_matrix
+from spinphase import exact_dynamics
+from spinphase.exact_dynamics import (
+    MAX_GRID_NODES,
+    _cf4_states,
+    _rhs,
+    hamiltonian_matrix,
+    magnus4_bloch,
+    magnus4_schrodinger,
+)
 from conftest import uniform_grid_cfg
 
 UNIFORM = uniform_rotation(1.0, 0.1)
@@ -269,6 +281,8 @@ def test_exponential_midpoint_bloch_matches_adaptive(tight_cfg):
 @pytest.mark.parametrize("stepper, state0", [
     (exponential_midpoint_schrodinger, [1.0, 0.0]),
     (exponential_midpoint_bloch, [0.0, 0.0, 1.0]),
+    (magnus4_schrodinger, [1.0, 0.0]),
+    (magnus4_bloch, [0.0, 0.0, 1.0]),
 ])
 def test_exponential_midpoint_rejects_invalid_step_count(stepper, state0, n_steps):
     with pytest.raises(ConfigError, match="n_steps"):
@@ -332,6 +346,8 @@ def test_exponential_midpoint_step_cost():
 @pytest.mark.parametrize("stepper, state0", [
     (exponential_midpoint_schrodinger, [1.0, 0.0]),
     (exponential_midpoint_bloch, [0.0, 0.0, 1.0]),
+    (magnus4_schrodinger, [1.0, 0.0]),
+    (magnus4_bloch, [0.0, 0.0, 1.0]),
 ])
 def test_exponential_midpoint_step_count_capped(stepper, state0):
     # n_steps + 1 nodes would pass the grid cap: rejected before anything is allocated
@@ -343,6 +359,128 @@ def test_exponential_midpoint_step_count_capped(stepper, state0):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+# ---------------------------------------------------------------------------
+# Fourth-order commutator-free Magnus (CF4) stepper and integrator
+# ---------------------------------------------------------------------------
+
+def test_magnus4_is_fourth_order():
+    psi0 = np.array([0.6, 0.8j])
+    errs = []
+    steps = (1000, 2000, 4000)
+    for n in steps:
+        traj = magnus4_schrodinger(UNIFORM, psi0, (0.0, 200.0), n)
+        errs.append(np.linalg.norm(traj.states[-1] - uniform_rotation_exact(1.0, 0.1, psi0, 200.0)))
+    slope = np.polyfit(np.log(steps), np.log(errs), 1)[0]
+    assert slope == pytest.approx(-4.0, abs=0.2)
+
+
+def test_magnus4_preserves_norm_to_roundoff():
+    n = 10**5
+    traj = magnus4_schrodinger(RHS_PROFILES["cone_3d"], [0.6, 0.8j], (0.0, 500.0), n)
+    assert np.max(np.abs(np.sum(np.abs(traj.states) ** 2, axis=1) - 1.0)) <= n * 1e-15
+    btraj = magnus4_bloch(RHS_PROFILES["cone_3d"], [0.0, 0.0, 1.0], (0.0, 500.0), n)
+    assert btraj.kind == "bloch"
+    assert np.max(np.abs(np.sum(btraj.states**2, axis=1) - 1.0)) <= n * 1e-15
+
+
+def test_magnus4_matches_rotating_frame_oracle():
+    psi0 = tracked_eigenvector(UNIFORM, 0.0)
+    traj = magnus4_schrodinger(UNIFORM, psi0, (0.0, 200.0), 16000)
+    exact = uniform_rotation_exact(1.0, 0.1, psi0, traj.times)
+    assert np.max(np.linalg.norm(traj.states - exact, axis=1)) <= 1e-10
+
+
+@pytest.mark.parametrize("theta_c", [0.6, 1.0])
+def test_magnus4_cyclic_cone_phases(theta_c):
+    # seeded with the co-rotating eigenstate (spin up along B(0) - omega z), one cone period
+    # ends on psi0 times the phase pi - omega_rot T/2, and the AA phase is -pi (1 - cos chi)
+    omega = 0.05
+    prof = cone_3d(1.0, theta_c=theta_c, omega_phi=omega)
+    chi = math.atan2(math.sin(theta_c), math.cos(theta_c) - omega)
+    psi0 = np.array([math.cos(0.5 * chi), math.sin(0.5 * chi)], dtype=complex)
+    period = 2.0 * math.pi / omega
+    traj = magnus4_schrodinger(prof, psi0, (0.0, period), 20000)
+    omega_rot = math.sqrt(1.0 - 2.0 * omega * math.cos(theta_c) + omega**2)
+    end = np.vdot(psi0, traj.states[-1])
+    assert abs(end - cmath.exp(1j * (math.pi - 0.5 * omega_rot * period))) <= 1e-9
+    aa_exact = -math.pi * (1.0 - math.cos(chi))
+    assert aa_geometric_phase_coordinate(traj) == pytest.approx(aa_exact, abs=1e-8)
+    assert aa_geometric_phase_solid_angle(traj) == pytest.approx(aa_exact, abs=1e-8)
+
+
+@pytest.mark.parametrize("name", sorted(RHS_PROFILES))
+def test_magnus4_matches_dop853_on_every_kind(name):
+    prof, t_span, rel_tol = RHS_PROFILES[name], (1.0, 30.0), 1e-10
+    grid = np.linspace(*t_span, 601)
+    psi0, S0 = np.array([0.6, 0.8j * cmath.exp(0.7j)]), [0.48, -0.6, 0.64]
+    cfg = IntegratorConfig(rel_tol=rel_tol, abs_tol=1e-13, dense_output_grid=grid)
+    ref_cfg = IntegratorConfig(rel_tol=rel_tol, abs_tol=1e-13, dense_output_grid=grid,
+                               method="DOP853")
+    assert cfg.method == "magnus4"
+    bound = 10.0 * rel_tol * (t_span[1] - t_span[0])
+    for integrate, y0 in ((integrate_schrodinger, psi0), (integrate_bloch, S0)):
+        got, want = integrate(prof, y0, t_span, cfg), integrate(prof, y0, t_span, ref_cfg)
+        assert got.metadata["method"] == "magnus4" and want.metadata["method"] == "DOP853"
+        assert np.array_equal(got.times, want.times)
+        assert np.max(np.abs(got.states - want.states)) <= bound
+        assert got.metadata["norm_drift"] <= 1e-12
+
+
+def test_magnus4_refines_from_max_step_until_richardson_estimate_holds():
+    psi0, t_span = tracked_eigenvector(UNIFORM, 0.0), (0.0, 50.0)
+    grid = np.linspace(*t_span, 101)  # intervals of 0.5
+    subs = []
+    for rel_tol in (1e-6, 1e-9, 1e-12):
+        cfg = IntegratorConfig(rel_tol=rel_tol, abs_tol=1e-14, dense_output_grid=grid)
+        meta = integrate_schrodinger(UNIFORM, psi0, t_span, cfg).metadata
+        assert meta["richardson_error"] <= rel_tol + 1e-14
+        subs.append(meta["substeps"])
+    assert subs == sorted(subs) and subs[0] < subs[-1]
+    # max_step 0.5/3 starts k at 3, so every k tried is 3 * 2**j
+    cfg = IntegratorConfig(rel_tol=1e-6, dense_output_grid=grid, max_step=0.5 / 3)
+    k = integrate_schrodinger(UNIFORM, psi0, t_span, cfg).metadata["substeps"]
+    assert k % 3 == 0 and (k // 3) & (k // 3 - 1) == 0
+
+
+@pytest.mark.parametrize("max_step", [0.01 / 10001, 1e-320])
+def test_magnus4_step_count_past_node_limit_raises_before_stepping(max_step):
+    grid = np.linspace(0.0, 10.0, 1001)  # 1000 intervals of 0.01
+    cfg = IntegratorConfig(dense_output_grid=grid, max_step=max_step)
+    tracemalloc.start()
+    try:
+        with pytest.raises(StepSizeUnderflow, match="limit"):
+            integrate_schrodinger(UNIFORM, [1.0, 0.0], (0.0, 10.0), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_steppers_compose_blocks_like_one_block(monkeypatch):
+    prof, psi0 = RHS_PROFILES["sinusoidal_angle"], np.array([0.6, 0.8j])
+    grid = np.cumsum(np.r_[1.0, np.linspace(0.1, 0.9, 7)])  # uneven intervals
+    whole = [exponential_midpoint_schrodinger(prof, psi0, (1.0, 9.0), 23).states,
+             *(_cf4_states(prof, psi0, grid, k) for k in (1, 3, 7))]
+    monkeypatch.setattr(exact_dynamics, "_BLOCK_STEPS", 5)
+    blocked = [exponential_midpoint_schrodinger(prof, psi0, (1.0, 9.0), 23).states,
+               *(_cf4_states(prof, psi0, grid, k) for k in (1, 3, 7))]
+    for a, b in zip(whole, blocked):
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b)) <= 1e-14
+
+
+@pytest.mark.parametrize("stepper", [exponential_midpoint_schrodinger, magnus4_schrodinger])
+def test_stepper_peak_memory_at_a_million_steps(stepper):
+    # the states take 32 bytes per step; sampling block by block keeps the rest bounded
+    tracemalloc.start()
+    try:
+        stepper(RHS_PROFILES["cone_3d"], [1.0, 0.0], (0.0, 1000.0), 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 191 * 2**20
 
 
 def test_residual_defect_small_at_tight_tolerance(tight_cfg):

@@ -224,6 +224,41 @@ def test_tabulated_profile_interpolates_and_differences():
         sample(p, 10.0)
 
 
+_RNG = np.random.default_rng(5)
+SPLINE_KNOTS = {
+    "uniform": np.linspace(-2.0, 12.0, 300),
+    "random": np.sort(_RNG.uniform(0.0, 10.0, 60)),
+    "geometric": np.cumsum(3.0 ** np.arange(12)) / 1e4,  # row swaps in the tridiagonal solve
+    "four": np.array([0.0, 0.7, 1.1, 2.0]),
+}
+
+
+@pytest.mark.parametrize("knots", sorted(SPLINE_KNOTS))
+def test_tabulated_spline_matches_scipy_cubic_spline(knots):
+    CubicSpline = pytest.importorskip("scipy.interpolate").CubicSpline
+    taus = SPLINE_KNOTS[knots]
+    tables = (1.0 + 0.1 * np.sin(3.0 * taus), 0.2 * np.sin(2.0 * taus) + 0.1 * taus,
+              0.3 * np.cos(taus))
+    h = 1e-4 * (taus[-1] - taus[0])
+    prof = user_tabulated(taus, *tables, fd_step=h)
+    lo, hi = prof.t_domain
+    t = np.concatenate([np.linspace(lo, hi, 2001), taus[(taus > lo) & (taus < hi)]])
+    splines = [CubicSpline(taus, y) for y in tables]
+    for got, spline in zip(prof._tables(np.add.outer((-h, 0.0, h), t)), splines):
+        want = spline(np.add.outer((-h, 0.0, h), t))
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    # the stencil derivatives are central differences of the splines
+    s = sample(prof, t)
+    (bm, b, bp), (thm, th, thp), (phm, ph, php) = (
+        spline(np.add.outer((-h, 0.0, h), t)) for spline in splines)
+    for got, want in ((s.B_mag, b), (s.B_dot, (bp - bm) / (2 * h)),
+                      (s.theta, th), (s.theta_dot, (thp - thm) / (2 * h)),
+                      (s.theta_ddot, (thp - 2 * th + thm) / (h * h)),
+                      (s.phi, ph), (s.phi_dot, (php - phm) / (2 * h)),
+                      (s.phi_ddot, (php - 2 * ph + phm) / (h * h))):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def test_tabulated_validation():
     with pytest.raises(ConfigError):
         user_tabulated([0, 1, 2], [1, 1, 1], [0, 0, 0])  # too few nodes

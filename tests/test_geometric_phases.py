@@ -31,6 +31,7 @@ from spinphase import (
     phi2,
     phi2_decomposition,
     phi_dyn_expect,
+    sample,
     sinusoidal_angle,
     stokes_surface_integral,
     uniform_rotation,
@@ -73,6 +74,51 @@ def test_phi0_modulated_magnitude_over_period():
 def test_empty_span_is_plus_zero(functional):
     value = functional(uniform_rotation(1.0, 0.1), (3.0, 3.0))
     assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
+QUAD_CASES = {
+    "uniform_rotation": (uniform_rotation(1.0, 0.1), (0.0, 200.0)),
+    "sinusoidal_period": (sinusoidal_angle(1.0, theta0=0.3, Omega=0.05), (0.0, 40.0 * math.pi)),
+    "cone_3d": (cone_3d(1.0, theta_c=1.0, omega_phi=0.05), (0.0, 40.0 * math.pi)),
+    # modulated magnitude, integrated backwards: several bisection levels
+    "sinusoidal_modulated": (sinusoidal_angle(1.2, 0.3, 0.05, theta_offset=0.4, b_amp=0.3,
+                                              b_freq=0.11), (40.0 * math.pi, 0.0)),
+}
+QUAD_FUNCTIONALS = {
+    "phi0": (phi0, -0.5, lambda s: s.B_mag),
+    "phi2": (phi2, -0.25, lambda s: s.theta_dot**2 / s.B_mag),
+    "berry_phi1": (berry_phi1, 0.5, lambda s: (1.0 - math.cos(s.theta)) * s.phi_dot),
+}
+
+
+@pytest.mark.parametrize("case", sorted(QUAD_CASES))
+@pytest.mark.parametrize("name", sorted(QUAD_FUNCTIONALS))
+def test_gauss_kronrod_functionals_match_quad(name, case):
+    quad = pytest.importorskip("scipy.integrate").quad
+    functional, prefactor, integrand = QUAD_FUNCTIONALS[name]
+    prof, span = QUAD_CASES[case]
+    want = prefactor * quad(lambda t: integrand(sample(prof, t)), *span,
+                            **geometric_phases._QUAD_OPTS)[0]
+    assert abs(functional(prof, span) - want) <= 1e-13 * abs(want)
+
+
+def test_gauss_kronrod_rule_constants():
+    # the Gauss nodes and weights are numpy's; the Kronrod rule is exact to degree 3 * 7 + 1
+    gauss_nodes, gauss_weights = np.polynomial.legendre.leggauss(7)
+    assert np.allclose(geometric_phases._GK_NODES[1::2], gauss_nodes, rtol=0, atol=1e-15)
+    assert np.allclose(geometric_phases._G_WEIGHTS, gauss_weights, rtol=0, atol=1e-15)
+    for degree in range(23):
+        exact = 0.0 if degree % 2 else 2.0 / (degree + 1)
+        moment = geometric_phases._GK_WEIGHTS @ geometric_phases._GK_NODES**degree
+        assert moment == pytest.approx(exact, abs=1e-15)
+
+
+def test_gauss_kronrod_samples_once_per_level():
+    calls = []
+    value, err, nodes = geometric_phases._gauss_kronrod(
+        lambda t: calls.append(t.size) or np.exp(np.sin(3.0 * t)), 0.0, 10.0)
+    assert nodes == sum(calls) and all(n % 15 == 0 for n in calls)
+    assert calls[0] == 15 and len(calls) > 1 and 0.0 < err <= 1e-12 * abs(value)
 
 
 def test_phi2_uniform_rotation():

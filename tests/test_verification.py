@@ -3,19 +3,23 @@ import math
 import numpy as np
 import pytest
 
+from oracles import co_rotating_eigenstate
 from spinphase import (
     ConfigError,
     IntegratorConfig,
     check_horizon,
     constant,
     loop_from_profile,
+    phase_decomposition,
     run_convergence,
     run_phase_budget,
     run_stokes_check,
     run_timescale_demo,
+    schrodinger_phase,
     sinusoidal_angle,
     sinusoidal_family,
     stokes_csv,
+    tracked_eigenvector,
     uniform_rotation,
 )
 
@@ -69,6 +73,40 @@ def test_phase_budget_uniform_rotation():
     assert budget.r_total == pytest.approx(d.phi_total_exact - d.phi0 - d.phi2, abs=1e-14)
     # the 2x diagnostic: geometric part close to twice phi2, never asserted tighter
     assert budget.as_dict()["aa_over_phi2_ratio"] == pytest.approx(2.0, abs=0.05)
+
+
+@pytest.mark.parametrize("B, omega, T", [(1.0, 0.1, 200.0), (1.0, 0.05, 200.0),
+                                         (1.2, 0.08, 150.0)])
+def test_factor_two_is_two_cos_chi_on_the_exact_cyclic_state(B, omega, T):
+    # seeded with the exactly cyclic state (spin along the co-rotating frame's static field,
+    # tilted from B by chi, tan chi = omega/B): <H> = B cos(chi)/2 and the total phase is
+    # -sqrt(B^2 + omega^2) t/2, so the AA part is -omega^2 T/(2 sqrt(B^2 + omega^2)) and,
+    # with phi2 = -omega^2 T/(4B), the ratio is 2 cos(chi)
+    prof, big = uniform_rotation(B, omega), math.hypot(B, omega)
+    cfg = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
+    traj, phases = schrodinger_phase(prof, co_rotating_eigenstate(B, omega), (0.0, T), cfg)
+    d = phase_decomposition(prof, traj, float(phases[-1]), (0.0, T))
+    assert d.phi_geom_aa == pytest.approx(-0.5 * omega**2 * T / big, abs=1e-8)
+    assert d.phi_geom_aa / d.phi2 == pytest.approx(2.0 * B / big, abs=1e-8)
+
+
+def test_factor_two_error_of_the_library_seed_is_its_nutation():
+    # tracked_eigenvector is off the exact cyclic state by eps ~ 0.19 delta^3; the state then
+    # nutates, and <H> feels the nutation through sin(chi) ~ delta, so phi_geom_aa leaves its
+    # closed form by an oscillation of amplitude ~ eps * delta ~ delta^4, sampled over one
+    # nutation period at eight end times
+    B, seeds, amplitudes = 1.0, [], []
+    for omega in (0.025, 0.05, 0.1):
+        prof, big = uniform_rotation(B, omega), math.hypot(B, omega)
+        overlap = abs(np.vdot(co_rotating_eigenstate(B, omega), tracked_eigenvector(prof, 0.0)))
+        seeds.append(math.sqrt(1.0 - overlap**2))
+        ends = 50.0 + np.arange(8) * (2.0 * math.pi / big) / 8
+        amplitudes.append(max(
+            abs(run_phase_budget(prof, (0.0, T)).decomposition.phi_geom_aa
+                + 0.5 * omega**2 * T / big) for T in ends))
+    assert np.log2(np.divide(seeds[1:], seeds[:-1])) == pytest.approx([3.0, 3.0], abs=0.05)
+    assert np.log2(np.divide(amplitudes[1:], amplitudes[:-1])) == pytest.approx([4.0, 4.0],
+                                                                               abs=0.2)
 
 
 def test_phase_budget_constant_field_trivial():
