@@ -38,7 +38,7 @@ from .errors import (
     OverlapLoss,
     StepSizeUnderflow,
 )
-from .field_profiles import FieldProfile, FieldSample, _number, sample
+from .field_profiles import FieldProfile, FieldSample, _field_vector, _number, sample
 
 MAX_GRID_REFINE = 16
 # largest time grid any run may build, in nodes (about 160 MB of spinor states)
@@ -262,21 +262,23 @@ def _rhs(kind: str, profile: FieldProfile):
     """Right-hand side of i dpsi/dt = H psi ("spinor") or dS/dt = B x S ("bloch").
 
     Both are written out component by component on Python scalars, because
-    ``np.cross`` and a complex 2x2 matmul cost several times this arithmetic.
+    ``np.cross`` and a complex 2x2 matmul cost several times this arithmetic,
+    and read the field as three Python floats from ``_field_vector``, which
+    makes ``sample``'s checks without building a ``FieldSample``.
     The spinor state stays complex, so the solver's error norm and step
     sequence do not change.  The tests check both against their reference
     forms, ``-i H psi`` with :func:`hamiltonian_matrix` and ``np.cross(B, S)``.
     """
     if kind == "spinor":
         def spinor(t, y):
-            bx, by, bz = sample(profile, t).B_vec.tolist()
+            bx, by, bz = _field_vector(profile, t)
             up, dn = y.tolist()
             return np.array([-0.5j * (bz * up + (bx - 1j * by) * dn),
                              -0.5j * ((bx + 1j * by) * up - bz * dn)])
         return spinor
 
     def bloch(t, y):
-        bx, by, bz = sample(profile, t).B_vec.tolist()
+        bx, by, bz = _field_vector(profile, t)
         sx, sy, sz = y.tolist()
         return np.array([by * sz - bz * sy, bz * sx - bx * sz, bx * sy - by * sx])
     return bloch
@@ -648,8 +650,10 @@ def _csv(header: str, table, labels: Sequence[str] | None = None) -> str:
     Every cell is written with 17 significant digits, which round-trips a
     float exactly; given ``labels``, each line starts with its row's label.
     """
-    lines = [",".join(map("{:.17g}".format, row.tolist()))
-             for row in np.asarray(table, dtype=float)]
+    table = np.asarray(table, dtype=float)
+    row_format = ",".join(["%.17g"] * table.shape[-1])
+    # row by row: one list of every cell as a Python float would raise the peak memory
+    lines = [row_format % tuple(row.tolist()) for row in table]
     if labels is not None:
         lines = [f"{label},{line}" for label, line in zip(labels, lines)]
     return "\n".join([header, *lines]) + "\n"

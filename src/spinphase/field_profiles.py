@@ -321,8 +321,18 @@ def _finite(name: str, value) -> float:
 # Evaluation
 # ---------------------------------------------------------------------------
 
+def _sin_cos(x):
+    """(sin x, cos x): Python floats by ``math`` at a float, numpy's on an array."""
+    if isinstance(x, float):
+        return math.sin(x), math.cos(x)
+    return np.sin(x), np.cos(x)
+
+
 def _base_eval(profile: FieldProfile, tau):
-    """Evaluate (B, dB, theta, dtheta, ddtheta, phi, dphi, ddphi) in tau units and tau's shape."""
+    """Evaluate (B, dB, theta, dtheta, ddtheta, phi, dphi, ddphi) in tau units and tau's shape.
+
+    At a float tau every value is a Python float.
+    """
     p = profile.params
     kind = profile.kind
     zero = 0.0 * tau
@@ -344,11 +354,12 @@ def _base_eval(profile: FieldProfile, tau):
         return p["B0"] + zero, zero, th, d1, d2, zero, zero, zero
     if kind == "sinusoidal_angle":
         th0, Om = p["theta0"], p["Omega"]
-        s, c = np.sin(Om * tau), np.cos(Om * tau)
+        s, c = _sin_cos(Om * tau)
         bamp, bfreq = p["b_amp"], p["b_freq"]
         if bamp != 0.0:
-            B = p["B0"] * (1.0 + bamp * np.sin(bfreq * tau))
-            dB = p["B0"] * bamp * bfreq * np.cos(bfreq * tau)
+            sb, cb = _sin_cos(bfreq * tau)
+            B = p["B0"] * (1.0 + bamp * sb)
+            dB = p["B0"] * bamp * bfreq * cb
         else:
             B, dB = p["B0"] + zero, zero
         return (
@@ -365,7 +376,10 @@ def _base_eval(profile: FieldProfile, tau):
     if kind == "user_tabulated":
         h = p["fd_step"]
         stencil = np.add.outer((-h, 0.0, h), tau)  # rows tau - h, tau, tau + h
-        (Bm, B, Bp), (thm, th, thp), (phm, ph, php) = profile._tables(stencil)
+        values = profile._tables(stencil)
+        if isinstance(tau, float):
+            values = values.tolist()
+        (Bm, B, Bp), (thm, th, thp), (phm, ph, php) = values
         dB = (Bp - Bm) / (2.0 * h)
         dth = (thp - thm) / (2.0 * h)
         ddth = (thp - 2.0 * th + thm) / (h * h)
@@ -380,6 +394,29 @@ def _extent(x):
     return (x, x) if isinstance(x, float) else (np.min(x), np.max(x))
 
 
+def _check_domain(profile: FieldProfile, t_min, t_max) -> None:
+    """DomainError unless the times from t_min to t_max lie in the profile's domain."""
+    lo, hi = profile.t_domain
+    if not (lo <= t_min and t_max <= hi):
+        bad = t_min if t_min < lo else t_max
+        raise DomainError(f"t={bad} outside profile domain [{lo}, {hi}]")
+
+
+def _check_floor(profile: FieldProfile, t, B) -> None:
+    """DegenerateField if the magnitude B at the times t falls below the profile's b_min."""
+    B_lo = _extent(B)[0]
+    if B_lo < profile.b_min:
+        t_lo = np.ravel(t)[np.argmin(B)]
+        raise DegenerateField(f"|B|={B_lo} below floor {profile.b_min} at t={t_lo}")
+
+
+def _cartesian(B, th, ph):
+    """Cartesian components (Bx, By, Bz) of the field of magnitude B along (th, ph)."""
+    sin_th, cos_th = _sin_cos(th)
+    sin_ph, cos_ph = _sin_cos(ph)
+    return B * sin_th * cos_ph, B * sin_th * sin_ph, B * cos_th
+
+
 def sample(profile: FieldProfile, t) -> FieldSample:
     """Evaluate the field and its derivatives at lab time t, a float or a 1-D grid.
 
@@ -390,23 +427,13 @@ def sample(profile: FieldProfile, t) -> FieldSample:
     DegenerateField
         If the magnitude falls below the profile's b_min floor anywhere.
     """
-    lo, hi = profile.t_domain
-    t_min, t_max = _extent(t)
-    if not (lo <= t_min and t_max <= hi):
-        bad = t_min if t_min < lo else t_max
-        raise DomainError(f"t={bad} outside profile domain [{lo}, {hi}]")
+    _check_domain(profile, *_extent(t))
     eps = profile.epsilon
     B, dB, th, dth, ddth, ph, dph, ddph = _base_eval(profile, eps * t)
-    B_lo = _extent(B)[0]
-    if B_lo < profile.b_min:
-        t_lo = np.ravel(t)[np.argmin(B)]
-        raise DegenerateField(f"|B|={B_lo} below floor {profile.b_min} at t={t_lo}")
-    sin_th, cos_th = np.sin(th), np.cos(th)
-    sin_ph, cos_ph = np.sin(ph), np.cos(ph)
-    vec = np.array([B * sin_th * cos_ph, B * sin_th * sin_ph, B * cos_th]).T
+    _check_floor(profile, t, B)
     return FieldSample(
         t=t,
-        B_vec=vec,
+        B_vec=np.array(_cartesian(B, th, ph)).T,
         B_mag=B,
         theta=th,
         phi=ph,
@@ -416,6 +443,20 @@ def sample(profile: FieldProfile, t) -> FieldSample:
         phi_ddot=eps * eps * ddph,
         B_dot=eps * dB,
     )
+
+
+def _field_vector(profile: FieldProfile, t) -> tuple[float, float, float]:
+    """``sample(profile, t).B_vec`` at one time t, as three Python floats.
+
+    The solvers' right-hand sides call this once per stage: it makes the
+    same checks as :func:`sample`, with the same errors, and builds no
+    :class:`FieldSample`.
+    """
+    t = float(t)
+    _check_domain(profile, t, t)
+    B, _, th, _, _, ph, _, _ = _base_eval(profile, profile.epsilon * t)
+    _check_floor(profile, t, B)
+    return _cartesian(B, th, ph)
 
 
 def is_in_plane(profile: FieldProfile) -> bool:

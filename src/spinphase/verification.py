@@ -110,8 +110,8 @@ def run_convergence(
     closed forms is recorded.  Expected log-log slopes: 1, 2, 3.
     """
     eps_sorted = sorted((float(e) for e in eps_list), reverse=True)
-    if len(eps_sorted) < 2:
-        raise ConfigError("need at least two epsilon values to fit slopes")
+    if len(set(eps_sorted)) < 2:
+        raise ConfigError("need at least two distinct epsilon values to fit slopes")
     cfg = cfg or IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
     errs = ([], [], [])
     for eps in eps_sorted:

@@ -170,6 +170,13 @@ def test_convergence_cli_small(tmp_path):
     assert len(lines) == 3
 
 
+def test_convergence_repeated_eps_exits_3_without_traceback(tmp_path):
+    proc = _run_module(["convergence", "--eps", "0.16,0.16", "--out", str(tmp_path)], 60)
+    assert proc.returncode == 3
+    assert "distinct epsilon" in proc.stderr
+    assert "Traceback" not in proc.stderr + proc.stdout
+
+
 # ---------------------------------------------------------------------------
 # One input path: flags and --config files share defaults and checks
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from oracles import co_rotating_eigenstate, uniform_rotation_exact
 from spinphase import (
     BranchJump,
     ConfigError,
+    DegenerateField,
     DomainError,
     IntegratorConfig,
     NormalizationError,
@@ -38,10 +39,11 @@ from spinphase import (
     uniform_rotation,
     user_tabulated,
 )
-from spinphase import exact_dynamics
+from spinphase import exact_dynamics, field_profiles
 from spinphase.exact_dynamics import (
     MAX_GRID_NODES,
     _cf4_states,
+    _csv,
     _rhs,
     hamiltonian_matrix,
     magnus4_bloch,
@@ -110,6 +112,71 @@ def test_rhs_matches_reference_forms(name):
             assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
             S = rng.normal(size=3)
             assert np.array_equal(bloch(t, S), np.cross(s.B_vec, S))
+
+
+@pytest.mark.parametrize("name", sorted(RHS_PROFILES))
+def test_field_vector_is_sample_b_vec_as_python_floats(name):
+    prof = RHS_PROFILES[name]
+    for t in (1.0, 7.3, 22.9, 38.4, np.float64(13.7)):
+        vec = field_profiles._field_vector(prof, t)
+        assert [type(v) for v in vec] == [float, float, float]
+        assert np.array(vec).tobytes() == sample(prof, t).B_vec.tobytes()  # bitwise
+
+
+@pytest.mark.parametrize("integrate, y0", [(integrate_schrodinger, [0.6, 0.8j]),
+                                           (integrate_bloch, [0.0, 0.6, 0.8])])
+def test_solver_rhs_makes_no_sample_call(integrate, y0, monkeypatch):
+    counts = {"rhs": 0, "sample_in_rhs": 0}
+    inside = [False]
+    rhs, sample_fn = exact_dynamics._rhs, field_profiles.sample
+
+    def counting_rhs(kind, profile):
+        f = rhs(kind, profile)
+
+        def wrapped(t, y):
+            counts["rhs"] += 1
+            inside[0] = True
+            try:
+                return f(t, y)
+            finally:
+                inside[0] = False
+        return wrapped
+
+    def counting_sample(profile, t):
+        counts["sample_in_rhs"] += inside[0]
+        return sample_fn(profile, t)
+
+    monkeypatch.setattr(exact_dynamics, "_rhs", counting_rhs)
+    monkeypatch.setattr(exact_dynamics, "sample", counting_sample)
+    monkeypatch.setattr(field_profiles, "sample", counting_sample)
+    cfg = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-11, method="DOP853")
+    integrate(RHS_PROFILES["sinusoidal_angle"], y0, (0.0, 5.0), cfg)
+    assert counts["rhs"] > 100
+    assert counts["sample_in_rhs"] == 0
+
+
+def test_rhs_raises_domain_error_outside_t_domain():
+    prof = uniform_rotation(1.0, 0.1, t_domain=(0.0, 10.0))
+    for kind, y in (("spinor", np.array([1.0, 0.0j])), ("bloch", np.array([0.0, 0.0, 1.0]))):
+        for t in (-0.5, 10.5):
+            with pytest.raises(DomainError) as want:
+                sample(prof, t)
+            with pytest.raises(DomainError) as got:
+                _rhs(kind, prof)(t, y)
+            assert str(got.value) == str(want.value)
+
+
+def test_rhs_raises_degenerate_field_below_b_min():
+    # |B| = 1 + 0.5 sin(t) dips to 0.5 at t = 3 pi / 2, below the floor 0.6
+    prof = sinusoidal_angle(1.0, 0.3, 0.5, b_amp=0.5, b_freq=1.0, b_min=0.6)
+    t = 1.5 * math.pi
+    for kind, y in (("spinor", np.array([1.0, 0.0j])), ("bloch", np.array([0.0, 0.0, 1.0]))):
+        with pytest.raises(DegenerateField) as want:
+            sample(prof, t)
+        with pytest.raises(DegenerateField) as got:
+            _rhs(kind, prof)(t, y)
+        assert str(got.value) == str(want.value)
+        _rhs(kind, prof)(0.5 * math.pi, y)  # |B| = 1.5 there
 
 
 # ---------------------------------------------------------------------------
@@ -568,6 +635,15 @@ def test_csv_export_round_trips_17_digits(tight_cfg):
     assert float(blines[-1].split(",")[3]) == btraj.states[-1][2]
     assert blines[1:] == [f"{t:.17g},{x:.17g},{y:.17g},{z:.17g}"
                           for t, (x, y, z) in zip(btraj.times, btraj.states)]
+
+
+def test_csv_rows_are_bytes_of_the_per_cell_form():
+    specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308, -1e308, 0.1, 1 / 3]
+    table = np.array([specials, specials[::-1], np.roll(specials, 3)]).T
+    got = _csv("a,b,c", table).encode()
+    want = "\n".join(["a,b,c"] + [",".join(map("{:.17g}".format, row)) for row in table.tolist()])
+    assert got == (want + "\n").encode()
+    assert _csv("a,b", np.empty((0, 2))) == "a,b\n"
 
 
 def test_aliased_grid_raises_branch_jump_and_refines_to_oracle():

@@ -53,6 +53,13 @@ def test_convergence_needs_two_scales():
         run_convergence(sinusoidal_family(), [0.1], 1.0)
 
 
+def test_convergence_needs_two_distinct_scales():
+    # a repeated scale leaves no spread to fit a slope over
+    for eps_list in ([0.1, 0.1, 0.1], [0.16, 0.16]):
+        with pytest.raises(ConfigError, match="distinct"):
+            run_convergence(sinusoidal_family(), eps_list, 1.0)
+
+
 def test_convergence_csv_deterministic():
     rep1 = run_convergence(sinusoidal_family(), [0.16, 0.08], math.pi)
     rep2 = run_convergence(sinusoidal_family(), [0.16, 0.08], math.pi)
