@@ -48,7 +48,6 @@ from .exact_dynamics import (
     integrate_schrodinger,
     magnus4_bloch,
     magnus4_schrodinger,
-    residual_defect,
     schrodinger_phase,
     spinor_to_bloch,
     trajectory_to_csv,

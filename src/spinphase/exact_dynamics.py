@@ -38,7 +38,7 @@ from .errors import (
     OverlapLoss,
     StepSizeUnderflow,
 )
-from .field_profiles import FieldProfile, FieldSample, _field_vector, _number, sample
+from .field_profiles import FieldProfile, _field_vector, _number, sample
 
 MAX_GRID_REFINE = 16
 # largest time grid any run may build, in nodes (about 160 MB of spinor states)
@@ -52,7 +52,6 @@ _BLOCK_STEPS = 1 << 16  # steps the fixed-step steppers sample and compose at a 
 _CF4_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 _CF4_A1, _CF4_A2 = (3.0 - 2.0 * math.sqrt(3.0)) / 12.0, (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
 _NORM_TOL = 1e-9  # largest norm defect as_spinor and as_bloch renormalize away
-_DEFECT_PROBES = 16  # nodes residual_defect probes
 
 
 @dataclass(frozen=True)
@@ -175,16 +174,6 @@ def _mean_spin(psi: np.ndarray) -> np.ndarray:
     ) / nn[..., None]
 
 
-def hamiltonian_matrix(s: FieldSample) -> np.ndarray:
-    """Two-level Hamiltonian (1/2) B . sigma for the sampled field.
-
-    The reference form of H: the solvers' right-hand side writes ``-i H psi``
-    out component by component and is tested against this matrix.
-    """
-    bx, by, bz = s.B_vec
-    return 0.5 * np.array([[bz, bx - 1j * by], [bx + 1j * by, -bz]], dtype=complex)
-
-
 # ---------------------------------------------------------------------------
 # Integration on an output grid
 # ---------------------------------------------------------------------------
@@ -267,7 +256,7 @@ def _rhs(kind: str, profile: FieldProfile):
     makes ``sample``'s checks without building a ``FieldSample``.
     The spinor state stays complex, so the solver's error norm and step
     sequence do not change.  The tests check both against their reference
-    forms, ``-i H psi`` with :func:`hamiltonian_matrix` and ``np.cross(B, S)``.
+    forms, ``-i H psi`` with the matrix H = (1/2) B . sigma and ``np.cross(B, S)``.
     """
     if kind == "spinor":
         def spinor(t, y):
@@ -331,11 +320,16 @@ def _magnus4_on_grid(profile, psi0, grid, cfg):
 
 
 def _grid_for(profile, t_span, cfg):
-    """The run's output grid; any span the default grid could not cover raises ConfigError."""
+    """The run's output grid; any span the default grid could not cover raises ConfigError.
+
+    A given grid must start and end exactly at t_span and have finite nodes, else DomainError.
+    """
     if cfg.dense_output_grid is not None:
         grid = np.asarray(cfg.dense_output_grid, dtype=float)
         if grid[0] != t_span[0] or grid[-1] != t_span[1]:
             raise DomainError("dense_output_grid must start/end exactly at t_span")
+        if not np.all(np.isfinite(grid)):
+            raise DomainError("dense_output_grid nodes must be finite")
         _span_nodes(profile, t_span)
         return grid
     return default_grid(profile, t_span)
@@ -513,38 +507,6 @@ def exponential_midpoint_bloch(
 
 def _as_bloch(traj: Trajectory) -> Trajectory:
     return replace(traj, states=bloch_series(traj), kind="bloch")
-
-
-# ---------------------------------------------------------------------------
-# Defect estimate (RK4 half-steps)
-# ---------------------------------------------------------------------------
-
-def residual_defect(traj: Trajectory, profile: FieldProfile) -> float:
-    """Max local defect of the stored trajectory at ``_DEFECT_PROBES`` probe nodes.
-
-    From each probe node, two classical RK4 half-steps of h/2 cover the
-    local grid spacing h; the distance of the stored next node from their
-    result estimates the local defect of the stored solution at grid
-    resolution.
-    """
-    rhs = _rhs(traj.kind, profile)
-    idx = np.unique(np.linspace(0, len(traj.times) - 2, _DEFECT_PROBES).astype(int))
-    worst = 0.0
-    for i in idx:
-        t, h = traj.times[i], traj.times[i + 1] - traj.times[i]
-        y = traj.states[i]
-        half = _rk4(rhs, t, y, 0.5 * h)
-        two = _rk4(rhs, t + 0.5 * h, half, 0.5 * h)
-        worst = max(worst, float(np.linalg.norm(traj.states[i + 1] - two)))
-    return worst
-
-
-def _rk4(rhs, t, y, h):
-    k1 = rhs(t, y)
-    k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = rhs(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 # ---------------------------------------------------------------------------

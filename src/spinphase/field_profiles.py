@@ -214,13 +214,17 @@ def user_tabulated(
     taus = np.asarray(taus, dtype=float)
     if taus.ndim != 1 or taus.size < 4:
         raise ConfigError("user_tabulated needs at least 4 nodes")
-    if np.any(np.diff(taus) <= 0):
-        raise ConfigError("tabulated times must be strictly increasing")
     B = np.asarray(B, dtype=float)
     theta = np.asarray(theta, dtype=float)
     phi = np.zeros_like(taus) if phi is None else np.asarray(phi, dtype=float)
     if not (B.shape == theta.shape == phi.shape == taus.shape):
         raise ConfigError("tabulated arrays must share the time grid's shape")
+    # one NaN would spread through the spline solve into every coefficient
+    for name, table in (("taus", taus), ("B", B), ("theta", theta), ("phi", phi)):
+        if not np.all(np.isfinite(table)):
+            raise ConfigError(f"tabulated {name} must be finite")
+    if np.any(np.diff(taus) <= 0):
+        raise ConfigError("tabulated times must be strictly increasing")
     profile = FieldProfile("user_tabulated", {"fd_step": fd_step}, epsilon=epsilon,
                            b_min=b_min, _tables=_Spline(taus, np.stack([B, theta, phi], axis=1)))
     h, eps = profile.params["fd_step"], profile.epsilon  # checked by the constructor
@@ -295,10 +299,6 @@ def _knot_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.array(b)
 
 
-def _coeff_index(key: str) -> int:
-    return int(key[1:]) if key.startswith("c") and key[1:].isdigit() else -1
-
-
 def _number(name: str, value) -> float:
     """``value`` as a float; ConfigError unless it is a real number in float range."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -345,7 +345,7 @@ def _base_eval(profile: FieldProfile, tau):
             zero, zero, zero,
         )
     if kind == "polynomial_angle":
-        coeffs = [p[k] for k in sorted(p, key=_coeff_index) if k.startswith("c")]
+        coeffs = list(p.values())[1:]  # stored as B0, c0, c1, ...
         th = d1 = d2 = 0.0
         for c in reversed(coeffs):  # Horner for theta and its two derivatives
             d2 = d2 * tau + 2.0 * d1

@@ -47,6 +47,7 @@ from .exact_dynamics import Trajectory, bloch_series
 _QUAD_OPTS = {"epsabs": 1e-12, "epsrel": 1e-12, "limit": 500}
 MIN_SIN_POLAR = 1e-3
 _SWEEP_BLOCK = 1 << 16  # candidate edge pairs per block of the crossing sweep
+_CLOSURE_TOL = 1e-9  # largest endpoint gap of a closed MLoop, per coordinate
 _ROMBERG_LEVELS = 4  # most step sizes (h, 2h, 4h, ...) a Romberg limit extrapolates from
 
 
@@ -356,7 +357,6 @@ class MLoop:
     theta: np.ndarray
     theta_dot: np.ndarray
     time_unit: float = 1.0
-    closure_tol: float = 1e-9
 
     def __post_init__(self):
         th = np.asarray(self.theta, dtype=float)
@@ -369,10 +369,10 @@ class MLoop:
             raise DomainError("loop coordinates must be finite")
         gap_th = abs(th[0] - th[-1])
         gap_td = abs(td[0] - td[-1]) * self.time_unit
-        if gap_th > self.closure_tol or gap_td > self.closure_tol:
+        if gap_th > _CLOSURE_TOL or gap_td > _CLOSURE_TOL:
             raise LoopNotClosed(
                 f"loop endpoints differ by ({gap_th:.3g}, {gap_td:.3g}) "
-                f"exceeding closure tolerance {self.closure_tol}"
+                f"exceeding closure tolerance {_CLOSURE_TOL}"
             )
 
 
@@ -421,7 +421,7 @@ def stokes_surface_integral(loop: MLoop, B_mag: float) -> float:
     """
     _check_field(B_mag)
     pts = np.stack([loop.theta, loop.theta_dot / B_mag], axis=1)
-    if np.hypot(*(pts[0] - pts[-1])) <= 1e-12 + loop.closure_tol:
+    if np.hypot(*(pts[0] - pts[-1])) <= 1e-12 + _CLOSURE_TOL:
         pts = pts[:-1]
     _check_simple(pts)
     x_c, y_c = pts[:, 0], pts[:, 1]
@@ -464,12 +464,6 @@ def _nodes_inside_edges(a, b, prev, node: np.ndarray, edge: np.ndarray) -> np.nd
     along = np.sum(rel * e, axis=1)
     inside = (_cross2(e, rel) == 0.0) & (along > 0.0) & (along < np.sum(e * e, axis=1))
     return inside & (_cross2(e, prev[node] - a[edge]) * _cross2(e, b[node] - a[edge]) < 0.0)
-
-
-def _has_proper_crossing(pts: np.ndarray) -> bool:
-    """Detect strictly transversal edge crossings of a closed polygon (the edge-only test)."""
-    a, b = pts, np.roll(pts, -1, axis=0)
-    return any(np.any(_proper_crossings(a, b, i, j)) for i, j in _edge_pairs(a, b))
 
 
 def _check_simple(pts: np.ndarray) -> None:

@@ -2,7 +2,8 @@
 
 Each function here recomputes a quantity the library computes another
 way: the in-plane Cartesian and spherical views of the quasi-stationary
-corrections, and the direct quadrature of the by-parts second-order term.
+corrections, the direct quadrature of the by-parts second-order term, and
+the Hamiltonian matrix that the solvers' right-hand side writes out.
 The tests compare the library against them.
 """
 
@@ -12,7 +13,7 @@ import numpy as np
 
 from spinphase import DomainError, PoleSingularity, bloch_to_spinor, is_in_plane, sample
 from spinphase.adiabatic_engine import QuasiStationary, _guard_perturbative, params_from_sample
-from spinphase.field_profiles import FieldProfile
+from spinphase.field_profiles import FieldProfile, FieldSample
 from spinphase.geometric_phases import MIN_SIN_POLAR, _integral
 
 
@@ -67,6 +68,16 @@ def phi2_byparts_direct(profile: FieldProfile, t_span: tuple[float, float]) -> f
         return (1.0 - np.cos(s.theta)) * rate
 
     return _integral(0.5, integrand, profile, t_span)
+
+
+def hamiltonian_matrix(s: FieldSample) -> np.ndarray:
+    """Two-level Hamiltonian (1/2) B . sigma for the sampled field.
+
+    The reference form of H: the solvers' right-hand side writes ``-i H psi``
+    out component by component and is tested against this matrix.
+    """
+    bx, by, bz = s.B_vec
+    return 0.5 * np.array([[bz, bx - 1j * by], [bx + 1j * by, -bz]], dtype=complex)
 
 
 def uniform_rotation_exact(B0: float, omega: float, psi0, t) -> np.ndarray:

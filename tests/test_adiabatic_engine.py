@@ -22,8 +22,7 @@ from spinphase import (
     uniform_rotation,
 )
 from spinphase.adiabatic_engine import params_from_sample
-from spinphase.exact_dynamics import hamiltonian_matrix
-from oracles import quasi_stationary_cartesian, quasi_stationary_spherical
+from oracles import hamiltonian_matrix, quasi_stationary_cartesian, quasi_stationary_spherical
 
 UNIFORM = uniform_rotation(1.0, 0.1)
 

@@ -5,9 +5,10 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from spinphase import phi0, phi2
+from spinphase import Trajectory, bloch_series, phi0, phi2
 from spinphase.cli import RunConfig, _build_parser, main, parse_cli
 
 
@@ -130,6 +131,25 @@ def test_simulate_deterministic_output(tmp_path):
     assert run_main(argv_tpl + ["--out", str(b)]) == 0
     assert (a / "traj.csv").read_bytes() == (b / "traj.csv").read_bytes()
     assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
+
+
+@pytest.mark.parametrize("profile", ["uniform_rotation", "cone"])
+def test_simulate_spin_columns_are_mean_spins_of_spinor_columns(profile, tmp_path):
+    # one integration: every row's Sx, Sy, Sz are the mean spin of its written spinor, to the
+    # last bit (17 digits round-trip), and spin_norm_drift is read from those rows
+    argv = ["simulate", "--profile", profile, "--t-end", "50", "--grid-n", "801",
+            "--formats", "csv,json", "--out", str(tmp_path)]
+    assert run_main(argv) == 0
+    header, *rows = (tmp_path / "traj.csv").read_text().splitlines()
+    table = np.array([[float(cell) for cell in row.split(",")] for row in rows])
+    col = dict(zip(header.split(","), table.T))
+    states = np.empty((len(table), 2), dtype=complex)
+    states[:, 0].real, states[:, 0].imag = col["re_up"], col["im_up"]
+    states[:, 1].real, states[:, 1].imag = col["re_dn"], col["im_dn"]
+    spins = bloch_series(Trajectory(times=col["t"], states=states, kind="spinor"))
+    assert np.array_equal(np.column_stack([col["Sx"], col["Sy"], col["Sz"]]), spins)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["spin_norm_drift"] == float(np.max(np.abs(np.sum(spins**2, axis=1) - 1.0)))
 
 
 def test_empty_formats_prints_to_stdout(tmp_path, capsys):

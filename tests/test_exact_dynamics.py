@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import co_rotating_eigenstate, uniform_rotation_exact
+from oracles import co_rotating_eigenstate, hamiltonian_matrix, uniform_rotation_exact
 from spinphase import (
     BranchJump,
     ConfigError,
@@ -26,7 +26,6 @@ from spinphase import (
     integrate_bloch,
     integrate_schrodinger,
     polynomial_angle,
-    residual_defect,
     sample,
     schrodinger_phase,
     sinusoidal_angle,
@@ -45,7 +44,6 @@ from spinphase.exact_dynamics import (
     _cf4_states,
     _csv,
     _rhs,
-    hamiltonian_matrix,
     magnus4_bloch,
     magnus4_schrodinger,
 )
@@ -243,6 +241,14 @@ def test_dense_grid_must_match_span():
     cfg = IntegratorConfig(dense_output_grid=np.linspace(0.0, 1.0, 10))
     with pytest.raises(DomainError):
         integrate_schrodinger(UNIFORM, [1.0, 0.0], (0.0, 2.0), cfg)
+
+
+@pytest.mark.parametrize("method", ["magnus4", "DOP853"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_dense_grid_with_non_finite_node_raises_domain_error(method, bad):
+    cfg = IntegratorConfig(dense_output_grid=[0.0, bad, 10.0], method=method)
+    with pytest.raises(DomainError, match="finite"):
+        integrate_schrodinger(UNIFORM, [1.0, 0.0], (0.0, 10.0), cfg)
 
 
 def test_integrator_config_validation():
@@ -452,11 +458,13 @@ def test_magnus4_preserves_norm_to_roundoff():
     assert np.max(np.abs(np.sum(btraj.states**2, axis=1) - 1.0)) <= n * 1e-15
 
 
-def test_magnus4_matches_rotating_frame_oracle():
+def test_magnus4_matches_rotating_frame_oracle(tight_cfg):
+    # the fixed-step stepper, and the integrator on its default grid at every output node
     psi0 = tracked_eigenvector(UNIFORM, 0.0)
-    traj = magnus4_schrodinger(UNIFORM, psi0, (0.0, 200.0), 16000)
-    exact = uniform_rotation_exact(1.0, 0.1, psi0, traj.times)
-    assert np.max(np.linalg.norm(traj.states - exact, axis=1)) <= 1e-10
+    for traj, bound in ((magnus4_schrodinger(UNIFORM, psi0, (0.0, 200.0), 16000), 1e-10),
+                        (integrate_schrodinger(UNIFORM, psi0, (0.0, 50.0), tight_cfg), 1e-9)):
+        exact = uniform_rotation_exact(1.0, 0.1, psi0, traj.times)
+        assert np.max(np.linalg.norm(traj.states - exact, axis=1)) <= bound
 
 
 @pytest.mark.parametrize("theta_c", [0.6, 1.0])
@@ -548,11 +556,6 @@ def test_stepper_peak_memory_at_a_million_steps(stepper):
     finally:
         tracemalloc.stop()
     assert peak <= 191 * 2**20
-
-
-def test_residual_defect_small_at_tight_tolerance(tight_cfg):
-    traj = integrate_schrodinger(UNIFORM, tracked_eigenvector(UNIFORM, 0.0), (0.0, 50.0), tight_cfg)
-    assert residual_defect(traj, UNIFORM) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

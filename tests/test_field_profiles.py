@@ -59,9 +59,12 @@ def test_polynomial_angle_matches_horner():
 def test_polynomial_many_coefficients_sorted_numerically():
     coeffs = [0.0] * 11
     coeffs[10] = 1.0  # theta = tau**10
-    p = polynomial_angle(1.0, coeffs)
-    s = sample(p, 2.0)
-    assert s.theta == pytest.approx(2.0**10, rel=1e-14)
+    # the same polynomial from a dict whose keys are out of order (c10 before c2)
+    shuffled = {"c10": 1.0, "B0": 1.0, **{f"c{k}": 0.0 for k in (2, 9, 0, 5, 1, 7, 3, 8, 6, 4)}}
+    for p in (polynomial_angle(1.0, coeffs), FieldProfile("polynomial_angle", shuffled)):
+        s = sample(p, 2.0)
+        assert s.theta == pytest.approx(2.0**10, rel=1e-14)
+        assert s.theta_dot == pytest.approx(10 * 2.0**9, rel=1e-14)
 
 
 def test_cone_profile_keeps_polar_angle():
@@ -266,6 +269,17 @@ def test_tabulated_validation():
         user_tabulated([0, 1, 1, 2], [1] * 4, [0] * 4)  # non-monotonic
     with pytest.raises(ConfigError):
         profile_from_dict({"kind": "user_tabulated", "params": {}})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("table", ["taus", "B", "theta", "phi"])
+def test_tabulated_rejects_non_finite_tables(table, bad):
+    # a NaN anywhere would spread through the spline solve into every value
+    tables = {"taus": np.linspace(0.0, 10.0, 12), "B": np.ones(12),
+              "theta": np.linspace(0.0, 1.0, 12), "phi": np.zeros(12)}
+    tables[table][5] = bad
+    with pytest.raises(ConfigError, match="finite"):
+        user_tabulated(**tables)
 
 
 def test_json_rejects_unknown_keys_and_coefficient_gaps():

@@ -37,7 +37,7 @@ from spinphase import (
     uniform_rotation,
 )
 from spinphase import geometric_phases
-from spinphase.geometric_phases import _has_proper_crossing
+from spinphase.geometric_phases import _edge_pairs, _proper_crossings
 from conftest import uniform_grid_cfg
 from oracles import phi2_byparts_direct
 
@@ -451,6 +451,12 @@ def _random_polygon(rng, k):
         pts = rng.uniform(-3.0, 3.0, (m, 2))
     # every third polygon on integer nodes: collinear edges, touching and shared vertices
     return np.round(pts) if k % 3 == 0 else pts
+
+
+def _has_proper_crossing(pts):
+    """Detect strictly transversal edge crossings of a closed polygon by the sweep."""
+    a, b = pts, np.roll(pts, -1, axis=0)
+    return any(np.any(_proper_crossings(a, b, i, j)) for i, j in _edge_pairs(a, b))
 
 
 def test_crossing_sweep_matches_pair_loop(monkeypatch):
