@@ -205,17 +205,16 @@ def classical_solution(
     return chain.r_total @ s3
 
 
-def tracked_eigenvector(profile: FieldProfile, t, branch: int = +1) -> np.ndarray:
-    """Second-order quasi-stationary spinor direction (phase factor stripped).
+def tracked_eigenvector(profile: FieldProfile, t) -> np.ndarray:
+    """Second-order quasi-stationary spinor direction of the upper level (phase factor stripped).
 
-    branch=+1 follows the upper level, branch=-1 the lower one.  Seeding an
-    exact integration with this vector (instead of the instantaneous
-    eigenvector) leaves only third-order residual oscillation around the
-    quasi-stationary branch.  Returned unit-normalized, with shape (2,) at a
-    float time and (n, 2) on a grid of n times.
+    Seeding an exact integration with this vector (instead of the
+    instantaneous eigenvector) leaves only third-order residual oscillation
+    around the quasi-stationary branch.  Returned unit-normalized, with
+    shape (2,) at a float time and (n, 2) on a grid of n times.
     """
     _, chain = _chain_at(profile, t)
-    col = chain.u_total[..., 0 if branch == +1 else 1]
+    col = chain.u_total[..., 0]
     return col / np.linalg.norm(col, axis=-1, keepdims=True)
 
 

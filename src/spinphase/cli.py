@@ -33,7 +33,6 @@ from .exact_dynamics import (
     _csv,
     bloch_series,
     bloch_to_spinor,
-    default_grid,
     extract_total_phase,
     integrate_schrodinger,
 )
@@ -96,6 +95,11 @@ class _Command(NamedTuple):
         return self.flags + [(p.flag, f"params.{name}", p.type, p.help)
                              for name, p in self.params.items()]
 
+    @property
+    def integrates(self) -> bool:
+        """True when the command takes the integrator flags, and with them the config key."""
+        return any(dest.startswith("integrator.") for _, dest, *_ in self.flags)
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -111,16 +115,15 @@ class RunConfig:
     def to_dict(self) -> dict:
         d = {
             "command": self.command,
-            "integrator": {
-                "rel_tol": self.integrator.rel_tol,
-                "abs_tol": self.integrator.abs_tol,
-            },
             "output_dir": self.output_dir,
             "formats": list(self.formats),
             "params": dict(self.params),
         }
-        if math.isfinite(self.integrator.max_step):
-            d["integrator"]["max_step"] = self.integrator.max_step
+        if _COMMANDS[self.command].integrates:
+            d["integrator"] = {"rel_tol": self.integrator.rel_tol,
+                               "abs_tol": self.integrator.abs_tol}
+            if math.isfinite(self.integrator.max_step):
+                d["integrator"]["max_step"] = self.integrator.max_step
         if self.profile is not None:
             d["profile"] = profile_to_dict(self.profile)
         return d
@@ -131,7 +134,8 @@ class RunConfig:
 
         Fills the param defaults of the command's ``_COMMANDS`` entry and the
         profile defaults of ``_PROFILE_DEFAULTS``; any invalid, unknown or
-        non-finite value raises :class:`ConfigError`.
+        non-finite value, and an ``integrator`` key for a command without the
+        integrator flags, raises :class:`ConfigError`.
         """
         try:
             command = d["command"]
@@ -142,6 +146,8 @@ class RunConfig:
         unknown = [k for k in d if k not in [f.name for f in fields(RunConfig)]]
         if unknown:
             raise ConfigError(f"unknown run config key {unknown[0]!r}")
+        if "integrator" in d and not _COMMANDS[command].integrates:
+            raise ConfigError(f"{command} takes no run config key 'integrator'")
         integ = d.get("integrator", {})
         if not isinstance(integ, dict) or not set(integ) <= {"rel_tol", "abs_tol", "max_step"}:
             raise ConfigError(f"integrator takes rel_tol, abs_tol, max_step; got {integ!r}")
@@ -332,11 +338,9 @@ def _read_config(path: str, command: str) -> dict:
 def _cmd_simulate(rc: RunConfig) -> tuple[dict, list[str]]:
     profile = rc.profile
     t_span = (rc.params["t_start"], rc.params["t_end"])
+    cfg = rc.integrator
     if "grid_n" in rc.params:
-        grid = np.linspace(t_span[0], t_span[1], rc.params["grid_n"])
-    else:
-        grid = default_grid(profile, t_span)
-    cfg = replace(rc.integrator, dense_output_grid=grid)
+        cfg = replace(cfg, dense_output_grid=np.linspace(t_span[0], t_span[1], rc.params["grid_n"]))
     in_plane = is_in_plane(profile)
     if in_plane:
         psi0 = tracked_eigenvector(profile, t_span[0])

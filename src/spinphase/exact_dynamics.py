@@ -8,10 +8,10 @@ Two independent references are provided:
   interval of the output grid gets k steps, and k doubles until the
   Richardson estimate |psi_k - psi_2k|/15 meets the tolerances.  The
   classical spin is the mean spin of the spinor run;
-* opt-in adaptive embedded Runge-Kutta integration (scipy ``solve_ivp``,
-  e.g. ``method="DOP853"``) of i dpsi/dt = H(t) psi and of the precession
-  equation dS/dt = B x S.  scipy is imported when a config naming one of
-  these methods is built,
+* opt-in adaptive eighth-order Runge-Kutta integration (scipy ``solve_ivp``
+  with ``method="DOP853"``) of i dpsi/dt = H(t) psi and of the precession
+  equation dS/dt = B x S.  scipy is imported when a config naming DOP853
+  is built,
 
 plus fixed-step CF4 and exponential-midpoint steppers that keep every step,
 for long horizons and order cross-checks.
@@ -43,10 +43,8 @@ from .field_profiles import FieldProfile, _field_vector, _number, sample
 MAX_GRID_REFINE = 16
 # largest time grid any run may build, in nodes (about 160 MB of spinor states)
 MAX_GRID_NODES = 10**7
-# IntegratorConfig's methods: magnus4 (numpy only), then the solve_ivp methods that
-# integrate complex states, which need scipy
-_SOLVE_IVP_METHODS = ("RK23", "RK45", "DOP853", "Radau", "BDF")
-_METHODS = ("magnus4",) + _SOLVE_IVP_METHODS
+# IntegratorConfig's methods: magnus4 (numpy only) and scipy's solve_ivp DOP853
+_METHODS = ("magnus4", "DOP853")
 _BLOCK_STEPS = 1 << 16  # steps the fixed-step steppers sample and compose at a time
 # CF4: Gauss points of a step and the weights of its two exponentials
 _CF4_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
@@ -58,10 +56,10 @@ _NORM_TOL = 1e-9  # largest norm defect as_spinor and as_bloch renormalize away
 class IntegratorConfig:
     """Tolerances, method and output control for the exact integrators.
 
-    ``method`` is ``"magnus4"`` (numpy only) or one of scipy's ``solve_ivp``
-    methods, which imports scipy here.  The tolerances and ``max_step`` are
-    stored as floats; any invalid setting, or a ``solve_ivp`` method without
-    scipy installed, raises :class:`ConfigError`.
+    ``method`` is ``"magnus4"`` (numpy only) or ``"DOP853"``, scipy's
+    ``solve_ivp`` method, which imports scipy here.  The tolerances and
+    ``max_step`` are stored as floats; any invalid setting, or DOP853
+    without scipy installed, raises :class:`ConfigError`.
     """
 
     rel_tol: float = 1e-10
@@ -80,7 +78,7 @@ class IntegratorConfig:
             raise ConfigError(f"max_step must be positive, got {self.max_step}")
         if self.method not in _METHODS:
             raise ConfigError(f"method must be one of {', '.join(_METHODS)}; got {self.method!r}")
-        if self.method in _SOLVE_IVP_METHODS:
+        if self.method == "DOP853":
             _solve_ivp()
 
 
@@ -89,7 +87,7 @@ def _solve_ivp():
     try:
         from scipy.integrate import solve_ivp
     except ImportError:
-        raise ConfigError("the solve_ivp methods need scipy; install the reference extra, "
+        raise ConfigError("DOP853 needs scipy; install the reference extra, "
                           "pip install 'spinphase[reference]'") from None
     return solve_ivp
 
@@ -202,10 +200,10 @@ def default_grid(profile: FieldProfile, t_span: tuple[float, float]) -> np.ndarr
     return np.linspace(t_span[0], t_span[1], max(257, int(math.ceil(nodes)) + 1))
 
 
-def _run_solver(rhs, y0, t_span, grid, cfg):
+def _run_solver(rhs, y0, grid, cfg):
     sol = _solve_ivp()(
         rhs,
-        t_span,
+        (grid[0], grid[-1]),
         y0,
         method=cfg.method,
         t_eval=grid,
@@ -231,7 +229,7 @@ def integrate_schrodinger(
     (and, for ``magnus4``, the steps per grid interval and the Richardson
     error estimate); the contract is |norm^2 - 1| <= 10 * rel_tol * span.
     """
-    return _integrate("spinor", profile, as_spinor(psi0), t_span, cfg)
+    return _integrate("spinor", profile, as_spinor(psi0), _grid_for(profile, t_span, cfg), cfg)
 
 
 def integrate_bloch(
@@ -244,7 +242,7 @@ def integrate_bloch(
 
     ``magnus4`` integrates the spinor of S0 and returns its mean spins.
     """
-    return _integrate("bloch", profile, as_bloch(S0), t_span, cfg)
+    return _integrate("bloch", profile, as_bloch(S0), _grid_for(profile, t_span, cfg), cfg)
 
 
 def _rhs(kind: str, profile: FieldProfile):
@@ -273,15 +271,14 @@ def _rhs(kind: str, profile: FieldProfile):
     return bloch
 
 
-def _integrate(kind, profile, y0, t_span, cfg):
-    grid = _grid_for(profile, t_span, cfg)
+def _integrate(kind, profile, y0, grid, cfg):
     if cfg.method == "magnus4":
         states, meta = _magnus4_on_grid(
             profile, y0 if kind == "spinor" else bloch_to_spinor(y0), grid, cfg)
         if kind == "bloch":
             states = _mean_spin(states)
     else:
-        sol = _run_solver(_rhs(kind, profile), y0, t_span, grid, cfg)
+        sol = _run_solver(_rhs(kind, profile), y0, grid, cfg)
         grid, states, meta = sol.t, sol.y.T, {}
     drift = float(np.max(np.abs(np.sum(np.abs(states) ** 2, axis=1) - 1.0)))
     return Trajectory(
@@ -576,20 +573,20 @@ def schrodinger_phase(
     psi0,
     t_span: tuple[float, float],
     cfg: IntegratorConfig = IntegratorConfig(),
-    reference: str = "tracked_eigenvector",
 ) -> tuple[Trajectory, np.ndarray]:
-    """Integrate and extract the total phase, refining the grid on branch jumps.
+    """Integrate and extract the tracked-eigenvector phase, refining the grid on branch jumps.
 
-    The dense-output grid is doubled (up to 16x, and to no more than
+    The grid is validated once and doubled (up to 16x, and to no more than
     ``MAX_GRID_NODES``) whenever unwrapping raises BranchJump; the final
     trajectory and phase series are returned together.
     """
+    psi0 = as_spinor(psi0)
     grid = _grid_for(profile, t_span, cfg)
     factor = 1
     while True:
-        traj = integrate_schrodinger(profile, psi0, t_span, replace(cfg, dense_output_grid=grid))
+        traj = _integrate("spinor", profile, psi0, grid, cfg)
         try:
-            return traj, extract_total_phase(traj, reference)
+            return traj, extract_total_phase(traj)
         except BranchJump:
             if factor >= MAX_GRID_REFINE or 2 * len(grid) > MAX_GRID_NODES:
                 raise

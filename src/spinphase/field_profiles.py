@@ -460,11 +460,17 @@ def _field_vector(profile: FieldProfile, t) -> tuple[float, float, float]:
 
 
 def is_in_plane(profile: FieldProfile) -> bool:
-    """True when the field direction stays in the (x, z) plane (phi == 0)."""
+    """True when the field direction stays in the (x, z) plane (phi == 0).
+
+    A tabulated profile is in-plane when every coefficient of its phi spline
+    is zero, as for a table built with ``phi=None``.
+    """
     if profile.kind in ("constant",):
         return profile.params["phi0"] == 0.0
     if profile.kind in ("uniform_rotation", "polynomial_angle", "sinusoidal_angle"):
         return True
+    if profile.kind == "user_tabulated":
+        return not np.any(profile._tables.c[:, 2])
     return False
 
 

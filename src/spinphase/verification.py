@@ -31,11 +31,7 @@ from .geometric_phases import (
 def check_horizon(profile: FieldProfile, t_span: tuple[float, float]) -> float:
     """Reject spans beyond 0.1 * t2; returns the t2 estimate (inf if static)."""
     s = sample(profile, np.linspace(t_span[0], t_span[1], 257))
-    rate = float(np.max(np.abs(s.theta_dot)))
-    b_lo = float(np.min(s.B_mag))
-    if rate == 0.0:
-        return math.inf
-    t2 = b_lo**3 / rate**4
+    t2 = _breakdown_time(float(np.min(s.B_mag)), float(np.max(np.abs(s.theta_dot))), 2)
     span = abs(t_span[1] - t_span[0])
     if span > 0.1 * t2:
         raise ConfigError(
@@ -43,6 +39,27 @@ def check_horizon(profile: FieldProfile, t_span: tuple[float, float]) -> float:
             "corrections would not stay negligible"
         )
     return t2
+
+
+def _breakdown_time(b: float, rate: float, k: int) -> float:
+    """t_k = b**(2k - 1) / rate**(2k): t1 = b / rate**2, t2 = b**3 / rate**4; inf if rate == 0.
+
+    Where Python's float ``**`` and ``/`` return, this is their value.  Where
+    they would overflow or divide by zero, the quotient is formed from the
+    binary mantissas and exponents of b and rate: the IEEE limit (inf, or
+    0.0 after gradual underflow) of a quotient past the double range, and
+    the quotient itself where only the powers leave that range.
+    """
+    if rate == 0.0:
+        return math.inf
+    try:
+        return b ** (2 * k - 1) / rate ** (2 * k)
+    except (OverflowError, ZeroDivisionError):
+        (mb, eb), (mr, er) = math.frexp(b), math.frexp(rate)
+        try:
+            return math.ldexp(mb ** (2 * k - 1) / mr ** (2 * k), (2 * k - 1) * eb - 2 * k * er)
+        except OverflowError:
+            return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +205,7 @@ def run_phase_budget(
     cfg = cfg or IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
     check_horizon(profile, t_span)
     psi0 = tracked_eigenvector(profile, t_span[0])
-    traj, phases = schrodinger_phase(profile, psi0, t_span, cfg, "tracked_eigenvector")
+    traj, phases = schrodinger_phase(profile, psi0, t_span, cfg)
     dec = phase_decomposition(profile, traj, float(phases[-1]), t_span)
     return PhaseBudget(
         decomposition=dec,
@@ -249,8 +266,9 @@ def stokes_csv(rows: Sequence[StokesRow]) -> str:
 class TimescaleDemo:
     """First breakdown scale of the second-order phase for uniform rotation.
 
-    t1 = B/omega**2 is where |phi2| reaches 1/4; t2 = B**3/omega**4 bounds
-    the horizon on which the solution itself remains valid.
+    t1 = B/omega**2 is where |phi2| reaches 1/4, so phi2_at_t1 is -1/4 (0
+    for a static field); t2 = B**3/omega**4 bounds the horizon on which the
+    solution itself remains valid.
     """
 
     t1: float
@@ -264,7 +282,5 @@ class TimescaleDemo:
 def run_timescale_demo(B: float, omega: float) -> TimescaleDemo:
     if B <= 0:
         raise ConfigError(f"B must be positive, got {B}")
-    if omega == 0.0:
-        return TimescaleDemo(t1=math.inf, phi2_at_t1=0.0, t2=math.inf)
-    t1 = B / omega**2
-    return TimescaleDemo(t1=t1, phi2_at_t1=-(omega**2) * t1 / (4.0 * B), t2=B**3 / omega**4)
+    return TimescaleDemo(t1=_breakdown_time(B, omega, 1), phi2_at_t1=-0.25 if omega else 0.0,
+                         t2=_breakdown_time(B, omega, 2))

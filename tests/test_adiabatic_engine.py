@@ -12,6 +12,7 @@ from spinphase import (
     classical_solution,
     cone_3d,
     constant,
+    is_in_plane,
     quasi_stationary,
     sample,
     sinusoidal_angle,
@@ -20,6 +21,7 @@ from spinphase import (
     tracked_eigenvector,
     transform_chain,
     uniform_rotation,
+    user_tabulated,
 )
 from spinphase.adiabatic_engine import params_from_sample
 from oracles import hamiltonian_matrix, quasi_stationary_cartesian, quasi_stationary_spherical
@@ -234,6 +236,22 @@ def test_chain_ops_reject_out_of_plane_profiles():
         spinor_solution(SolutionConstants(1.0, 0.0), cone, 0.0, 0.0)
     with pytest.raises(DomainError):
         tracked_eigenvector(cone, 0.0)
+    taus = np.linspace(0.0, 10.0, 11)
+    tilted = user_tabulated(taus, np.ones_like(taus), 0.1 * taus, phi=np.full_like(taus, 1e-3))
+    assert not is_in_plane(tilted)
+    with pytest.raises(DomainError):
+        tracked_eigenvector(tilted, 5.0)
+
+
+def test_flat_tabulated_twin_tracks_like_its_analytic_profile():
+    # phi=None tables sample phi == 0.0 exactly, so the twin is in-plane; the
+    # difference is the spline's O(h**2) second-derivative error, 2e-7 at h = 0.1
+    analytic = sinusoidal_angle(1.0, theta0=0.3, Omega=0.2)
+    taus = np.linspace(-5.0, 45.0, 501)
+    twin = user_tabulated(taus, np.ones_like(taus), 0.3 * np.sin(0.2 * taus))
+    assert is_in_plane(twin)
+    ts = np.linspace(0.0, 40.0, 81)
+    assert np.max(np.abs(tracked_eigenvector(twin, ts) - tracked_eigenvector(analytic, ts))) <= 1e-6
 
 
 # ---------------------------------------------------------------------------

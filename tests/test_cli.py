@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spinphase import Trajectory, bloch_series, phi0, phi2
+from spinphase import Trajectory, bloch_series, exact_dynamics, phi0, phi2
 from spinphase.cli import RunConfig, _build_parser, main, parse_cli
 
 
@@ -254,11 +254,15 @@ def test_invalid_values_exit_3(argv, tmp_path):
 
 
 @pytest.mark.parametrize("command", ["convergence", "stokes", "timescale"])
-def test_integrator_flags_only_where_read(command):
+def test_integrator_flags_only_where_read(command, tmp_path, capsys):
     for flag in ("--rel-tol", "--abs-tol", "--max-step"):
         with pytest.raises(SystemExit) as exc:
             parse_cli([command, flag, "1e-9"])
         assert exc.value.code == 2
+    # nor the integrator key of a config file
+    path = _config_file(tmp_path, {"command": command, "integrator": {"rel_tol": 1e-3}})
+    assert run_main([command, "--config", path, "--out", str(tmp_path)]) == 3
+    assert "'integrator'" in capsys.readouterr().err
 
 
 def test_simulate_aliased_explicit_grid_exits_5(tmp_path, capsys):
@@ -334,6 +338,32 @@ else:
 """
     proc = _run_python(code, tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+# t1 and t2 of these fields and rates overflow or divide by zero in float arithmetic
+@pytest.mark.parametrize("argv, code", [
+    ("phases --omega 1e-90 --t-end 10", 0),
+    ("phases --B0 1e150 --t-end 1e-140", 3),
+    ("convergence --eps 1e-300,1e-301", 3),
+    ("convergence --theta0 1e300", 3),
+    ("convergence --B0 1e120", 3),
+    ("timescale --omega 1e200", 0),
+    ("timescale --omega 1e-200", 0),
+    ("timescale --B 1e200", 0),
+])
+def test_extreme_breakdown_times_exit_without_traceback(argv, code, tmp_path, capsys):
+    assert run_main(argv.split() + ["--out", str(tmp_path)]) == code
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", [[], ["--grid-n", "2001"]])
+def test_simulate_validates_its_grid_once(grid, tmp_path, monkeypatch):
+    calls = []
+    span_nodes = exact_dynamics._span_nodes
+    monkeypatch.setattr(exact_dynamics, "_span_nodes",
+                        lambda *args: calls.append(args) or span_nodes(*args))
+    assert run_main(["simulate", "--t-end", "50", *grid, "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
 
 
 def test_unbounded_span_with_explicit_grid_exits_3(tmp_path):
@@ -421,6 +451,17 @@ FILES = {
     "stokes": {"csv": ["stokes.csv"], "json": ["summary.json"], "gnuplot": []},
     "timescale": {"csv": [], "json": ["timescale.json"], "gnuplot": []},
 }
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+def test_run_config_round_trip_for_every_command(command):
+    # only simulate and phases take the integrator flags, and only they write the key
+    integrates = command in ("simulate", "phases")
+    tols = ["--rel-tol", "1e-9", "--max-step", "2"] if integrates else []
+    rc = parse_cli([command, *SMALL_RUNS[command], *tols, "--out", "x"])
+    assert ("integrator" in rc.to_dict()) == integrates
+    assert RunConfig.from_dict(rc.to_dict()) == rc
+    assert RunConfig.from_dict(json.loads(json.dumps(rc.to_dict()))) == rc
 
 
 @pytest.mark.parametrize("formats", ["json", "gnuplot", ""])

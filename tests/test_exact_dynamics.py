@@ -1,4 +1,5 @@
 import cmath
+import inspect
 import math
 import time
 import tracemalloc
@@ -274,7 +275,10 @@ def test_integrator_config_validation():
 
 
 @pytest.mark.parametrize("kw", [{"rel_tol": "x"}, {"abs_tol": None}, {"max_step": "x"},
-                                {"rel_tol": True}, {"method": "nope"}])
+                                {"rel_tol": True}, {"method": "nope"},
+                                # magnus4 and DOP853 are the only methods
+                                {"method": "RK23"}, {"method": "RK45"}, {"method": "Radau"},
+                                {"method": "BDF"}])
 def test_integrator_config_bad_types_raise_config_error(kw):
     with pytest.raises(ConfigError):
         IntegratorConfig(**kw)
@@ -325,7 +329,7 @@ def test_adaptive_error_drops_with_max_step():
     exact = np.array([R2 * cmath.exp(-0.5j * 10.0), R2 * cmath.exp(0.5j * 10.0)])
     errs = []
     for h in (0.5, 0.25):
-        cfg = IntegratorConfig(rel_tol=1e-2, abs_tol=1e-2, max_step=h, method="RK45")
+        cfg = IntegratorConfig(rel_tol=1e-2, abs_tol=1e-2, max_step=h, method="DOP853")
         traj = integrate_schrodinger(prof, psi0, (0.0, 10.0), cfg)
         errs.append(np.linalg.norm(traj.states[-1] - exact))
     assert errs[0] / errs[1] >= 4.0
@@ -606,8 +610,25 @@ def test_branch_jump_on_coarse_grid_and_auto_refine():
     assert phases[-1] == pytest.approx(-5.0, abs=1e-8)
 
 
+def test_schrodinger_phase_validates_its_grid_once_across_refinements(monkeypatch):
+    calls = []
+    span_nodes = exact_dynamics._span_nodes
+    monkeypatch.setattr(exact_dynamics, "_span_nodes",
+                        lambda *args: calls.append(args) or span_nodes(*args))
+    t_span = (0.0, 2.0)
+    traj, _ = schrodinger_phase(constant(5.0), [1.0, 0.0], t_span, uniform_grid_cfg(t_span, 4))
+    assert len(traj.times) > 4 and len(calls) == 1
+    # one reference and one branch: the tracked eigenvector of the upper level
+    assert list(inspect.signature(schrodinger_phase).parameters) == [
+        "profile", "psi0", "t_span", "cfg"]
+    assert list(inspect.signature(tracked_eigenvector).parameters) == ["profile", "t"]
+
+
 def test_overlap_loss_when_tracking_wrong_branch(tight_cfg):
-    lower = tracked_eigenvector(UNIFORM, 0.0, branch=-1)
+    # the chain is an SU(2) matrix [[a, -conj(b)], [b, conj(a)]], so the lower
+    # branch is the column orthogonal to the tracked (upper) one
+    a, b = tracked_eigenvector(UNIFORM, 0.0)
+    lower = np.array([-np.conj(b), np.conj(a)])
     traj = integrate_schrodinger(UNIFORM, lower, (0.0, 1.0), tight_cfg)
     with pytest.raises(OverlapLoss):
         extract_total_phase(traj, "tracked_eigenvector")

@@ -61,6 +61,9 @@ PROFILES = {
     "cone_3d": st.builds(cone_3d, B0, st.floats(0.2, 2.9), RATE, ANGLE, epsilon=EPS),
     "user_tabulated": st.builds(_tabulated, B0, st.floats(-0.5, 0.5), st.floats(-1.0, 1.0),
                                 RATE, st.booleans(), EPS),
+    # flat tables (phi=None) are in-plane, so the chain runs on them too
+    "user_tabulated_flat": st.builds(_tabulated, B0, st.floats(-0.5, 0.5), st.floats(-1.0, 1.0),
+                                     RATE, st.just(False), EPS),
 }
 
 
@@ -91,6 +94,7 @@ def test_grid_calls_equal_stacked_scalar_calls(kind, data, fractions):
     assert np.ndim(sample(profile, float(ts[0])).theta_dot) == 0
     _assert_grid_matches_nodes(lambda t: sample(profile, t), ts, SAMPLE_FIELDS)
     _assert_grid_matches_nodes(lambda t: quasi_stationary(profile, t), ts, QS_FIELDS)
+    assert is_in_plane(profile) or kind != "user_tabulated_flat"
     if is_in_plane(profile):
         _assert_grid_matches_nodes(lambda t: tracked_eigenvector(profile, t), ts, ("",))
         _assert_grid_matches_nodes(lambda t: _chain(profile, t), ts, CHAIN_FIELDS)

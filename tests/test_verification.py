@@ -22,6 +22,7 @@ from spinphase import (
     tracked_eigenvector,
     uniform_rotation,
 )
+from spinphase.verification import _breakdown_time
 
 
 def test_horizon_guard_rejects_long_spans():
@@ -29,6 +30,10 @@ def test_horizon_guard_rejects_long_spans():
     with pytest.raises(ConfigError):
         check_horizon(prof, (0.0, 10.0))
     assert check_horizon(constant(1.0), (0.0, 1e9)) == math.inf
+    # rate**4 underflows to 0.0 here and overflows below, yet neither raises
+    assert check_horizon(uniform_rotation(1.0, 1e-90), (0.0, 10.0)) == math.inf
+    with pytest.raises(ConfigError, match="0.1\\*t2 = 0.0"):
+        check_horizon(sinusoidal_angle(1.0, theta0=1e300, Omega=1.0), (0.0, 1.0))
 
 
 def test_convergence_constant_field_errors_are_integrator_noise():
@@ -183,6 +188,39 @@ def test_timescale_demo_static_sentinel():
     assert d.t1 == math.inf and d.t2 == math.inf
     with pytest.raises(ConfigError):
         run_timescale_demo(0.0, 0.1)
+
+
+def test_breakdown_times_are_the_float_quotients_where_those_return():
+    rng = np.random.default_rng(3)
+    for b, rate in 10.0 ** rng.uniform(-60.0, 60.0, (2000, 2)):
+        b, rate = float(b), float(rate)
+        assert _breakdown_time(b, rate, 1) == b / rate**2
+        assert _breakdown_time(b, rate, 2) == b**3 / rate**4
+    d = run_timescale_demo(2.0, -0.1)
+    assert (d.t1, d.t2) == (2.0 / 0.1**2, 2.0**3 / 0.1**4)
+
+
+@pytest.mark.parametrize("b, rate, k, want", [
+    (1.0, 1e-90, 2, math.inf),  # rate**4 underflows to 0.0
+    (1e150, 0.1, 2, math.inf),  # b**3 overflows
+    (1.0, 1e100, 2, 0.0),  # rate**4 overflows
+    (1.0, 1e200, 1, 0.0),
+    (1.0, 1e-200, 1, math.inf),
+    (1e150, 1e100, 2, 1e50),  # both powers overflow, the quotient does not
+    (1e-100, 1e-90, 2, 1e60),  # both powers underflow
+    (1.0, 0.0, 1, math.inf),
+    (0.0, 0.0, 2, math.inf),
+])
+def test_breakdown_times_past_the_double_range(b, rate, k, want):
+    assert _breakdown_time(b, rate, k) == pytest.approx(want, rel=1e-15)
+
+
+@pytest.mark.parametrize("B, omega", [(1.0, 1e200), (1.0, 1e-200), (1e200, 0.05),
+                                      (1e-300, -1e200), (2.0, 0.1)])
+def test_timescale_demo_never_raises_and_phi2_at_t1_is_minus_a_quarter(B, omega):
+    d = run_timescale_demo(B, omega)
+    assert d.phi2_at_t1 == -0.25
+    assert d.t1 == _breakdown_time(B, omega, 1) and d.t2 == _breakdown_time(B, omega, 2)
 
 
 def test_budget_rejects_past_horizon():
