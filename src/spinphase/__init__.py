@@ -41,12 +41,10 @@ from .exact_dynamics import (
     bloch_series,
     bloch_to_spinor,
     default_grid,
-    exponential_midpoint_bloch,
     exponential_midpoint_schrodinger,
     extract_total_phase,
     integrate_bloch,
     integrate_schrodinger,
-    magnus4_bloch,
     magnus4_schrodinger,
     schrodinger_phase,
     spinor_to_bloch,

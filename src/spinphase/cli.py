@@ -80,14 +80,13 @@ class _Param(NamedTuple):
 
 
 class _Command(NamedTuple):
-    """A subcommand.  ``profile`` is True when it builds one from the profile flags, the
-    kind of the profiles it builds itself (and alone accepts), or None.  ``flags`` are its
-    rows other than params.  ``body`` returns its files, keyed by file name, and its
-    stdout lines."""
+    """A subcommand.  ``profile`` is True when it builds one from the profile flags.
+    ``flags`` are its rows other than params.  ``body`` returns its files, keyed by file
+    name, and its stdout lines."""
 
     help: str
     body: Callable
-    profile: bool | str | None
+    profile: bool
     flags: list
     params: dict
 
@@ -172,19 +171,15 @@ def _default_out_dir() -> str:
 
 
 def _profile(command: str, d) -> FieldProfile | None:
-    builds = _COMMANDS[command].profile
-    if d is None and builds is not True:
+    if not _COMMANDS[command].profile:
+        if d is not None:
+            raise ConfigError(f"{command} has no profile; got profile {d!r}")
         return None
     d = {} if d is None else d
     if not isinstance(d, dict) or not isinstance(d.get("params", {}), dict):
         raise ConfigError(f"profile must be an object with a params object, got {d!r}")
     kind = str(d.get("kind", "uniform_rotation"))
     kind = _KIND_ALIASES.get(kind, kind)
-    if builds is not True:
-        if kind == builds and list(d) == ["kind"]:
-            return None  # the command builds its own profiles of this kind
-        what = f"takes {builds} profiles only" if builds else "has no profile"
-        raise ConfigError(f"{command} {what}; got profile {d!r}")
     params = d.get("params", {})
     defaults = _PROFILE_DEFAULTS.get(kind, {})
     if kind == "polynomial_angle" and any(k != "B0" for k in params):
@@ -446,20 +441,19 @@ _COMMANDS = {
     "phases": _Command(
         "phase budget on the quasi-stationary branch", _cmd_phases, True, _RUN_FLAGS, _SPAN),
     "convergence": _Command(
-        "truncation-order study", _cmd_convergence, "sinusoidal_angle",
-        [("--profile", "profile.kind", str, "sinusoidal only")], {
+        "truncation-order study", _cmd_convergence, False, [], {
             "eps_list": _Param("--eps", _floats, [0.16, 0.08, 0.04, 0.02], 2,
                                "comma list of scales"),
             "theta0": _Param("--theta0", float, 0.3),
             "Omega": _Param("--Omega", float, 1.0),
             "B0": _Param("--B0", float, 1.0),
             "horizon": _Param("--horizon", float, 2.0 * math.pi, help="fixed eps*t span")}),
-    "stokes": _Command("holonomy identity table", _cmd_stokes, None, [], {
+    "stokes": _Command("holonomy identity table", _cmd_stokes, False, [], {
         "theta0": _Param("--theta0", float, 0.3),
         "Omega": _Param("--Omega", float, 0.05),
         "B_list": _Param("--B", _floats, [1.0], 1, "comma list of field strengths"),
         "n_nodes": _Param("--n-nodes", int, 801, 4)}),
-    "timescale": _Command("second-order phase breakdown time", _cmd_timescale, None, [], {
+    "timescale": _Command("second-order phase breakdown time", _cmd_timescale, False, [], {
         "B": _Param("--B", float, 1.0),
         "omega": _Param("--omega", float, 0.05)}),
 }
@@ -474,12 +468,13 @@ def write_outputs(files: dict, config: RunConfig) -> list[str]:
 
     ``files`` maps file names to payloads; a name's extension gives its
     format.  With an empty format list nothing is written and the JSON
-    files go to standard output instead.
+    files go to standard output instead.  JSON is strict: a non-finite
+    number is written as ``null``.
     """
     if not config.formats:
         for name, payload in files.items():
             if name.endswith(_EXTENSIONS["json"]):
-                sys.stdout.write(json.dumps({name: payload}, sort_keys=True, default=float) + "\n")
+                sys.stdout.write(_json({name: payload}) + "\n")
         return []
     paths = []
     try:
@@ -490,15 +485,26 @@ def write_outputs(files: dict, config: RunConfig) -> list[str]:
                     continue
                 path = os.path.join(config.output_dir, name)
                 with open(path, "w", encoding="utf-8", newline="") as fh:
-                    if fmt == "json":
-                        json.dump(payload, fh, indent=2, sort_keys=True, default=float)
-                        fh.write("\n")
-                    else:
-                        fh.write(payload)
+                    fh.write(_json(payload, indent=2) + "\n" if fmt == "json" else payload)
                 paths.append(path)
     except OSError as exc:
         raise IoError(f"cannot write outputs under {config.output_dir}: {exc}") from exc
     return paths
+
+
+def _json(payload, indent=None) -> str:
+    """Strict JSON text of a payload, with every non-finite float as null."""
+    def finite(x):
+        if isinstance(x, dict):
+            return {k: finite(v) for k, v in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [finite(v) for v in x]
+        if isinstance(x, (float, np.floating)) and not math.isfinite(x):
+            return None
+        return x
+
+    return json.dumps(finite(payload), indent=indent, sort_keys=True, default=float,
+                      allow_nan=False)
 
 
 def main(argv=None) -> int:

@@ -13,8 +13,9 @@ Two independent references are provided:
   equation dS/dt = B x S.  scipy is imported when a config naming DOP853
   is built,
 
-plus fixed-step CF4 and exponential-midpoint steppers that keep every step,
-for long horizons and order cross-checks.
+plus fixed-step CF4 and exponential-midpoint spinor steppers that keep every
+step, for long horizons and order cross-checks (``bloch_series`` maps their
+states to mean spins).
 
 The mean-spin map uses S = <psi|sigma|psi> with the standard Pauli
 matrices, i.e. Sx = 2 Re(conj(up) dn), Sy = 2 Im(conj(up) dn),
@@ -24,7 +25,7 @@ Sz = |up|^2 - |dn|^2, which sends (1, i)/sqrt(2) to (0, 1, 0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -485,29 +486,6 @@ def _prefix_products(a: np.ndarray, b: np.ndarray) -> None:
     a[1::2], b[1::2] = pa, pb
     k = (len(a) - 1) // 2
     a[2::2], b[2::2] = _compose(a[2::2], b[2::2], pa[:k], pb[:k])
-
-
-def magnus4_bloch(profile: FieldProfile, S0, t_span: tuple[float, float], n_steps: int) -> Trajectory:
-    """Fixed-step CF4 rotation of a classical spin: the mean spins of the
-    :func:`magnus4_schrodinger` run of the spinor of S0."""
-    return _as_bloch(magnus4_schrodinger(profile, bloch_to_spinor(S0), t_span, n_steps))
-
-
-def exponential_midpoint_bloch(
-    profile: FieldProfile, S0, t_span: tuple[float, float], n_steps: int
-) -> Trajectory:
-    """Fixed-step rotation about the midpoint field direction.
-
-    Steps the spinor of S0 with :func:`exponential_midpoint_schrodinger`
-    and maps its states to mean spins, so both representations share one
-    stepper.
-    """
-    return _as_bloch(exponential_midpoint_schrodinger(profile, bloch_to_spinor(S0), t_span,
-                                                      n_steps))
-
-
-def _as_bloch(traj: Trajectory) -> Trajectory:
-    return replace(traj, states=bloch_series(traj), kind="bloch")
 
 
 # ---------------------------------------------------------------------------

@@ -520,12 +520,20 @@ def profile_to_dict(profile: FieldProfile) -> dict:
 
 
 def profile_from_dict(d: Mapping) -> FieldProfile:
-    """Build a profile from {"kind", "params"[, "epsilon", "t_domain", "b_min"]}."""
+    """Build a profile from {"kind", "params"[, "epsilon", "t_domain", "b_min"]}.
+
+    A ``null`` end of ``t_domain``, as strict JSON writes an unbounded one,
+    reads as -inf (first) or +inf (second).
+    """
     if not isinstance(d, Mapping) or not {"kind", "params"} <= set(d):
         raise ConfigError(f"profile config needs kind and params, got {d!r}")
     unknown = [k for k in d if k not in ("kind", "params", "epsilon", "t_domain", "b_min")]
     if unknown:
         raise ConfigError(f"unknown profile config key {unknown[0]!r}")
+    t_domain = d.get("t_domain")
+    if isinstance(t_domain, (list, tuple)) and len(t_domain) == 2:
+        d = {**d, "t_domain": [end if t is None else t
+                               for t, end in zip(t_domain, (-math.inf, math.inf))]}
     return FieldProfile(**d)
 
 

@@ -15,8 +15,8 @@ Four related but distinct objects live here.
   classical-spin sphere: -(1/2) integral of (1 - cos theta~) dphi~ along
   the spin trajectory, where (theta~, phi~) are the spin's spherical
   coordinates.  A gauge-independent oracle computes the same quantity as
-  -(1/2) times the swept solid angle, summing signed spherical-triangle
-  excesses; the two routes must agree on closed pole-free paths.
+  -(1/2) times the swept solid angle, summing the signed solid angles of
+  spherical triangles; the two routes must agree on closed pole-free paths.
 
 The second-order phase is also a holonomy on the (theta, theta_dot)
 parameter plane with connection (theta_dot/(4B), 0) and constant curvature
@@ -301,15 +301,14 @@ def aa_geometric_phase_solid_angle(traj: Trajectory, refine: bool = True) -> flo
 
     The path (geodesically closed) is fanned into spherical triangles from
     the +z axis — the gauge in which the coordinate route measures enclosed
-    area — and each triangle contributes its spherical excess with the sign
-    of its orientation.  Richardson refinement over node decimation removes
-    the inscribed-polygon deficit.
+    area — and each triangle contributes its signed solid angle.  Richardson
+    refinement over node decimation removes the inscribed-polygon deficit.
     """
     S = _unit_rows(bloch_series(traj))
-    dots = np.clip(np.sum(S[:-1] * S[1:], axis=1), -1.0, 1.0)
-    arcs = np.arccos(dots)
-    if arcs.size and float(np.max(arcs)) >= 0.25 * np.pi:
-        raise ArcTooLong(f"consecutive nodes {float(np.max(arcs)):.3g} rad apart (>= pi/4)")
+    if len(S) > 1:
+        arc = float(np.arccos(np.clip(np.min(np.sum(S[:-1] * S[1:], axis=1)), -1.0, 1.0)))
+        if arc >= 0.25 * np.pi:
+            raise ArcTooLong(f"consecutive nodes {arc:.3g} rad apart (>= pi/4)")
     if refine:
         vals = [_fan_area(S[::s]) for s in _decimations(len(S))]
         area = _romberg_limit(vals, tol=1e-12)
@@ -323,23 +322,15 @@ def _unit_rows(S: np.ndarray) -> np.ndarray:
 
 
 def _fan_area(S: np.ndarray) -> float:
-    """Signed spherical area of the closed polygon S, fanned from +z."""
+    """Signed spherical area of the closed polygon S, fanned from +z.
+
+    The triangle (+z, p, q) of unit vectors has the signed solid angle
+    2 atan2(z . (p x q), 1 + z . p + z . q + p . q) (Van Oosterom & Strackee 1983).
+    """
     closed = S if np.allclose(S[0], S[-1], atol=1e-12) else np.vstack([S, S[0]])
     p, q = closed[:-1], closed[1:]
-    pxq = np.cross(p, q)
-    a = np.arctan2(np.linalg.norm(pxq, axis=1), np.sum(p * q, axis=1))
-    b = np.arccos(np.clip(p[:, 2], -1.0, 1.0))
-    c = np.arccos(np.clip(q[:, 2], -1.0, 1.0))
-    s = 0.5 * (a + b + c)
-    prod = (
-        np.tan(0.5 * s)
-        * np.tan(0.5 * (s - a))
-        * np.tan(0.5 * (s - b))
-        * np.tan(0.5 * (s - c))
-    )
-    excess = 4.0 * np.arctan(np.sqrt(np.maximum(prod, 0.0)))
-    sign = np.sign(pxq[:, 2])
-    return float(np.sum(sign * excess))
+    den = 1.0 + p[:, 2] + q[:, 2] + np.sum(p * q, axis=1)
+    return float(np.sum(2.0 * np.arctan2(_cross2(p, q), den)))
 
 
 # ---------------------------------------------------------------------------
@@ -469,46 +460,36 @@ def _nodes_inside_edges(a, b, prev, node: np.ndarray, edge: np.ndarray) -> np.nd
 def _check_simple(pts: np.ndarray) -> None:
     """Raise SelfIntersection unless the closed polygon only touches itself.
 
-    Repeated consecutive nodes are merged first.  One sweep gives both edge tests
-    their pairs: node k starts edge k, whose box overlaps the box of any edge the
-    node lies in, and every such edge but k+1 (which holds a neighbour on its line,
-    so it never counts) is non-adjacent to edge k.
+    Repeated consecutive nodes are merged first, so every pass through a node has
+    two nonzero rays.  One sweep then gives all three edge tests their pairs: node k
+    starts edge k, whose box overlaps the box of any edge the node lies in, and
+    every such edge but k+1 (which holds a neighbour on its line, so it never
+    counts) is non-adjacent to edge k; two passes through one node start two
+    non-adjacent edges there, whose boxes share it.
     """
     p = pts[np.any(pts != np.roll(pts, -1, axis=0), axis=1)]
-    if len(p) >= 4:  # fewer distinct nodes have no non-adjacent edges
-        a, b, prev = p, np.roll(p, -1, axis=0), np.roll(p, 1, axis=0)
-        for i, j in _edge_pairs(a, b):
-            if np.any(_proper_crossings(a, b, i, j)):
-                raise SelfIntersection("loop edges cross; oriented area is undefined")
-            if np.any(_nodes_inside_edges(a, b, prev, i, j)
-                      | _nodes_inside_edges(a, b, prev, j, i)):
-                raise SelfIntersection("loop crosses an edge at a node; "
-                                       "oriented area is undefined")
-    if _crosses_at_vertex(pts):
-        raise SelfIntersection("loop crosses itself at a node; oriented area is undefined")
+    if len(p) < 4:  # fewer distinct nodes have no non-adjacent edges
+        return
+    a, b, prev = p, np.roll(p, -1, axis=0), np.roll(p, 1, axis=0)
+    for i, j in _edge_pairs(a, b):
+        if np.any(_proper_crossings(a, b, i, j)):
+            raise SelfIntersection("loop edges cross; oriented area is undefined")
+        if np.any(_nodes_inside_edges(a, b, prev, i, j)
+                  | _nodes_inside_edges(a, b, prev, j, i)):
+            raise SelfIntersection("loop crosses an edge at a node; "
+                                   "oriented area is undefined")
+        if np.any(_passes_cross(a, b, prev, i, j)):
+            raise SelfIntersection("loop crosses itself at a node; oriented area is undefined")
 
 
-def _crosses_at_vertex(pts: np.ndarray) -> bool:
-    """Detect two passes through one node whose in/out edge directions interleave in angle.
-
-    Repeated consecutive nodes are merged first, so every pass has two nonzero
-    rays; a ray shared by both passes, or a pass that reverses on itself, is a touch.
-    """
-    p = pts[np.any(pts != np.roll(pts, -1, axis=0), axis=1)]
-    m = len(p)
-    order = np.lexsort((p[:, 1], p[:, 0]))
-    same = np.all(p[order[1:]] == p[order[:-1]], axis=1)
-    if not same.any():
-        return False
-    # sorted node r pairs with the later nodes r+1 .. ends[run[r]]-1 of its run of equal nodes
-    ends = np.flatnonzero(np.append(~same, True)) + 1
-    counts = ends[np.append(0, np.cumsum(~same))] - np.arange(1, m + 1)
-    r = np.repeat(np.arange(m), counts)
-    offset = np.arange(len(r)) - np.repeat(np.cumsum(counts) - counts, counts)
-    i, j = order[r], order[r + 1 + offset]
-    rays_in, rays_out = np.roll(p, 1, axis=0) - p, np.roll(p, -1, axis=0) - p
-    u, v = rays_in[i], rays_out[i]
-    return bool(np.any(_side(u, v, rays_in[j]) * _side(u, v, rays_out[j]) < 0))
+def _passes_cross(a, b, prev, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Mask of the pairs of passes through one node, a[i] == a[j], whose in/out rays
+    interleave in angle; a ray shared by both passes, or a pass that reverses on
+    itself, is a touch."""
+    same = np.all(a[i] == a[j], axis=1)
+    i, j = i[same], j[same]
+    u, v = prev[i] - a[i], b[i] - a[i]
+    return _side(u, v, prev[j] - a[j]) * _side(u, v, b[j] - a[j]) < 0
 
 
 def _side(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:

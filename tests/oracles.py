@@ -2,8 +2,9 @@
 
 Each function here recomputes a quantity the library computes another
 way: the in-plane Cartesian and spherical views of the quasi-stationary
-corrections, the direct quadrature of the by-parts second-order term, and
-the Hamiltonian matrix that the solvers' right-hand side writes out.
+corrections, the direct quadrature of the by-parts second-order term, the
+Hamiltonian matrix that the solvers' right-hand side writes out, and the
+solid-angle fan by spherical excesses.
 The tests compare the library against them.
 """
 
@@ -104,3 +105,21 @@ def co_rotating_eigenstate(B0: float, omega: float) -> np.ndarray:
     co-rotating frame's static field B0 z - omega y, tilted from B by chi, tan chi = omega/B0."""
     big = math.hypot(B0, omega)
     return bloch_to_spinor([0.0, -omega / big, B0 / big])
+
+
+def lhuilier_fan_area(S: np.ndarray) -> float:
+    """Signed spherical area of the closed polygon of unit rows S, fanned from +z.
+
+    Cross-check form for the single-atan2 solid angle of the library's fan: each
+    triangle (+z, p, q) contributes its spherical excess by L'Huilier's theorem
+    from its three side lengths, signed by the z component of p x q.
+    """
+    closed = np.vstack([S, S[0]])
+    p, q = closed[:-1], closed[1:]
+    pxq = np.cross(p, q)
+    a = np.arctan2(np.linalg.norm(pxq, axis=1), np.sum(p * q, axis=1))
+    b = np.arccos(np.clip(p[:, 2], -1.0, 1.0))
+    c = np.arccos(np.clip(q[:, 2], -1.0, 1.0))
+    s = 0.5 * (a + b + c)
+    prod = np.tan(0.5 * s) * np.tan(0.5 * (s - a)) * np.tan(0.5 * (s - b)) * np.tan(0.5 * (s - c))
+    return float(np.sum(np.sign(pxq[:, 2]) * 4.0 * np.arctan(np.sqrt(np.maximum(prod, 0.0)))))

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -6,16 +7,22 @@ import pytest
 from spinphase import (
     AdiabaticParams,
     DomainError,
+    IntegratorConfig,
     NormalizationError,
     PerturbativeRegimeViolation,
     SolutionConstants,
     classical_solution,
     cone_3d,
     constant,
+    integrate_bloch,
+    integrate_schrodinger,
     is_in_plane,
+    phi0,
+    phi2,
     quasi_stationary,
     sample,
     sinusoidal_angle,
+    sinusoidal_family,
     spinor_solution,
     spinor_to_bloch,
     tracked_eigenvector,
@@ -228,6 +235,40 @@ def test_spinor_and_classical_solutions_correspond(prof, eps_eff):
             s_q = spinor_to_bloch(spinor_solution(c, prof, t, phase))
             s_c = classical_solution(c, prof, t, phase)
             assert np.max(np.abs(s_q - s_c)) <= 5 * eps_eff**3
+
+
+def _closed_form_slopes(phase):
+    """Log-log slopes over eps of the closed forms' largest deviation from CF4.
+
+    Over the horizon 2 pi/eps of theta = 0.3 sin(eps t), both closed forms,
+    with generic constants and ``phase(profile, t)``, are compared at 41 nodes
+    with CF4 runs seeded by their value at t = 0.  That value is normalized
+    first: its norm is off by O(eps**3) (4e-8 for the spinor, 5e-7 for the
+    spin at eps = 0.16), beyond the 1e-9 that ``as_spinor`` and ``as_bloch``
+    accept.
+    """
+    c = SolutionConstants(math.cos(0.4), math.sin(0.4) * cmath.exp(0.7j))
+    eps_list = (0.16, 0.08, 0.04, 0.02)
+    errs = ([], [])
+    for eps in eps_list:
+        prof = sinusoidal_family(0.3, 1.0, 1.0)(eps)
+        times = np.linspace(0.0, 2 * math.pi / eps, 41)
+        phases = [phase(prof, t) for t in times]
+        cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14, dense_output_grid=times)
+        for err, solution, integrate in ((errs[0], spinor_solution, integrate_schrodinger),
+                                         (errs[1], classical_solution, integrate_bloch)):
+            closed = np.array([solution(c, prof, t, ph) for t, ph in zip(times, phases)])
+            ref = integrate(prof, closed[0] / np.linalg.norm(closed[0]), (0.0, times[-1]), cfg)
+            err.append(np.max(np.linalg.norm(closed - ref.states, axis=1)))
+    return [np.polyfit(np.log(eps_list), np.log(e), 1)[0] for e in errs]
+
+
+def test_closed_forms_are_third_order_against_cf4():
+    # the closed forms carry the phase phi0 + phi2 of b_eff = B (1 + delta**2/2)
+    slopes = _closed_form_slopes(lambda prof, t: phi0(prof, (0.0, t)) + phi2(prof, (0.0, t)))
+    assert slopes == pytest.approx([3.0, 3.0], abs=0.2)
+    # without the second-order phase both fall to first order
+    assert max(_closed_form_slopes(lambda prof, t: phi0(prof, (0.0, t)))) < 1.5
 
 
 def test_chain_ops_reject_out_of_plane_profiles():

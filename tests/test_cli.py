@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -8,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spinphase import Trajectory, bloch_series, exact_dynamics, phi0, phi2
+from spinphase import Trajectory, bloch_series, exact_dynamics, phi0, phi2, profile_from_dict
 from spinphase.cli import RunConfig, _build_parser, main, parse_cli
 
 
@@ -34,7 +35,7 @@ def test_parse_simulate_flags():
 
 
 def test_parse_convergence_eps_order_preserved():
-    rc = parse_cli("convergence --eps 0.16,0.08,0.04,0.02 --profile sinusoidal --theta0 0.3".split())
+    rc = parse_cli("convergence --eps 0.16,0.08,0.04,0.02 --theta0 0.3".split())
     assert rc.params["eps_list"] == [0.16, 0.08, 0.04, 0.02]
     assert rc.params["theta0"] == 0.3
 
@@ -77,10 +78,18 @@ def test_default_out_dir_env(monkeypatch):
 # Exit codes
 # ---------------------------------------------------------------------------
 
-def test_usage_error_exits_2():
+@pytest.mark.parametrize("argv", [["not-a-command"], ["convergence", "--profile", "cone"]])
+def test_usage_error_exits_2(argv):
     with pytest.raises(SystemExit) as exc:
-        run_main(["not-a-command"])
+        run_main(argv)
     assert exc.value.code == 2
+
+
+def test_convergence_config_with_a_profile_exits_3(tmp_path, capsys):
+    # convergence always builds its own sinusoidal family
+    path = _config_file(tmp_path, {"profile": {"kind": "sinusoidal"}})
+    assert run_main(["convergence", "--config", path, "--out", str(tmp_path)]) == 3
+    assert "convergence has no profile" in capsys.readouterr().err
 
 
 def test_config_error_exits_3(tmp_path):
@@ -244,7 +253,6 @@ def test_other_flag_next_to_config_exits_3(tmp_path, capsys):
     ["simulate", "--t-end", "5", "--omega", "nan"],
     ["simulate", "--t-end", "inf"],
     ["phases", "--t-end", "5", "--epsilon", "inf"],
-    ["convergence", "--profile", "cone"],
     ["simulate", "--t-end", "5", "--profile", "cone", "--omega", "0.2"],
     ["simulate", "--t-end", "5", "--t-start", "5"],
     ["stokes", "--Omega", "0"],
@@ -409,7 +417,7 @@ _RUN = ["--rel-tol", "--abs-tol", "--max-step", "--profile", "--B0", "--omega", 
 FLAGS = {
     "simulate": _COMMON + _RUN + ["--grid-n"],
     "phases": _COMMON + _RUN,
-    "convergence": _COMMON + ["--profile", "--eps", "--theta0", "--Omega", "--B0", "--horizon"],
+    "convergence": _COMMON + ["--eps", "--theta0", "--Omega", "--B0", "--horizon"],
     "stokes": _COMMON + ["--theta0", "--Omega", "--B", "--n-nodes"],
     "timescale": _COMMON + ["--B", "--omega"],
 }
@@ -478,3 +486,44 @@ def test_formats_write_or_print_exactly_their_files(command, formats, tmp_path, 
         f"wrote {out / name}" for name in want]
     printed = [name for line in stdout if line.startswith("{") for name in json.loads(line)]
     assert printed == ([] if formats else FILES[command]["json"])
+
+
+# ---------------------------------------------------------------------------
+# Strict JSON output
+# ---------------------------------------------------------------------------
+
+def _strict(text, where):
+    def reject(token):
+        raise AssertionError(f"non-standard JSON token {token} in {where}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_every_json_output_is_strict(tmp_path, capsys):
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "acceptance_runs.py")
+    spec = importlib.util.spec_from_file_location("acceptance_runs", script)
+    runs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(runs)
+    acceptance = tmp_path / "acceptance"
+    assert set(runs.run_all(str(acceptance)).values()) == {0}
+    # an infinite breakdown time and an undefined AA/phi2 ratio
+    assert run_main(["timescale", "--omega", "0", "--out", str(tmp_path / "timescale")]) == 0
+    assert run_main(["phases", "--profile", "constant", "--t-end", "10",
+                     "--out", str(tmp_path / "phases")]) == 0
+    assert run_main(["timescale", "--omega", "0", "--formats", ""]) == 0
+    printed = [_strict(line, "stdout") for line in capsys.readouterr().out.splitlines()
+               if line.startswith("{")]
+    assert printed == [{"timescale.json": {"t1": None, "phi2_at_t1": 0.0, "t2": None}}]
+    parsed = {path: _strict(path.read_text(encoding="utf-8"), path)
+              for path in sorted(tmp_path.rglob("*.json"))}
+    assert len(parsed) >= 12
+    assert parsed[tmp_path / "timescale" / "timescale.json"]["t1"] is None
+    assert parsed[tmp_path / "phases" / "phases.json"]["aa_over_phi2_ratio"] is None
+    # an unbounded t_domain reads back as [null, null] and round-trips through --config
+    summary = parsed[acceptance / "simulate_uniform_rotation" / "summary.json"]
+    assert summary["profile"]["t_domain"] == [None, None]
+    profile = profile_from_dict(summary["profile"])
+    assert profile == parse_cli(runs.RUNS["simulate_uniform_rotation"]).profile
+    assert profile.t_domain == (-math.inf, math.inf)
+    path = _config_file(tmp_path, {"profile": summary["profile"], "params": {"t_end": 200.0}})
+    assert parse_cli(["simulate", "--config", path]).profile == profile

@@ -18,7 +18,7 @@ BASE = {
                  "formats": ["csv"], "params": {"t_end": 20.0, "grid_n": 11}},
     "phases": {"command": "phases", "profile": {"kind": "cone", "params": {"theta_c": 1.0}},
                "params": {"t_start": 1.0, "t_end": 5.0}},
-    "convergence": {"command": "convergence", "profile": {"kind": "sinusoidal"},
+    "convergence": {"command": "convergence",
                     "params": {"eps_list": [0.2, 0.1], "horizon": 3.0}},
     "stokes": {"command": "stokes", "params": {"B_list": [1.0, 2.0], "n_nodes": 11}},
     "timescale": {"command": "timescale", "params": {"B": 2.0}},

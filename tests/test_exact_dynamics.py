@@ -23,7 +23,6 @@ from spinphase import (
     bloch_to_spinor,
     cone_3d,
     constant,
-    exponential_midpoint_bloch,
     exponential_midpoint_schrodinger,
     extract_total_phase,
     integrate_bloch,
@@ -47,7 +46,6 @@ from spinphase.exact_dynamics import (
     _cf4_states,
     _csv,
     _rhs,
-    magnus4_bloch,
     magnus4_schrodinger,
 )
 from conftest import uniform_grid_cfg
@@ -356,27 +354,24 @@ def test_exponential_midpoint_preserves_norm_to_roundoff():
     traj = exponential_midpoint_schrodinger(UNIFORM, [1.0, 0.0], (0.0, 500.0), 20000)
     norms = np.sum(np.abs(traj.states) ** 2, axis=1)
     assert np.max(np.abs(norms - 1.0)) <= 20000 * 1e-15
-    btraj = exponential_midpoint_bloch(UNIFORM, [0.0, 0.0, 1.0], (0.0, 500.0), 20000)
-    assert np.max(np.abs(np.sum(btraj.states**2, axis=1) - 1.0)) <= 20000 * 1e-15
+    spins = bloch_series(exponential_midpoint_schrodinger(
+        UNIFORM, bloch_to_spinor([0.0, 0.0, 1.0]), (0.0, 500.0), 20000))
+    assert np.max(np.abs(np.sum(spins**2, axis=1) - 1.0)) <= 20000 * 1e-15
 
 
 def test_exponential_midpoint_bloch_matches_adaptive(tight_cfg):
     t_span = (0.0, 30.0)
     ref = integrate_bloch(UNIFORM, [0.0, 0.0, 1.0], t_span, tight_cfg)
-    fix = exponential_midpoint_bloch(UNIFORM, [0.0, 0.0, 1.0], t_span, 30000)
-    assert np.linalg.norm(ref.states[-1] - fix.states[-1]) <= 1e-6
+    fix = bloch_series(exponential_midpoint_schrodinger(
+        UNIFORM, bloch_to_spinor([0.0, 0.0, 1.0]), t_span, 30000))
+    assert np.linalg.norm(ref.states[-1] - fix[-1]) <= 1e-6
 
 
 @pytest.mark.parametrize("n_steps", [0, -3, 2.5])
-@pytest.mark.parametrize("stepper, state0", [
-    (exponential_midpoint_schrodinger, [1.0, 0.0]),
-    (exponential_midpoint_bloch, [0.0, 0.0, 1.0]),
-    (magnus4_schrodinger, [1.0, 0.0]),
-    (magnus4_bloch, [0.0, 0.0, 1.0]),
-])
-def test_exponential_midpoint_rejects_invalid_step_count(stepper, state0, n_steps):
+@pytest.mark.parametrize("stepper", [exponential_midpoint_schrodinger, magnus4_schrodinger])
+def test_exponential_midpoint_rejects_invalid_step_count(stepper, n_steps):
     with pytest.raises(ConfigError, match="n_steps"):
-        stepper(UNIFORM, state0, (0.0, 10.0), n_steps)
+        stepper(UNIFORM, [1.0, 0.0], (0.0, 10.0), n_steps)
 
 
 def _stepper_reference(profile, psi0, t_span, n_steps):
@@ -411,16 +406,6 @@ def test_exponential_midpoint_matches_sequential_loop(name):
             assert traj.times[0] == t_span[0] and len(traj.times) == n_steps + 1
 
 
-def test_exponential_midpoint_bloch_is_mapped_spinor_run():
-    prof = RHS_PROFILES["cone_3d"]
-    S0 = np.array([0.48, -0.6, 0.64])
-    spin = exponential_midpoint_schrodinger(prof, bloch_to_spinor(S0), (0.0, 20.0), 4001)
-    bloch = exponential_midpoint_bloch(prof, S0, (0.0, 20.0), 4001)
-    assert bloch.kind == "bloch"
-    assert np.array_equal(bloch.times, spin.times)
-    assert np.array_equal(bloch.states, bloch_series(spin))
-
-
 def test_exponential_midpoint_step_cost():
     # on a 2-vCPU Xeon the sequential loop took 2.2-3.5 us per step, the prefix product 0.2-0.3
     prof = RHS_PROFILES["cone_3d"]
@@ -433,18 +418,13 @@ def test_exponential_midpoint_step_cost():
     assert best / n_steps <= 1.5e-6
 
 
-@pytest.mark.parametrize("stepper, state0", [
-    (exponential_midpoint_schrodinger, [1.0, 0.0]),
-    (exponential_midpoint_bloch, [0.0, 0.0, 1.0]),
-    (magnus4_schrodinger, [1.0, 0.0]),
-    (magnus4_bloch, [0.0, 0.0, 1.0]),
-])
-def test_exponential_midpoint_step_count_capped(stepper, state0):
+@pytest.mark.parametrize("stepper", [exponential_midpoint_schrodinger, magnus4_schrodinger])
+def test_exponential_midpoint_step_count_capped(stepper):
     # n_steps + 1 nodes would pass the grid cap: rejected before anything is allocated
     tracemalloc.start()
     try:
         with pytest.raises(ConfigError, match="limit"):
-            stepper(UNIFORM, state0, (0.0, 10.0), MAX_GRID_NODES)
+            stepper(UNIFORM, [1.0, 0.0], (0.0, 10.0), MAX_GRID_NODES)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -470,9 +450,9 @@ def test_magnus4_preserves_norm_to_roundoff():
     n = 10**5
     traj = magnus4_schrodinger(RHS_PROFILES["cone_3d"], [0.6, 0.8j], (0.0, 500.0), n)
     assert np.max(np.abs(np.sum(np.abs(traj.states) ** 2, axis=1) - 1.0)) <= n * 1e-15
-    btraj = magnus4_bloch(RHS_PROFILES["cone_3d"], [0.0, 0.0, 1.0], (0.0, 500.0), n)
-    assert btraj.kind == "bloch"
-    assert np.max(np.abs(np.sum(btraj.states**2, axis=1) - 1.0)) <= n * 1e-15
+    spins = bloch_series(magnus4_schrodinger(
+        RHS_PROFILES["cone_3d"], bloch_to_spinor([0.0, 0.0, 1.0]), (0.0, 500.0), n))
+    assert np.max(np.abs(np.sum(spins**2, axis=1) - 1.0)) <= n * 1e-15
 
 
 def test_magnus4_matches_rotating_frame_oracle(tight_cfg):

@@ -212,6 +212,24 @@ def test_json_rejects_bad_input():
         profile_from_dict({"params": {}})
 
 
+@pytest.mark.parametrize("t_domain, want", [
+    ([None, 5.0], (-math.inf, 5.0)),
+    ([0.0, None], (0.0, math.inf)),
+    ([None, None], (-math.inf, math.inf)),
+])
+def test_null_t_domain_end_reads_as_unbounded(t_domain, want):
+    # strict JSON writes an unbounded end as null
+    d = {"kind": "constant", "params": {"B0": 1.0}, "t_domain": t_domain}
+    assert profile_from_dict(d).t_domain == want
+    assert profile_from_json(json.dumps(d)).t_domain == want
+
+
+@pytest.mark.parametrize("t_domain", [[None], [None, None, None], [5.0, None, 1.0], None])
+def test_null_t_domain_of_other_shapes_raises_config_error(t_domain):
+    with pytest.raises(ConfigError):
+        profile_from_dict({"kind": "constant", "params": {"B0": 1.0}, "t_domain": t_domain})
+
+
 def test_tabulated_profile_interpolates_and_differences():
     taus = np.linspace(0.0, 10.0, 400)
     p = user_tabulated(

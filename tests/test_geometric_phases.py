@@ -39,7 +39,7 @@ from spinphase import (
 from spinphase import geometric_phases
 from spinphase.geometric_phases import _edge_pairs, _proper_crossings
 from conftest import uniform_grid_cfg
-from oracles import phi2_byparts_direct
+from oracles import lhuilier_fan_area, phi2_byparts_direct
 
 R2 = 1 / math.sqrt(2)
 ELLIPSE_PHI2 = -math.pi * 0.3**2 * 0.05 / 4.0  # sinusoidal loop, one period, B=1
@@ -323,6 +323,35 @@ def test_solid_angle_arc_guard():
         aa_geometric_phase_solid_angle(traj)
 
 
+def _equator(n):
+    ang = 2 * math.pi * np.arange(n) / n
+    return np.stack([np.cos(ang), np.sin(ang), np.zeros(n)], axis=1)
+
+
+OCTANT = np.eye(3)  # x, y, z: the triangle bounding one eighth of the sphere
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 64, 1001])
+def test_fan_area_of_equatorial_polygon_is_a_hemisphere(n):
+    assert geometric_phases._fan_area(_equator(n)) == pytest.approx(2 * math.pi, abs=1e-12)
+    assert geometric_phases._fan_area(_equator(n)[::-1]) == pytest.approx(-2 * math.pi, abs=1e-12)
+
+
+def test_fan_area_of_the_octant_is_exact():
+    assert geometric_phases._fan_area(OCTANT) == math.pi / 2
+    assert geometric_phases._fan_area(OCTANT[::-1]) == -math.pi / 2
+
+
+def test_fan_area_matches_lhuilier_on_random_short_arcs():
+    # clusters of nodes a few tenths of a radian apart, anywhere on the sphere
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        n = int(rng.integers(3, 40))
+        S = rng.normal(size=3) + rng.normal(scale=0.3, size=(n, 3))
+        S /= np.linalg.norm(S, axis=1)[:, None]
+        assert abs(geometric_phases._fan_area(S) - lhuilier_fan_area(S)) <= 1e-9, S
+
+
 def test_aa_identity_constant_tilted_field():
     # cyclic evolution under a static tilted field: total - dynamical phase
     # equals the coordinate-route geometric phase (exact identity)
@@ -568,19 +597,31 @@ def _vertex_crossing_reference(pts):
     return False
 
 
-def test_vertex_crossing_matches_pass_pair_loop():
+def test_vertex_crossing_matches_pass_pair_loop(monkeypatch):
     rng = np.random.default_rng(17)
-    cases = []
-    for _ in range(600):
-        pts = rng.integers(-2, 3, (int(rng.integers(4, 25)), 2)).astype(float)
-        cases.append((pts, _vertex_crossing_reference(pts)))
-    crossing = sum(want for _, want in cases)
+    polygons = [rng.integers(-2, 3, (int(rng.integers(4, 25)), 2)).astype(float)
+                for _ in range(600)]
+    # two lobes through the origin: vertex crossings with no other defect are rare above
+    polygons += [np.insert(rng.integers(-2, 3, (4, 2)), [0, 2], 0, axis=0).astype(float)
+                 for _ in range(200)]
+    cases, vertex_only = [], 0
+    for pts in polygons:
+        vertex = _vertex_crossing_reference(pts)
+        other = _crossing_reference(pts) or _inside_edge_reference(pts)
+        vertex_only += vertex and not other
+        cases.append((pts, vertex, not (vertex or other)))
+    crossing = sum(vertex for _, vertex, _ in cases)
+    simple = sum(want for *_, want in cases)
     assert min(crossing, len(cases) - crossing) >= 100
-    for pts, want in cases:
-        assert geometric_phases._crosses_at_vertex(pts) == want, pts
-        shift = int(rng.integers(1, len(pts)))
-        assert geometric_phases._crosses_at_vertex(np.roll(pts, shift, axis=0)) == want, pts
-        assert geometric_phases._crosses_at_vertex(pts[::-1]) == want, pts
+    assert vertex_only >= 20 and simple >= 100
+    variants = [(pts, np.roll(pts, int(rng.integers(1, len(pts))), axis=0), pts[::-1])
+                for pts, *_ in cases]
+    # blocks of a few pairs put most candidate pairs past the first block
+    for block in (geometric_phases._SWEEP_BLOCK, 7):
+        monkeypatch.setattr(geometric_phases, "_SWEEP_BLOCK", block)
+        for (*_, want), qs in zip(cases, variants):
+            for q in qs:
+                assert _is_simple(q) == want, q
 
 
 @pytest.mark.parametrize("B_mag", [math.nan, math.inf, 1e-9])
