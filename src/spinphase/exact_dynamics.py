@@ -165,12 +165,25 @@ def bloch_series(traj: Trajectory) -> np.ndarray:
 
 def _mean_spin(psi: np.ndarray) -> np.ndarray:
     """<psi|sigma|psi> / <psi|psi> for spinors on the last axis of a (..., 2) array."""
+    return np.stack(_spin_components(psi), axis=-1)
+
+
+def _spin_components(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The components (Sx, Sy, Sz) of :func:`_mean_spin`, each of shape psi.shape[:-1].
+
+    The norm is divided out, so the spin is a unit vector to roundoff.
+    """
     up, dn = psi[..., 0], psi[..., 1]
-    nn = (np.abs(up) ** 2 + np.abs(dn) ** 2).real
+    uu, dd = np.abs(up) ** 2, np.abs(dn) ** 2
+    nn = uu + dd
     cross = np.conj(up) * dn
-    return np.stack(
-        [2.0 * cross.real, 2.0 * cross.imag, np.abs(up) ** 2 - np.abs(dn) ** 2], axis=-1
-    ) / nn[..., None]
+    # in place where a temporary would be made: the results are the same bits
+    sx, sy = 2.0 * cross.real, 2.0 * cross.imag
+    sx /= nn
+    sy /= nn
+    uu -= dd
+    uu /= nn
+    return sx, sy, uu
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +409,7 @@ def exponential_midpoint_schrodinger(
     h = (t1 - t0) / n_steps
 
     def pairs(lo, hi):
-        s = sample(profile, t0 + (np.arange(lo, hi) + 0.5) * h)
-        return _su2(s.B_vec, s.B_mag, h)
+        return _su2(*_field_vector(profile, t0 + (np.arange(lo, hi) + 0.5) * h), h)
 
     return Trajectory(times=_step_times(t_span, n_steps),
                       states=_stepped_states(pairs, n_steps, psi0), kind="spinor",
@@ -426,24 +438,23 @@ def _cf4_states(profile: FieldProfile, psi0: np.ndarray, grid: np.ndarray, k: in
         h = widths[interval]
         t = starts[interval] + j * h
         m = len(t)
-        b = sample(profile, np.concatenate([t + _CF4_NODES[0] * h, t + _CF4_NODES[1] * h])).B_vec
-        first = _CF4_A2 * b[:m] + _CF4_A1 * b[m:]  # acts first
-        second = _CF4_A1 * b[:m] + _CF4_A2 * b[m:]
-        return _compose(*_su2(second, np.linalg.norm(second, axis=1), h),
-                        *_su2(first, np.linalg.norm(first, axis=1), h))
+        b = _field_vector(profile, np.concatenate([t + _CF4_NODES[0] * h, t + _CF4_NODES[1] * h]))
+        first = [_CF4_A2 * c[:m] + _CF4_A1 * c[m:] for c in b]  # acts first
+        second = [_CF4_A1 * c[:m] + _CF4_A2 * c[m:] for c in b]
+        return _compose(*_su2(*second, h), *_su2(*first, h))
 
     return _stepped_states(pairs, k * (len(grid) - 1), psi0, k)
 
 
-def _su2(vec: np.ndarray, mag: np.ndarray, h) -> tuple[np.ndarray, np.ndarray]:
-    """SU(2) pairs of exp(-i h vec . sigma / 2) for the (m, 3) field vectors ``vec`` of norms ``mag``.
+def _su2(bx: np.ndarray, by: np.ndarray, bz: np.ndarray, h) -> tuple[np.ndarray, np.ndarray]:
+    """SU(2) pairs of exp(-i h b . sigma / 2) for the field vectors b of components (bx, by, bz).
 
     Each pair (a, b) stands for the matrix [[a, -conj(b)], [b, conj(a)]].
     """
+    mag = np.sqrt(bx * bx + by * by + bz * bz)
     ang = 0.5 * mag * h
     c, si = np.cos(ang), np.sin(ang)
-    nx, ny, nz = (vec / mag[:, None]).T
-    return c - 1j * si * nz, -1j * si * (nx + 1j * ny)
+    return c - 1j * si * (bz / mag), -1j * si * (bx / mag + 1j * (by / mag))
 
 
 def _stepped_states(pairs, n_steps: int, psi0: np.ndarray, stride: int = 1) -> np.ndarray:

@@ -40,6 +40,8 @@ KIND_PARAMS: dict[str, dict[str, float | None]] = {
 KINDS = tuple(KIND_PARAMS)
 
 DEFAULT_B_MIN = 1e-6
+# the kinds whose phi is identically zero
+_IN_PLANE_KINDS = ("uniform_rotation", "polynomial_angle", "sinusoidal_angle")
 
 
 @dataclass(frozen=True)
@@ -410,11 +412,18 @@ def _check_floor(profile: FieldProfile, t, B) -> None:
         raise DegenerateField(f"|B|={B_lo} below floor {profile.b_min} at t={t_lo}")
 
 
-def _cartesian(B, th, ph):
-    """Cartesian components (Bx, By, Bz) of the field of magnitude B along (th, ph)."""
+def _cartesian(kind: str, B, th, ph):
+    """Cartesian components (Bx, By, Bz) of the field of magnitude B along (th, ph).
+
+    For the in-plane kinds ph is +-0.0, whose sine is itself and whose cosine
+    is 1.0, so By = B sin(th) ph and Bx = B sin(th) exactly, signed zeros included.
+    """
     sin_th, cos_th = _sin_cos(th)
+    B_sin = B * sin_th
+    if kind in _IN_PLANE_KINDS:
+        return B_sin, B_sin * ph, B * cos_th
     sin_ph, cos_ph = _sin_cos(ph)
-    return B * sin_th * cos_ph, B * sin_th * sin_ph, B * cos_th
+    return B_sin * cos_ph, B_sin * sin_ph, B * cos_th
 
 
 def sample(profile: FieldProfile, t) -> FieldSample:
@@ -433,7 +442,7 @@ def sample(profile: FieldProfile, t) -> FieldSample:
     _check_floor(profile, t, B)
     return FieldSample(
         t=t,
-        B_vec=np.array(_cartesian(B, th, ph)).T,
+        B_vec=np.array(_cartesian(profile.kind, B, th, ph)).T,
         B_mag=B,
         theta=th,
         phi=ph,
@@ -445,18 +454,21 @@ def sample(profile: FieldProfile, t) -> FieldSample:
     )
 
 
-def _field_vector(profile: FieldProfile, t) -> tuple[float, float, float]:
-    """``sample(profile, t).B_vec`` at one time t, as three Python floats.
+def _field_vector(profile: FieldProfile, t):
+    """Components (Bx, By, Bz) of ``sample(profile, t).B_vec``, bit for bit.
 
-    The solvers' right-hand sides call this once per stage: it makes the
-    same checks as :func:`sample`, with the same errors, and builds no
-    :class:`FieldSample`.
+    At one time t they are three Python floats, on a 1-D array of times three
+    (n,) arrays.  The solvers' right-hand sides call this once per stage and
+    the fixed-step steppers once per block of steps: it makes the same checks
+    as :func:`sample`, with the same errors, and builds neither a
+    :class:`FieldSample` nor its derivative fields.
     """
-    t = float(t)
-    _check_domain(profile, t, t)
+    if not isinstance(t, np.ndarray):
+        t = float(t)
+    _check_domain(profile, *_extent(t))
     B, _, th, _, _, ph, _, _ = _base_eval(profile, profile.epsilon * t)
     _check_floor(profile, t, B)
-    return _cartesian(B, th, ph)
+    return _cartesian(profile.kind, B, th, ph)
 
 
 def is_in_plane(profile: FieldProfile) -> bool:
@@ -467,7 +479,7 @@ def is_in_plane(profile: FieldProfile) -> bool:
     """
     if profile.kind in ("constant",):
         return profile.params["phi0"] == 0.0
-    if profile.kind in ("uniform_rotation", "polynomial_angle", "sinusoidal_angle"):
+    if profile.kind in _IN_PLANE_KINDS:
         return True
     if profile.kind == "user_tabulated":
         return not np.any(profile._tables.c[:, 2])

@@ -42,7 +42,7 @@ from .errors import (
     SelfIntersection,
 )
 from .field_profiles import FieldProfile, FieldSample, sample
-from .exact_dynamics import Trajectory, bloch_series
+from .exact_dynamics import Trajectory, _spin_components, bloch_series
 
 _QUAD_OPTS = {"epsabs": 1e-12, "epsrel": 1e-12, "limit": 500}
 MIN_SIN_POLAR = 1e-3
@@ -281,19 +281,15 @@ def aa_geometric_phase_coordinate(traj: Trajectory) -> float:
     trajectory; the azimuth is unwrapped, so full windings accumulate.  The
     connection is singular at the poles, hence the sin(theta~) floor.
     """
-    S = _unit_rows(bloch_series(traj))
-    sin_polar = np.hypot(S[:, 0], S[:, 1])
-    if float(np.min(sin_polar)) < MIN_SIN_POLAR:
-        raise PoleSingularity(
-            f"path reaches sin(theta~)={float(np.min(sin_polar)):.3g} < {MIN_SIN_POLAR}"
-        )
-    raw = np.arctan2(S[:, 1], S[:, 0])
-    steps = (np.diff(raw) + np.pi) % (2.0 * np.pi) - np.pi
+    x, y, z = _spin_path(traj)
+    sin_polar = math.sqrt(float(np.min(x * x + y * y)))
+    if sin_polar < MIN_SIN_POLAR:
+        raise PoleSingularity(f"path reaches sin(theta~)={sin_polar:.3g} < {MIN_SIN_POLAR}")
+    steps = (np.diff(np.arctan2(y, x)) + np.pi) % (2.0 * np.pi) - np.pi
     if steps.size and float(np.max(np.abs(steps))) > 0.5 * np.pi:
         raise GridTooCoarse("azimuth step exceeds pi/2; refine the trajectory grid")
     azimuth = np.concatenate([[0.0], np.cumsum(steps)])
-    f = 1.0 - S[:, 2]
-    return -0.5 * _refined_stieltjes(traj.times, azimuth, f)
+    return -0.5 * _refined_stieltjes(traj.times, azimuth, 1.0 - z)
 
 
 def aa_geometric_phase_solid_angle(traj: Trajectory, refine: bool = True) -> float:
@@ -304,33 +300,53 @@ def aa_geometric_phase_solid_angle(traj: Trajectory, refine: bool = True) -> flo
     area — and each triangle contributes its signed solid angle.  Richardson
     refinement over node decimation removes the inscribed-polygon deficit.
     """
-    S = _unit_rows(bloch_series(traj))
-    if len(S) > 1:
-        arc = float(np.arccos(np.clip(np.min(np.sum(S[:-1] * S[1:], axis=1)), -1.0, 1.0)))
+    x, y, z = _spin_path(traj)
+    if len(x) > 1:
+        arc = float(np.arccos(np.clip(np.min(_dots(x, y, z)), -1.0, 1.0)))
         if arc >= 0.25 * np.pi:
             raise ArcTooLong(f"consecutive nodes {arc:.3g} rad apart (>= pi/4)")
     if refine:
-        vals = [_fan_area(S[::s]) for s in _decimations(len(S))]
+        vals = [_fan_area(x[::s], y[::s], z[::s]) for s in _decimations(len(x))]
         area = _romberg_limit(vals, tol=1e-12)
     else:
-        area = _fan_area(S)
+        area = _fan_area(x, y, z)
     return -0.5 * area
 
 
-def _unit_rows(S: np.ndarray) -> np.ndarray:
-    return S / np.linalg.norm(S, axis=1)[:, None]
+def _spin_path(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Components (x, y, z) of the trajectory's unit spin path.
 
-
-def _fan_area(S: np.ndarray) -> float:
-    """Signed spherical area of the closed polygon S, fanned from +z.
-
-    The triangle (+z, p, q) of unit vectors has the signed solid angle
-    2 atan2(z . (p x q), 1 + z . p + z . q + p . q) (Van Oosterom & Strackee 1983).
+    A spinor's mean spin is a unit vector by construction; a Bloch path's
+    states drift off the sphere under DOP853, so they are normalized here.
     """
-    closed = S if np.allclose(S[0], S[-1], atol=1e-12) else np.vstack([S, S[0]])
-    p, q = closed[:-1], closed[1:]
-    den = 1.0 + p[:, 2] + q[:, 2] + np.sum(p * q, axis=1)
-    return float(np.sum(2.0 * np.arctan2(_cross2(p, q), den)))
+    if traj.kind == "spinor":
+        return _spin_components(traj.states)
+    x, y, z = np.asarray(traj.states, dtype=float).T
+    r = np.sqrt(x * x + y * y + z * z)
+    return x / r, y / r, z / r
+
+
+def _dots(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """p . q of the consecutive nodes p, q of the path with components (x, y, z)."""
+    return x[:-1] * x[1:] + y[:-1] * y[1:] + z[:-1] * z[1:]
+
+
+def _fan_area(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> float:
+    """Signed spherical area of the polygon of unit vectors (x, y, z), fanned from +z.
+
+    The polygon is always closed by the geodesic from its last node back to
+    its first; on a path that ends where it starts, that triangle is
+    degenerate and adds exactly 0.  The triangle (+z, p, q) of unit vectors
+    has the signed solid angle 2 atan2(z . (p x q), 1 + z . p + z . q + p . q)
+    (Van Oosterom & Strackee 1983).
+    """
+    x, y, z = (np.append(c, c[0]) for c in (x, y, z))
+    num = x[:-1] * y[1:]
+    num -= y[:-1] * x[1:]
+    den = 1.0 + z[:-1]
+    den += z[1:]
+    den += _dots(x, y, z)
+    return 2.0 * float(np.sum(np.arctan2(num, den, out=num)))
 
 
 # ---------------------------------------------------------------------------

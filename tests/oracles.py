@@ -3,8 +3,9 @@
 Each function here recomputes a quantity the library computes another
 way: the in-plane Cartesian and spherical views of the quasi-stationary
 corrections, the direct quadrature of the by-parts second-order term, the
-Hamiltonian matrix that the solvers' right-hand side writes out, and the
-solid-angle fan by spherical excesses.
+Hamiltonian matrix that the solvers' right-hand side writes out, the
+solid-angle fan by spherical excesses, the mean-spin map and both
+Aharonov-Anandan routes on (n, 3) rows of spin vectors.
 The tests compare the library against them.
 """
 
@@ -15,7 +16,14 @@ import numpy as np
 from spinphase import DomainError, PoleSingularity, bloch_to_spinor, is_in_plane, sample
 from spinphase.adiabatic_engine import QuasiStationary, _guard_perturbative, params_from_sample
 from spinphase.field_profiles import FieldProfile, FieldSample
-from spinphase.geometric_phases import MIN_SIN_POLAR, _integral
+from spinphase.exact_dynamics import Trajectory, bloch_series
+from spinphase.geometric_phases import (
+    MIN_SIN_POLAR,
+    _decimations,
+    _integral,
+    _refined_stieltjes,
+    _romberg_limit,
+)
 
 
 def quasi_stationary_cartesian(profile: FieldProfile, t: float) -> QuasiStationary:
@@ -123,3 +131,47 @@ def lhuilier_fan_area(S: np.ndarray) -> float:
     s = 0.5 * (a + b + c)
     prod = np.tan(0.5 * s) * np.tan(0.5 * (s - a)) * np.tan(0.5 * (s - b)) * np.tan(0.5 * (s - c))
     return float(np.sum(np.sign(pxq[:, 2]) * 4.0 * np.arctan(np.sqrt(np.maximum(prod, 0.0)))))
+
+
+def mean_spin_rows(psi: np.ndarray) -> np.ndarray:
+    """<psi|sigma|psi> / <psi|psi> of spinors on the last axis, stacked then divided by the norm.
+
+    Reference form of the library's component-wise mean-spin map, which must
+    match it bit for bit.
+    """
+    up, dn = psi[..., 0], psi[..., 1]
+    nn = (np.abs(up) ** 2 + np.abs(dn) ** 2).real
+    cross = np.conj(up) * dn
+    return np.stack(
+        [2.0 * cross.real, 2.0 * cross.imag, np.abs(up) ** 2 - np.abs(dn) ** 2], axis=-1
+    ) / nn[..., None]
+
+
+def _unit_spin_rows(traj: Trajectory) -> np.ndarray:
+    S = bloch_series(traj)
+    return S / np.linalg.norm(S, axis=1)[:, None]
+
+
+def aa_coordinate_rows(traj: Trajectory) -> float:
+    """The coordinate Aharonov-Anandan route on unit-normalized (n, 3) spin rows."""
+    S = _unit_spin_rows(traj)
+    raw = np.arctan2(S[:, 1], S[:, 0])
+    steps = (np.diff(raw) + np.pi) % (2.0 * np.pi) - np.pi
+    azimuth = np.concatenate([[0.0], np.cumsum(steps)])
+    return -0.5 * _refined_stieltjes(traj.times, azimuth, 1.0 - S[:, 2])
+
+
+def fan_area_rows(S: np.ndarray) -> float:
+    """Signed area of the polygon of unit rows S closed by the geodesic back to S[0],
+    fanned from +z, each triangle by one atan2 (Van Oosterom & Strackee)."""
+    closed = np.vstack([S, S[0]])
+    p, q = closed[:-1], closed[1:]
+    den = 1.0 + p[:, 2] + q[:, 2] + np.sum(p * q, axis=1)
+    return float(np.sum(2.0 * np.arctan2(p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0], den)))
+
+
+def aa_solid_angle_rows(traj: Trajectory) -> float:
+    """The Romberg-refined solid-angle Aharonov-Anandan route on unit-normalized (n, 3) rows."""
+    S = _unit_spin_rows(traj)
+    vals = [fan_area_rows(S[::s]) for s in _decimations(len(S))]
+    return -0.5 * _romberg_limit(vals, tol=1e-12)

@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import co_rotating_eigenstate, hamiltonian_matrix, uniform_rotation_exact
+from oracles import (
+    co_rotating_eigenstate,
+    hamiltonian_matrix,
+    mean_spin_rows,
+    uniform_rotation_exact,
+)
 from spinphase import (
     BranchJump,
     ConfigError,
@@ -120,6 +125,48 @@ def test_field_vector_is_sample_b_vec_as_python_floats(name):
         vec = field_profiles._field_vector(prof, t)
         assert [type(v) for v in vec] == [float, float, float]
         assert np.array(vec).tobytes() == sample(prof, t).B_vec.tobytes()  # bitwise
+
+
+@pytest.mark.parametrize("name", sorted(RHS_PROFILES))
+def test_field_vector_on_a_grid_is_sample_b_vec(name):
+    prof = RHS_PROFILES[name]
+    lo, hi = max(prof.t_domain[0], -300.0), min(prof.t_domain[1], 300.0)
+    t = np.linspace(lo, hi, 20003)
+    vec = field_profiles._field_vector(prof, t)
+    assert np.stack(vec, axis=1).tobytes() == sample(prof, t).B_vec.tobytes()  # bitwise
+
+
+@pytest.mark.parametrize("name", ["uniform_rotation", "polynomial_angle", "sinusoidal_angle"])
+def test_in_plane_field_vector_is_the_spherical_formula(name):
+    # phi is +-0.0 for the in-plane kinds, so B sin(theta) (cos phi, sin phi) is
+    # B sin(theta) (1, phi) bit for bit, signed zeros included, at floats and on grids
+    prof = RHS_PROFILES[name]
+    t = np.linspace(-300.0, 300.0, 20003)
+    s = sample(prof, t)
+    assert np.all(s.phi == 0.0) and np.any(np.signbit(s.phi))
+    want = np.stack([s.B_mag * np.sin(s.theta) * np.cos(s.phi),
+                     s.B_mag * np.sin(s.theta) * np.sin(s.phi), s.B_mag * np.cos(s.theta)], axis=1)
+    assert np.stack(field_profiles._field_vector(prof, t), axis=1).tobytes() == want.tobytes()
+    for tk in t[::100].tolist():
+        sk = sample(prof, tk)
+        B, th, ph = sk.B_mag, sk.theta, sk.phi
+        want = [B * math.sin(th) * math.cos(ph), B * math.sin(th) * math.sin(ph), B * math.cos(th)]
+        assert np.array(field_profiles._field_vector(prof, tk)).tobytes() == np.array(want).tobytes()
+
+
+def test_mean_spin_components_match_the_stacked_form_bitwise():
+    # unnormalized spinors, with signed zero parts so the signs of zero spins are pinned too
+    rng = np.random.default_rng(17)
+    psi = (rng.normal(size=(4000, 2)) + 1j * rng.normal(size=(4000, 2))) * rng.uniform(
+        0.5, 2.0, size=(4000, 1))
+    psi[::7, 1] = 0.0
+    psi[1::7, 1] = -0.0
+    psi[2::7, 0] = complex(-0.0, 0.0)
+    psi[3::7] = psi[3::7].real
+    for states in (psi, psi[0], psi.reshape(2, 2000, 2)):
+        got, want = exact_dynamics._mean_spin(states), mean_spin_rows(states)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 @pytest.mark.parametrize("integrate, y0", [(integrate_schrodinger, [0.6, 0.8j]),

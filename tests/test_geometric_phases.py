@@ -10,6 +10,7 @@ from spinphase import (
     DegenerateField,
     DomainError,
     GridTooCoarse,
+    IntegratorConfig,
     LoopNotClosed,
     MLoop,
     PoleSingularity,
@@ -22,6 +23,7 @@ from spinphase import (
     bloch_to_spinor,
     cone_3d,
     constant,
+    exponential_midpoint_schrodinger,
     generalized_field,
     generalized_line_integral,
     integrate_bloch,
@@ -37,9 +39,16 @@ from spinphase import (
     uniform_rotation,
 )
 from spinphase import geometric_phases
+from spinphase.exact_dynamics import magnus4_schrodinger
 from spinphase.geometric_phases import _edge_pairs, _proper_crossings
 from conftest import uniform_grid_cfg
-from oracles import lhuilier_fan_area, phi2_byparts_direct
+from oracles import (
+    aa_coordinate_rows,
+    aa_solid_angle_rows,
+    fan_area_rows,
+    lhuilier_fan_area,
+    phi2_byparts_direct,
+)
 
 R2 = 1 / math.sqrt(2)
 ELLIPSE_PHI2 = -math.pi * 0.3**2 * 0.05 / 4.0  # sinusoidal loop, one period, B=1
@@ -273,10 +282,11 @@ def test_stationary_path_zero_phase():
     assert aa_geometric_phase_solid_angle(traj) == pytest.approx(0.0, abs=1e-15)
 
 
-def test_routes_agree_on_generic_closed_paths():
+def _tilted_circles():
     # precession circles about random tilted axes close after one period and
     # sit anywhere on the sphere, including the southern hemisphere
     rng = np.random.default_rng(21)
+    circles = []
     for _ in range(12):
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
@@ -287,21 +297,73 @@ def test_routes_agree_on_generic_closed_paths():
         sin_polar = np.hypot(traj_states[:, 0], traj_states[:, 1])
         if sin_polar.min() < 5e-2:
             continue
-        traj = Trajectory(
+        circles.append(Trajectory(
             times=np.linspace(0.0, 1.0, len(traj_states)), states=traj_states, kind="bloch"
-        )
+        ))
+    return circles
+
+
+def test_routes_agree_on_generic_closed_paths():
+    for traj in _tilted_circles():
         c = aa_geometric_phase_coordinate(traj)
         s = aa_geometric_phase_solid_angle(traj)
         assert abs(c - s) <= 1e-6
 
 
-def _circle_about(axis, s0, n):
-    ts = np.linspace(0.0, 2 * math.pi, n)
-    out = np.empty((n, 3))
-    for i, a in enumerate(ts):
-        c, si = math.cos(a), math.sin(a)
-        out[i] = s0 * c + np.cross(axis, s0) * si + axis * np.dot(axis, s0) * (1 - c)
-    return out
+def _circle_about(axis, s0, n, turn=2 * math.pi):
+    ts = np.linspace(0.0, turn, n)[:, None]
+    c, si = np.cos(ts), np.sin(ts)
+    return s0 * c + np.cross(axis, s0) * si + axis * np.dot(axis, s0) * (1 - c)
+
+
+def _cone_period_start():
+    cone, omega = cone_3d(1.0, 0.9, 0.05), 0.05
+    # the exact rotating-frame eigenstate: spin up along B(0) - omega z
+    chi = math.atan2(math.sin(0.9), math.cos(0.9) - omega)
+    return cone, np.array([math.cos(0.5 * chi), math.sin(0.5 * chi)], dtype=complex), (
+        0.0, 2 * math.pi / omega)
+
+
+def _reference_paths():
+    cone, psi0, period = _cone_period_start()
+    tilted = (0.0, 2 * math.pi)
+    dop853 = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, method="DOP853",
+                              dense_output_grid=np.linspace(*tilted, 1025))
+    return {
+        "midpoint_cone": exponential_midpoint_schrodinger(cone, psi0, period, 20000),
+        "cf4_cone": magnus4_schrodinger(cone, psi0, period, 2500),
+        "dop853_bloch": integrate_bloch(constant(1.0, theta0=0.9), [0.0, R2, R2], tilted, dop853),
+        **{f"tilted_circle_{k}": traj for k, traj in enumerate(_tilted_circles())},
+    }
+
+
+def test_aa_routes_match_their_row_wise_references():
+    # the component-wise routes against the (n, 3) row forms they replaced:
+    # spinor, DOP853 Bloch (renormalized) and exact unit-row paths
+    paths = _reference_paths()
+    assert len(paths) == 3 + 12
+    for name, traj in paths.items():
+        assert abs(aa_geometric_phase_coordinate(traj) - aa_coordinate_rows(traj)) <= 1e-13, name
+        assert abs(aa_geometric_phase_solid_angle(traj) - aa_solid_angle_rows(traj)) <= 1e-13, name
+
+
+def test_fan_area_closes_a_nearly_closed_path():
+    # a circle stopped 1e-5 rad short of a full turn: its endpoint gap (5e-6)
+    # passes np.allclose(atol=1e-12) through the default rtol, but the fan must
+    # still add the closing triangle, which the open fan misses by 2.4e-6
+    axis = np.array([1.0, 1.0, 0.2]) / np.linalg.norm([1.0, 1.0, 0.2])
+    s0 = np.array([0.5, 0.6, 0.62]) / np.linalg.norm([0.5, 0.6, 0.62])
+    S = _circle_about(axis, s0, 4001, turn=2 * math.pi - 1e-5)
+    assert np.linalg.norm(S[0] - S[-1]) > 1e-6
+    closed = np.vstack([S, S[0]])
+    area = geometric_phases._fan_area(*S.T)
+    assert area == pytest.approx(0.88353459, abs=1e-8)
+    assert abs(area - geometric_phases._fan_area(*closed.T)) <= 1e-14
+    assert abs(area - fan_area_rows(S)) <= 1e-14
+    p, q = S[:-1], S[1:]
+    open_fan = float(np.sum(2.0 * np.arctan2(p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0],
+                                             1.0 + p[:, 2] + q[:, 2] + np.sum(p * q, axis=1))))
+    assert abs(open_fan - area) > 2e-6
 
 
 def test_coordinate_route_pole_guard():
@@ -333,13 +395,13 @@ OCTANT = np.eye(3)  # x, y, z: the triangle bounding one eighth of the sphere
 
 @pytest.mark.parametrize("n", [3, 4, 7, 64, 1001])
 def test_fan_area_of_equatorial_polygon_is_a_hemisphere(n):
-    assert geometric_phases._fan_area(_equator(n)) == pytest.approx(2 * math.pi, abs=1e-12)
-    assert geometric_phases._fan_area(_equator(n)[::-1]) == pytest.approx(-2 * math.pi, abs=1e-12)
+    assert geometric_phases._fan_area(*_equator(n).T) == pytest.approx(2 * math.pi, abs=1e-12)
+    assert geometric_phases._fan_area(*_equator(n)[::-1].T) == pytest.approx(-2 * math.pi, abs=1e-12)
 
 
 def test_fan_area_of_the_octant_is_exact():
-    assert geometric_phases._fan_area(OCTANT) == math.pi / 2
-    assert geometric_phases._fan_area(OCTANT[::-1]) == -math.pi / 2
+    assert geometric_phases._fan_area(*OCTANT.T) == math.pi / 2
+    assert geometric_phases._fan_area(*OCTANT[::-1].T) == -math.pi / 2
 
 
 def test_fan_area_matches_lhuilier_on_random_short_arcs():
@@ -349,7 +411,7 @@ def test_fan_area_matches_lhuilier_on_random_short_arcs():
         n = int(rng.integers(3, 40))
         S = rng.normal(size=3) + rng.normal(scale=0.3, size=(n, 3))
         S /= np.linalg.norm(S, axis=1)[:, None]
-        assert abs(geometric_phases._fan_area(S) - lhuilier_fan_area(S)) <= 1e-9, S
+        assert abs(geometric_phases._fan_area(*S.T) - lhuilier_fan_area(S)) <= 1e-9, S
 
 
 def test_aa_identity_constant_tilted_field():
