@@ -40,8 +40,6 @@ KIND_PARAMS: dict[str, dict[str, float | None]] = {
 KINDS = tuple(KIND_PARAMS)
 
 DEFAULT_B_MIN = 1e-6
-# the kinds whose phi is identically zero
-_IN_PLANE_KINDS = ("uniform_rotation", "polynomial_angle", "sinusoidal_angle")
 
 
 @dataclass(frozen=True)
@@ -412,18 +410,11 @@ def _check_floor(profile: FieldProfile, t, B) -> None:
         raise DegenerateField(f"|B|={B_lo} below floor {profile.b_min} at t={t_lo}")
 
 
-def _cartesian(kind: str, B, th, ph):
-    """Cartesian components (Bx, By, Bz) of the field of magnitude B along (th, ph).
-
-    For the in-plane kinds ph is +-0.0, whose sine is itself and whose cosine
-    is 1.0, so By = B sin(th) ph and Bx = B sin(th) exactly, signed zeros included.
-    """
+def _cartesian(B, th, ph):
+    """Cartesian components (Bx, By, Bz) of the field of magnitude B along (th, ph)."""
     sin_th, cos_th = _sin_cos(th)
-    B_sin = B * sin_th
-    if kind in _IN_PLANE_KINDS:
-        return B_sin, B_sin * ph, B * cos_th
     sin_ph, cos_ph = _sin_cos(ph)
-    return B_sin * cos_ph, B_sin * sin_ph, B * cos_th
+    return B * sin_th * cos_ph, B * sin_th * sin_ph, B * cos_th
 
 
 def sample(profile: FieldProfile, t) -> FieldSample:
@@ -442,7 +433,7 @@ def sample(profile: FieldProfile, t) -> FieldSample:
     _check_floor(profile, t, B)
     return FieldSample(
         t=t,
-        B_vec=np.array(_cartesian(profile.kind, B, th, ph)).T,
+        B_vec=np.array(_cartesian(B, th, ph)).T,
         B_mag=B,
         theta=th,
         phi=ph,
@@ -463,12 +454,14 @@ def _field_vector(profile: FieldProfile, t):
     as :func:`sample`, with the same errors, and builds neither a
     :class:`FieldSample` nor its derivative fields.
     """
-    if not isinstance(t, np.ndarray):
+    if isinstance(t, np.ndarray):
+        _check_domain(profile, *_extent(t))
+    else:  # the solvers' per-stage path: no _extent call
         t = float(t)
-    _check_domain(profile, *_extent(t))
+        _check_domain(profile, t, t)
     B, _, th, _, _, ph, _, _ = _base_eval(profile, profile.epsilon * t)
     _check_floor(profile, t, B)
-    return _cartesian(profile.kind, B, th, ph)
+    return _cartesian(B, th, ph)
 
 
 def is_in_plane(profile: FieldProfile) -> bool:
@@ -479,7 +472,7 @@ def is_in_plane(profile: FieldProfile) -> bool:
     """
     if profile.kind in ("constant",):
         return profile.params["phi0"] == 0.0
-    if profile.kind in _IN_PLANE_KINDS:
+    if profile.kind in ("uniform_rotation", "polynomial_angle", "sinusoidal_angle"):
         return True
     if profile.kind == "user_tabulated":
         return not np.any(profile._tables.c[:, 2])

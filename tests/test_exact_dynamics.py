@@ -136,24 +136,6 @@ def test_field_vector_on_a_grid_is_sample_b_vec(name):
     assert np.stack(vec, axis=1).tobytes() == sample(prof, t).B_vec.tobytes()  # bitwise
 
 
-@pytest.mark.parametrize("name", ["uniform_rotation", "polynomial_angle", "sinusoidal_angle"])
-def test_in_plane_field_vector_is_the_spherical_formula(name):
-    # phi is +-0.0 for the in-plane kinds, so B sin(theta) (cos phi, sin phi) is
-    # B sin(theta) (1, phi) bit for bit, signed zeros included, at floats and on grids
-    prof = RHS_PROFILES[name]
-    t = np.linspace(-300.0, 300.0, 20003)
-    s = sample(prof, t)
-    assert np.all(s.phi == 0.0) and np.any(np.signbit(s.phi))
-    want = np.stack([s.B_mag * np.sin(s.theta) * np.cos(s.phi),
-                     s.B_mag * np.sin(s.theta) * np.sin(s.phi), s.B_mag * np.cos(s.theta)], axis=1)
-    assert np.stack(field_profiles._field_vector(prof, t), axis=1).tobytes() == want.tobytes()
-    for tk in t[::100].tolist():
-        sk = sample(prof, tk)
-        B, th, ph = sk.B_mag, sk.theta, sk.phi
-        want = [B * math.sin(th) * math.cos(ph), B * math.sin(th) * math.sin(ph), B * math.cos(th)]
-        assert np.array(field_profiles._field_vector(prof, tk)).tobytes() == np.array(want).tobytes()
-
-
 def test_mean_spin_components_match_the_stacked_form_bitwise():
     # unnormalized spinors, with signed zero parts so the signs of zero spins are pinned too
     rng = np.random.default_rng(17)

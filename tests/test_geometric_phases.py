@@ -311,9 +311,12 @@ def test_routes_agree_on_generic_closed_paths():
 
 
 def _circle_about(axis, s0, n, turn=2 * math.pi):
-    ts = np.linspace(0.0, turn, n)[:, None]
-    c, si = np.cos(ts), np.sin(ts)
-    return s0 * c + np.cross(axis, s0) * si + axis * np.dot(axis, s0) * (1 - c)
+    ts = np.linspace(0.0, turn, n)
+    out = np.empty((n, 3))
+    for i, a in enumerate(ts):
+        c, si = math.cos(a), math.sin(a)
+        out[i] = s0 * c + np.cross(axis, s0) * si + axis * np.dot(axis, s0) * (1 - c)
+    return out
 
 
 def _cone_period_start():
