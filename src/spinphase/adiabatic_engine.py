@@ -27,7 +27,6 @@ corrections.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -89,7 +88,7 @@ class SolutionConstants:
 
     def __post_init__(self):
         norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:
             raise NormalizationError(f"|alpha|^2+|beta|^2 = {norm}, expected 1")
 
     @property
@@ -136,13 +135,9 @@ def transform_chain(theta, params: AdiabaticParams) -> TransformChain:
     The truncated factors keep terms through second order in the slowness
     parameters; their unitarity/orthogonality defect is fourth order.
     """
-    _guard_perturbative(params)
+    u0, u1, u2 = (_matrices([[a, -np.conj(b)], [b, np.conj(a)]], complex)
+                  for a, b in _su2_factors(theta, params))
     d, g = params.delta, params.gamma
-    ch, sh = np.cos(0.5 * theta), np.sin(0.5 * theta)
-    u0 = _matrices([[ch, -sh], [sh, ch]], complex)
-    u1 = _matrices([[1.0 - d * d / 8.0, -0.5j * d], [-0.5j * d, 1.0 - d * d / 8.0]], complex)
-    u2 = _matrices([[1.0, 0.5 * g], [-0.5 * g, 1.0]], complex)
-
     ct, st = np.cos(theta), np.sin(theta)
     r0 = _matrices([[ct, 0.0, st], [0.0, 1.0, 0.0], [-st, 0.0, ct]])
     r1 = _matrices([[1.0, 0.0, 0.0], [0.0, 1.0 - d * d / 2.0, -d], [0.0, d, 1.0 - d * d / 2.0]])
@@ -156,39 +151,53 @@ def _matrices(rows, dtype=float) -> np.ndarray:
     return np.stack(entries, axis=-1, dtype=dtype).reshape(entries[0].shape + (len(rows), -1))
 
 
-def _chain_at(profile: FieldProfile, t: float) -> tuple[FieldSample, TransformChain]:
+def _su2_factors(theta, params: AdiabaticParams):
+    """SU(2) pairs (a, b) of U0, U1, U2, each standing for [[a, -conj(b)], [b, conj(a)]]."""
+    _guard_perturbative(params)
+    d, g = params.delta, params.gamma
+    return (np.cos(0.5 * theta), np.sin(0.5 * theta)), (1.0 - d * d / 8.0, -0.5j * d), (1.0, -0.5 * g)
+
+
+def _compose(a_hi, b_hi, a_lo, b_lo):
+    """SU(2) pair of the product hi @ lo of two [[a, -conj(b)], [b, conj(a)]] matrices."""
+    return a_hi * a_lo - np.conj(b_hi) * b_lo, b_hi * a_lo + np.conj(a_hi) * b_lo
+
+
+def _in_plane_params(profile: FieldProfile, t) -> tuple[float | np.ndarray, AdiabaticParams]:
     if not is_in_plane(profile):
         raise DomainError(
             "the diagonalization chain is defined for in-plane profiles (phi == 0)"
         )
     s = sample(profile, t)
-    return s, transform_chain(s.theta, params_from_sample(s))
+    return s.theta, params_from_sample(s)
+
+
+def _u_total(profile: FieldProfile, t):
+    """SU(2) pair (A, B) of U0 U1 U2 = [[A, -conj(B)], [B, conj(A)]] at t."""
+    u0, u1, u2 = _su2_factors(*_in_plane_params(profile, t))
+    return _compose(*_compose(*u0, *u1), *u2)
 
 
 # ---------------------------------------------------------------------------
 # Closed-form solutions
 # ---------------------------------------------------------------------------
 
-def spinor_solution(
-    constants: SolutionConstants, profile: FieldProfile, t: float, phase: float
-) -> np.ndarray:
+def spinor_solution(constants: SolutionConstants, profile: FieldProfile, t, phase) -> np.ndarray:
     """Second-order spinor solution in the lab frame.
 
     ``phase`` is the accumulated -(1/2) integral of b_eff (see
     :mod:`spinphase.geometric_phases`); the final-frame state
     (alpha e^{i phase}, beta e^{-i phase}) is transported back through the
-    chain.  Normalized up to third-order residuals.
+    chain.  Normalized up to third-order residuals.  ``t`` is a float or a
+    1-D grid of n times, with ``phase`` of the same shape; the result is (2,)
+    or (n, 2).
     """
-    _, chain = _chain_at(profile, t)
-    psi3 = np.array(
-        [constants.alpha * cmath.exp(1j * phase), constants.beta * cmath.exp(-1j * phase)]
-    )
-    return chain.u_total @ psi3
+    a, b = _u_total(profile, t)
+    up, dn = constants.alpha * np.exp(1j * phase), constants.beta * np.exp(-1j * phase)
+    return np.stack([a * up - np.conj(b) * dn, b * up + np.conj(a) * dn], axis=-1)
 
 
-def classical_solution(
-    constants: SolutionConstants, profile: FieldProfile, t: float, phase: float
-) -> np.ndarray:
+def classical_solution(constants: SolutionConstants, profile: FieldProfile, t, phase) -> np.ndarray:
     """Second-order classical spin solution in the lab frame.
 
     The final-frame spin carries azimuth -2*phase, twice the spinor phase
@@ -197,12 +206,14 @@ def classical_solution(
     the extra second-order azimuth is the classical counterpart of the
     quantum phase correction.  The (A, B) rotation sense is fixed by
     requiring S3 = <psi3|sigma|psi3> under the module's spin-map convention.
+    ``t`` is a float or a 1-D grid of n times, with ``phase`` of the same
+    shape; the result is (3,) or (n, 3).
     """
-    _, chain = _chain_at(profile, t)
-    c2, s2 = math.cos(2.0 * phase), math.sin(2.0 * phase)
+    r_total = transform_chain(*_in_plane_params(profile, t)).r_total
+    c2, s2 = np.cos(2.0 * phase), np.sin(2.0 * phase)
     A, B, C = constants.A, constants.B, constants.C
-    s3 = np.array([A * c2 + B * s2, B * c2 - A * s2, C])
-    return chain.r_total @ s3
+    s3 = np.stack([A * c2 + B * s2, B * c2 - A * s2, np.full_like(c2, C)], axis=-1)
+    return (r_total @ s3[..., None])[..., 0]
 
 
 def tracked_eigenvector(profile: FieldProfile, t) -> np.ndarray:
@@ -213,8 +224,7 @@ def tracked_eigenvector(profile: FieldProfile, t) -> np.ndarray:
     around the quasi-stationary branch.  Returned unit-normalized, with
     shape (2,) at a float time and (n, 2) on a grid of n times.
     """
-    _, chain = _chain_at(profile, t)
-    col = chain.u_total[..., 0]
+    col = np.stack(_u_total(profile, t), axis=-1)
     return col / np.linalg.norm(col, axis=-1, keepdims=True)
 
 

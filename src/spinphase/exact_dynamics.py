@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .adiabatic_engine import tracked_eigenvector
+from .adiabatic_engine import _compose, tracked_eigenvector
 from .errors import (
     BranchJump,
     ConfigError,
@@ -120,7 +120,7 @@ def as_spinor(psi) -> np.ndarray:
     """Validate and exactly renormalize a two-component state."""
     psi = np.asarray(psi, dtype=complex).reshape(2)
     norm = math.sqrt(float(np.vdot(psi, psi).real))
-    if abs(norm - 1.0) > _NORM_TOL:
+    if not abs(norm - 1.0) <= _NORM_TOL:
         raise NormalizationError(f"spinor norm {norm} deviates from 1 beyond {_NORM_TOL}")
     return psi / norm
 
@@ -129,7 +129,7 @@ def as_bloch(S) -> np.ndarray:
     """Validate and exactly renormalize a classical unit spin vector."""
     S = np.asarray(S, dtype=float).reshape(3)
     norm = float(np.linalg.norm(S))
-    if abs(norm - 1.0) > _NORM_TOL:
+    if not abs(norm - 1.0) <= _NORM_TOL:
         raise NormalizationError(f"spin norm {norm} deviates from 1 beyond {_NORM_TOL}")
     return S / norm
 
@@ -143,7 +143,7 @@ def spinor_to_bloch(psi) -> np.ndarray:
     """
     psi = np.asarray(psi, dtype=complex).reshape(2)
     nn = float(np.vdot(psi, psi).real)
-    if abs(nn - 1.0) > 1e-3:
+    if not abs(nn - 1.0) <= 1e-3:
         raise NormalizationError(f"spinor norm^2 {nn} too far from 1")
     return _mean_spin(psi)
 
@@ -479,11 +479,6 @@ def _stepped_states(pairs, n_steps: int, psi0: np.ndarray, stride: int = 1) -> n
     return states
 
 
-def _compose(a_hi, b_hi, a_lo, b_lo):
-    """SU(2) pair of the product hi @ lo of two [[a, -conj(b)], [b, conj(a)]] matrices."""
-    return a_hi * a_lo - np.conj(b_hi) * b_lo, b_hi * a_lo + np.conj(a_hi) * b_lo
-
-
 def _prefix_products(a: np.ndarray, b: np.ndarray) -> None:
     """Overwrite SU(2) pairs (a[k], b[k]) with the products of steps k, k-1, ..., 0.
 
@@ -545,16 +540,16 @@ def extract_total_phase(traj: Trajectory, reference: str = "tracked_eigenvector"
         )
     if float(np.min(mags)) < 1e-12:
         raise BranchJump("overlap passed through zero; phase undefined on this grid")
-    raw = np.angle(overlaps)
-    steps = np.diff(raw)
-    steps = (steps + np.pi) % (2.0 * np.pi) - np.pi
+    return _unwrap(np.angle(overlaps), BranchJump, "phase")
+
+
+def _unwrap(angles: np.ndarray, error: type[Exception], what: str) -> np.ndarray:
+    """Angles unwrapped from 0 at the first node; ``error`` when a wrapped step exceeds pi/2."""
+    steps = (np.diff(angles) + np.pi) % (2.0 * np.pi) - np.pi
     worst = float(np.max(np.abs(steps))) if steps.size else 0.0
     if worst > 0.5 * np.pi:
-        raise BranchJump(f"phase step {worst:.3g} rad exceeds pi/2; refine the grid")
-    phases = np.empty_like(raw)
-    phases[0] = 0.0
-    np.cumsum(steps, out=phases[1:])
-    return phases
+        raise error(f"{what} step {worst:.3g} rad exceeds pi/2; refine the grid")
+    return np.concatenate([[0.0], np.cumsum(steps)])
 
 
 def schrodinger_phase(

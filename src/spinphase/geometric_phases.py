@@ -42,7 +42,7 @@ from .errors import (
     SelfIntersection,
 )
 from .field_profiles import FieldProfile, FieldSample, sample
-from .exact_dynamics import Trajectory, _spin_components, bloch_series
+from .exact_dynamics import Trajectory, _spin_components, _unwrap, bloch_series
 
 _QUAD_OPTS = {"epsabs": 1e-12, "epsrel": 1e-12, "limit": 500}
 MIN_SIN_POLAR = 1e-3
@@ -285,10 +285,7 @@ def aa_geometric_phase_coordinate(traj: Trajectory) -> float:
     sin_polar = math.sqrt(float(np.min(x * x + y * y)))
     if sin_polar < MIN_SIN_POLAR:
         raise PoleSingularity(f"path reaches sin(theta~)={sin_polar:.3g} < {MIN_SIN_POLAR}")
-    steps = (np.diff(np.arctan2(y, x)) + np.pi) % (2.0 * np.pi) - np.pi
-    if steps.size and float(np.max(np.abs(steps))) > 0.5 * np.pi:
-        raise GridTooCoarse("azimuth step exceeds pi/2; refine the trajectory grid")
-    azimuth = np.concatenate([[0.0], np.cumsum(steps)])
+    azimuth = _unwrap(np.arctan2(y, x), GridTooCoarse, "azimuth")
     return -0.5 * _refined_stieltjes(traj.times, azimuth, 1.0 - z)
 
 

@@ -17,6 +17,7 @@ from spinphase import (
     integrate_bloch,
     integrate_schrodinger,
     is_in_plane,
+    phase_series,
     phi0,
     phi2,
     quasi_stationary,
@@ -180,6 +181,15 @@ def test_constants_map_rejects_unnormalized():
         SolutionConstants(0.5, 0.5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_constants_map_rejects_non_finite_amplitudes(bad):
+    for amplitude in (bad, complex(0.0, bad)):
+        with pytest.raises(NormalizationError):
+            SolutionConstants(amplitude, 0.0)
+        with pytest.raises(NormalizationError):
+            SolutionConstants(0.0, amplitude)
+
+
 # ---------------------------------------------------------------------------
 # Closed-form solutions
 # ---------------------------------------------------------------------------
@@ -237,6 +247,19 @@ def test_spinor_and_classical_solutions_correspond(prof, eps_eff):
             assert np.max(np.abs(s_q - s_c)) <= 5 * eps_eff**3
 
 
+CONSTANTS = SolutionConstants(math.cos(0.4), math.sin(0.4) * cmath.exp(0.7j))
+EPS_LIST = (0.16, 0.08, 0.04, 0.02)
+
+
+def _family_grid(eps):
+    """theta = 0.3 sin(eps t) and 41 nodes over its period 2 pi/eps."""
+    return sinusoidal_family(0.3, 1.0, 1.0)(eps), np.linspace(0.0, 2 * math.pi / eps, 41)
+
+
+def _slope(errs):
+    return np.polyfit(np.log(EPS_LIST), np.log(errs), 1)[0]
+
+
 def _closed_form_slopes(phase):
     """Log-log slopes over eps of the closed forms' largest deviation from CF4.
 
@@ -247,20 +270,17 @@ def _closed_form_slopes(phase):
     spin at eps = 0.16), beyond the 1e-9 that ``as_spinor`` and ``as_bloch``
     accept.
     """
-    c = SolutionConstants(math.cos(0.4), math.sin(0.4) * cmath.exp(0.7j))
-    eps_list = (0.16, 0.08, 0.04, 0.02)
     errs = ([], [])
-    for eps in eps_list:
-        prof = sinusoidal_family(0.3, 1.0, 1.0)(eps)
-        times = np.linspace(0.0, 2 * math.pi / eps, 41)
-        phases = [phase(prof, t) for t in times]
+    for eps in EPS_LIST:
+        prof, times = _family_grid(eps)
+        phases = np.array([phase(prof, t) for t in times])
         cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14, dense_output_grid=times)
         for err, solution, integrate in ((errs[0], spinor_solution, integrate_schrodinger),
                                          (errs[1], classical_solution, integrate_bloch)):
-            closed = np.array([solution(c, prof, t, ph) for t, ph in zip(times, phases)])
+            closed = solution(CONSTANTS, prof, times, phases)
             ref = integrate(prof, closed[0] / np.linalg.norm(closed[0]), (0.0, times[-1]), cfg)
             err.append(np.max(np.linalg.norm(closed - ref.states, axis=1)))
-    return [np.polyfit(np.log(eps_list), np.log(e), 1)[0] for e in errs]
+    return [_slope(e) for e in errs]
 
 
 def test_closed_forms_are_third_order_against_cf4():
@@ -271,10 +291,34 @@ def test_closed_forms_are_third_order_against_cf4():
     assert max(_closed_form_slopes(lambda prof, t: phi0(prof, (0.0, t)))) < 1.5
 
 
+def test_second_order_machineries_agree_to_third_order():
+    """The SO(3) and SU(2) chains agree to O(eps**3), as do the chain and the corrections.
+
+    classical_solution is set against the spin of the normalized
+    spinor_solution, and the spin of tracked_eigenvector against the
+    normalized quasi_stationary s_total; each pair is one grid call per eps.
+    """
+    chains, tracked = [], []
+    for eps in EPS_LIST:
+        prof, times = _family_grid(eps)
+        phi0s, phi2s = phase_series(sample(prof, times), times)
+        phases = phi0s + phi2s
+        psi = spinor_solution(CONSTANTS, prof, times, phases)
+        s_q = [spinor_to_bloch(p) for p in psi / np.linalg.norm(psi, axis=1, keepdims=True)]
+        chains.append(np.max(np.abs(classical_solution(CONSTANTS, prof, times, phases) - s_q)))
+        s_qs = quasi_stationary(prof, times).s_total
+        s_t = [spinor_to_bloch(p) for p in tracked_eigenvector(prof, times)]
+        tracked.append(np.max(np.abs(s_t - s_qs / np.linalg.norm(s_qs, axis=1, keepdims=True))))
+    # slopes 3.46 and 3.00
+    assert _slope(chains) > 2.8 and _slope(tracked) > 2.8
+
+
 def test_chain_ops_reject_out_of_plane_profiles():
     cone = cone_3d(1.0, theta_c=1.0, omega_phi=0.1)
     with pytest.raises(DomainError):
         spinor_solution(SolutionConstants(1.0, 0.0), cone, 0.0, 0.0)
+    with pytest.raises(DomainError):
+        classical_solution(SolutionConstants(1.0, 0.0), cone, 0.0, 0.0)
     with pytest.raises(DomainError):
         tracked_eigenvector(cone, 0.0)
     taus = np.linspace(0.0, 10.0, 11)

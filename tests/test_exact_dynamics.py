@@ -75,6 +75,29 @@ def test_spin_map_rejects_garbage_norm():
         spinor_to_bloch([1.0, 1.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_norm_checks_reject_non_finite_entries(bad):
+    # abs(nan - 1) > tol is False, so a check written that way would pass a NaN state
+    for slot in range(4):  # re/im of up, re/im of dn
+        psi = np.array([R2, R2], dtype=complex)
+        psi.view(float)[slot] = bad
+        for validate in (exact_dynamics.as_spinor, spinor_to_bloch):
+            with pytest.raises(NormalizationError):
+                validate(psi)
+    for slot in range(3):
+        S = np.array([0.0, 0.6, 0.8])
+        S[slot] = bad
+        with pytest.raises(NormalizationError):
+            exact_dynamics.as_bloch(S)
+
+
+@pytest.mark.parametrize("method", ["magnus4", "DOP853"])
+def test_non_finite_initial_state_raises_before_integrating(method):
+    with pytest.raises(NormalizationError):
+        integrate_schrodinger(uniform_rotation(1.0, 0.1), [math.nan, 0.0], (0.0, 10.0),
+                              IntegratorConfig(method=method))
+
+
 def test_bloch_to_spinor_round_trip():
     rng = np.random.default_rng(3)
     for _ in range(20):

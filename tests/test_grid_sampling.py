@@ -1,11 +1,13 @@
 """Grid calls against stacked scalar calls.
 
-``sample``, ``quasi_stationary``, ``tracked_eigenvector`` and
-``transform_chain`` take a float or a 1-D time grid through the same
-expressions, so a grid call must equal the scalar calls at its nodes,
-stacked, and must raise whenever one of them raises.
+``sample``, ``quasi_stationary``, ``tracked_eigenvector``,
+``transform_chain``, ``spinor_solution`` and ``classical_solution`` take a
+float or a 1-D time grid through the same expressions, so a grid call must
+equal the scalar calls at its nodes, stacked, and must raise whenever one of
+them raises.
 """
 
+import contextlib
 import operator
 
 import numpy as np
@@ -15,6 +17,8 @@ from hypothesis import given, settings, strategies as st
 from spinphase import (
     DomainError,
     PerturbativeRegimeViolation,
+    SolutionConstants,
+    classical_solution,
     cone_3d,
     constant,
     is_in_plane,
@@ -22,6 +26,7 @@ from spinphase import (
     quasi_stationary,
     sample,
     sinusoidal_angle,
+    spinor_solution,
     tracked_eigenvector,
     transform_chain,
     uniform_rotation,
@@ -33,6 +38,7 @@ SAMPLE_FIELDS = ("B_vec", "B_mag", "theta", "phi", "theta_dot", "theta_ddot",
                  "phi_dot", "phi_ddot", "B_dot")
 QS_FIELDS = ("s_total", "s0", "s1", "s2")
 CHAIN_FIELDS = ("u0", "u1", "u2", "r0", "r1", "r2", "u_total", "r_total")
+CONSTANTS = SolutionConstants(0.6, 0.8j)
 
 
 def _tabulated(B0, b_amp, theta0, rate, with_phi, epsilon):
@@ -67,8 +73,8 @@ PROFILES = {
 }
 
 
-def _assert_grid_matches_nodes(fn, ts, fields):
-    """fn(ts) equals the stacked fn(t) to 1e-15 relative, or both raise."""
+def _assert_grid_matches_nodes(fn, ts, fields, atol=0.0):
+    """fn(ts) equals the stacked fn(t) to 1e-15 relative plus ``atol``, or both raise."""
     try:
         nodes = [fn(float(t)) for t in ts]
     except PerturbativeRegimeViolation:
@@ -80,7 +86,7 @@ def _assert_grid_matches_nodes(fn, ts, fields):
         get = operator.attrgetter(name) if name else (lambda x: x)
         assert get(grid).shape == (len(ts),) + np.shape(get(nodes[0]))
         np.testing.assert_allclose(get(grid), np.stack([get(n) for n in nodes]),
-                                   rtol=1e-15, atol=0.0, err_msg=name)
+                                   rtol=1e-15, atol=atol, err_msg=name)
 
 
 @pytest.mark.parametrize("kind", sorted(PROFILES))
@@ -98,6 +104,17 @@ def test_grid_calls_equal_stacked_scalar_calls(kind, data, fractions):
     if is_in_plane(profile):
         _assert_grid_matches_nodes(lambda t: tracked_eigenvector(profile, t), ts, ("",))
         _assert_grid_matches_nodes(lambda t: _chain(profile, t), ts, CHAIN_FIELDS)
+        # the phase is any function of t; the spinor's components carry a bound relative to
+        # its unit norm, because b*up + conj(a)*dn cancels to a small component
+        _assert_grid_matches_nodes(lambda t: classical_solution(CONSTANTS, profile, t, -0.5 * t),
+                                   ts, ("",))
+        _assert_grid_matches_nodes(lambda t: spinor_solution(CONSTANTS, profile, t, -0.5 * t),
+                                   ts, ("",), atol=1e-15)
+        with contextlib.suppress(PerturbativeRegimeViolation):
+            col = _chain(profile, ts).u_total[..., 0]
+            np.testing.assert_allclose(tracked_eigenvector(profile, ts),
+                                       col / np.linalg.norm(col, axis=-1, keepdims=True),
+                                       rtol=0.0, atol=1e-15)
 
 
 def test_grid_with_one_node_outside_domain_raises():
