@@ -207,13 +207,20 @@ def classical_solution(constants: SolutionConstants, profile: FieldProfile, t, p
     quantum phase correction.  The (A, B) rotation sense is fixed by
     requiring S3 = <psi3|sigma|psi3> under the module's spin-map convention.
     ``t`` is a float or a 1-D grid of n times, with ``phase`` of the same
-    shape; the result is (3,) or (n, 3).
+    shape; the result is (3,) or (n, 3).  The chain's R2, R1 and R0 (see
+    :func:`transform_chain`) are applied to the components in turn, in closed form.
     """
-    r_total = transform_chain(*_in_plane_params(profile, t)).r_total
+    theta, params = _in_plane_params(profile, t)
+    _guard_perturbative(params)
+    d, g = params.delta, params.gamma
     c2, s2 = np.cos(2.0 * phase), np.sin(2.0 * phase)
-    A, B, C = constants.A, constants.B, constants.C
-    s3 = np.stack([A * c2 + B * s2, B * c2 - A * s2, np.full_like(c2, C)], axis=-1)
-    return (r_total @ s3[..., None])[..., 0]
+    A, B = constants.A, constants.B
+    x, y, z = A * c2 + B * s2, B * c2 - A * s2, constants.C
+    x, z = x - g * z, g * x + z  # R2: rotation by -gamma about y
+    c1 = 1.0 - d * d / 2.0
+    y, z = c1 * y - d * z, d * y + c1 * z  # R1: rotation by delta about x, to second order
+    ct, st = np.cos(theta), np.sin(theta)
+    return np.stack([ct * x + st * z, y, ct * z - st * x], axis=-1)  # R0: by theta about y
 
 
 def tracked_eigenvector(profile: FieldProfile, t) -> np.ndarray:

@@ -544,8 +544,14 @@ def extract_total_phase(traj: Trajectory, reference: str = "tracked_eigenvector"
 
 
 def _unwrap(angles: np.ndarray, error: type[Exception], what: str) -> np.ndarray:
-    """Angles unwrapped from 0 at the first node; ``error`` when a wrapped step exceeds pi/2."""
-    steps = (np.diff(angles) + np.pi) % (2.0 * np.pi) - np.pi
+    """Angles unwrapped from 0 at the first node; ``error`` when a wrapped step exceeds pi/2.
+
+    Each step d is wrapped as (d + pi) % (2 pi) - pi.  The remainder is taken only
+    where d + pi lies outside [0, 2 pi): inside, it is exactly d + pi.
+    """
+    steps = np.diff(angles) + np.pi
+    np.remainder(steps, 2.0 * np.pi, out=steps, where=(steps < 0.0) | (steps >= 2.0 * np.pi))
+    steps -= np.pi
     worst = float(np.max(np.abs(steps))) if steps.size else 0.0
     if worst > 0.5 * np.pi:
         raise error(f"{what} step {worst:.3g} rad exceeds pi/2; refine the grid")

@@ -38,6 +38,8 @@ KIND_PARAMS: dict[str, dict[str, float | None]] = {
     "user_tabulated": {"fd_step": 1e-4},
 }
 KINDS = tuple(KIND_PARAMS)
+# the kinds whose phi is identically +-0
+_ZERO_PHI_KINDS = ("uniform_rotation", "polynomial_angle", "sinusoidal_angle")
 
 DEFAULT_B_MIN = 1e-6
 
@@ -329,19 +331,27 @@ def _sin_cos(x):
 
 
 def _base_eval(profile: FieldProfile, tau):
-    """Evaluate (B, dB, theta, dtheta, ddtheta, phi, dphi, ddphi) in tau units and tau's shape.
+    """Evaluate (B, dB, theta, dtheta, ddtheta, phi, dphi, ddphi) in tau units.
 
-    At a float tau every value is a Python float.
+    At a float tau every value is a Python float.  On a grid the terms that
+    depend on tau, and the zero terms, have tau's shape; a nonzero term that
+    does not depend on tau is a float, so trig of a constant angle is taken
+    once.
     """
     p = profile.params
     kind = profile.kind
-    zero = 0.0 * tau
+    zero = 0.0 * tau  # its sign shows at tau < 0, so zero terms keep tau's shape
+    # a param that may be zero reads ``x + 0.0 or x + zero``: x + zero equals the float
+    # x + 0.0 unless x is a signed zero, whose sum with zero follows tau's sign
     if kind == "constant":
-        return p["B0"] + zero, zero, p["theta0"] + zero, zero, zero, p["phi0"] + zero, zero, zero
+        th, ph = p["theta0"], p["phi0"]
+        return (p["B0"] + 0.0, zero, th + 0.0 or th + zero, zero, zero,
+                ph + 0.0 or ph + zero, zero, zero)
     if kind == "uniform_rotation":
+        w = p["omega"]
         return (
-            p["B0"] + zero, zero,
-            p["theta_init"] + p["omega"] * tau, p["omega"] + zero, zero,
+            p["B0"] + 0.0, zero,
+            p["theta_init"] + w * tau, w + 0.0 or w + zero, zero,
             zero, zero, zero,
         )
     if kind == "polynomial_angle":
@@ -351,7 +361,7 @@ def _base_eval(profile: FieldProfile, tau):
             d2 = d2 * tau + 2.0 * d1
             d1 = d1 * tau + th
             th = th * tau + c
-        return p["B0"] + zero, zero, th, d1, d2, zero, zero, zero
+        return p["B0"] + 0.0, zero, th, d1, d2, zero, zero, zero
     if kind == "sinusoidal_angle":
         th0, Om = p["theta0"], p["Omega"]
         s, c = _sin_cos(Om * tau)
@@ -361,17 +371,18 @@ def _base_eval(profile: FieldProfile, tau):
             B = p["B0"] * (1.0 + bamp * sb)
             dB = p["B0"] * bamp * bfreq * cb
         else:
-            B, dB = p["B0"] + zero, zero
+            B, dB = p["B0"] + 0.0, zero
         return (
             B, dB,
             p["theta_offset"] + th0 * s, th0 * Om * c, -th0 * Om * Om * s,
             zero, zero, zero,
         )
     if kind == "cone_3d":
+        th, w = p["theta_c"], p["omega_phi"]
         return (
-            p["B0"] + zero, zero,
-            p["theta_c"] + zero, zero, zero,
-            p["phi_init"] + p["omega_phi"] * tau, p["omega_phi"] + zero, zero,
+            p["B0"] + 0.0, zero,
+            th + 0.0 or th + zero, zero, zero,
+            p["phi_init"] + w * tau, w + 0.0 or w + zero, zero,
         )
     if kind == "user_tabulated":
         h = p["fd_step"]
@@ -417,6 +428,24 @@ def _cartesian(B, th, ph):
     return B * sin_th * cos_ph, B * sin_th * sin_ph, B * cos_th
 
 
+def _grid_cartesian(profile: FieldProfile, shape, B, th, ph) -> list[np.ndarray]:
+    """``_cartesian`` on a time grid of ``shape``, as three contiguous arrays.
+
+    A constant B or theta comes as a float: its trig is taken once, by numpy as
+    on an array, and a constant component is filled.  The in-plane kinds keep
+    phi at +-0, where sin(phi) = phi and cos(phi) = 1 exactly, so their phi
+    takes no trig.
+    """
+    sin_th, cos_th = np.sin(th), np.cos(th)
+    sin_ph, cos_ph = (ph, 1.0) if profile.kind in _ZERO_PHI_KINDS else (np.sin(ph), np.cos(ph))
+    return _filled(shape, (B * sin_th * cos_ph, B * sin_th * sin_ph, B * cos_th))
+
+
+def _filled(shape, values) -> list[np.ndarray]:
+    """``values`` with each one that is not an array filled to an array of ``shape``."""
+    return [v if isinstance(v, np.ndarray) else np.full(shape, v) for v in values]
+
+
 def sample(profile: FieldProfile, t) -> FieldSample:
     """Evaluate the field and its derivatives at lab time t, a float or a 1-D grid.
 
@@ -429,11 +458,17 @@ def sample(profile: FieldProfile, t) -> FieldSample:
     """
     _check_domain(profile, *_extent(t))
     eps = profile.epsilon
-    B, dB, th, dth, ddth, ph, dph, ddph = _base_eval(profile, eps * t)
+    values = _base_eval(profile, eps * t)
+    B, dB, th, dth, ddth, ph, dph, ddph = values
     _check_floor(profile, t, B)
+    if isinstance(t, np.ndarray):
+        B_vec = _grid_cartesian(profile, t.shape, B, th, ph)
+        B, dB, th, dth, ddth, ph, dph, ddph = _filled(t.shape, values)
+    else:
+        B_vec = _cartesian(B, th, ph)
     return FieldSample(
         t=t,
-        B_vec=np.array(_cartesian(B, th, ph)).T,
+        B_vec=np.array(B_vec).T,
         B_mag=B,
         theta=th,
         phi=ph,
@@ -449,16 +484,18 @@ def _field_vector(profile: FieldProfile, t):
     """Components (Bx, By, Bz) of ``sample(profile, t).B_vec``, bit for bit.
 
     At one time t they are three Python floats, on a 1-D array of times three
-    (n,) arrays.  The solvers' right-hand sides call this once per stage and
-    the fixed-step steppers once per block of steps: it makes the same checks
-    as :func:`sample`, with the same errors, and builds neither a
+    contiguous (n,) arrays.  The solvers' right-hand sides call this once per
+    stage and the fixed-step steppers once per block of steps: it makes the
+    same checks as :func:`sample`, with the same errors, and builds neither a
     :class:`FieldSample` nor its derivative fields.
     """
     if isinstance(t, np.ndarray):
         _check_domain(profile, *_extent(t))
-    else:  # the solvers' per-stage path: no _extent call
-        t = float(t)
-        _check_domain(profile, t, t)
+        B, _, th, _, _, ph, _, _ = _base_eval(profile, profile.epsilon * t)
+        _check_floor(profile, t, B)
+        return _grid_cartesian(profile, t.shape, B, th, ph)
+    t = float(t)  # the solvers' per-stage path: no _extent call
+    _check_domain(profile, t, t)
     B, _, th, _, _, ph, _, _ = _base_eval(profile, profile.epsilon * t)
     _check_floor(profile, t, B)
     return _cartesian(B, th, ph)
@@ -472,7 +509,7 @@ def is_in_plane(profile: FieldProfile) -> bool:
     """
     if profile.kind in ("constant",):
         return profile.params["phi0"] == 0.0
-    if profile.kind in ("uniform_rotation", "polynomial_angle", "sinusoidal_angle"):
+    if profile.kind in _ZERO_PHI_KINDS:
         return True
     if profile.kind == "user_tabulated":
         return not np.any(profile._tables.c[:, 2])

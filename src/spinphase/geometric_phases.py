@@ -478,13 +478,17 @@ def _check_simple(pts: np.ndarray) -> None:
     starts edge k, whose box overlaps the box of any edge the node lies in, and
     every such edge but k+1 (which holds a neighbour on its line, so it never
     counts) is non-adjacent to edge k; two passes through one node start two
-    non-adjacent edges there, whose boxes share it.
+    non-adjacent edges there, whose boxes share it.  A sweep block whose box filter
+    leaves no candidate pair costs nothing beyond the filter: on a smooth loop that is
+    every block.
     """
-    p = pts[np.any(pts != np.roll(pts, -1, axis=0), axis=1)]
+    p = pts[np.any(pts != np.concatenate((pts[1:], pts[:1])), axis=1)]
     if len(p) < 4:  # fewer distinct nodes have no non-adjacent edges
         return
-    a, b, prev = p, np.roll(p, -1, axis=0), np.roll(p, 1, axis=0)
+    a, b, prev = p, np.concatenate((p[1:], p[:1])), np.concatenate((p[-1:], p[:-1]))
     for i, j in _edge_pairs(a, b):
+        if not len(i):
+            continue
         if np.any(_proper_crossings(a, b, i, j)):
             raise SelfIntersection("loop edges cross; oriented area is undefined")
         if np.any(_nodes_inside_edges(a, b, prev, i, j)

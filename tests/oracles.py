@@ -175,3 +175,72 @@ def aa_solid_angle_rows(traj: Trajectory) -> float:
     S = _unit_spin_rows(traj)
     vals = [fan_area_rows(S[::s]) for s in _decimations(len(S))]
     return -0.5 * _romberg_limit(vals, tol=1e-12)
+
+
+def _sin_cos(x):
+    if isinstance(x, float):
+        return math.sin(x), math.cos(x)
+    return np.sin(x), np.cos(x)
+
+
+def base_eval_broadcast(profile: FieldProfile, tau):
+    """(B, dB, theta, dtheta, ddtheta, phi, dphi, ddphi) in tau units, every term at tau's shape.
+
+    Reference form of the library's evaluation, which returns a nonzero constant
+    term as a float: here each one is broadcast as ``p + 0.0*tau``, so trig of a
+    constant angle runs on every node.  Must match the library bit for bit.
+    """
+    p = profile.params
+    kind = profile.kind
+    zero = 0.0 * tau
+    if kind == "constant":
+        return p["B0"] + zero, zero, p["theta0"] + zero, zero, zero, p["phi0"] + zero, zero, zero
+    if kind == "uniform_rotation":
+        return (p["B0"] + zero, zero, p["theta_init"] + p["omega"] * tau, p["omega"] + zero,
+                zero, zero, zero, zero)
+    if kind == "polynomial_angle":
+        th = d1 = d2 = 0.0
+        for c in reversed(list(p.values())[1:]):
+            d2 = d2 * tau + 2.0 * d1
+            d1 = d1 * tau + th
+            th = th * tau + c
+        return p["B0"] + zero, zero, th, d1, d2, zero, zero, zero
+    if kind == "sinusoidal_angle":
+        th0, Om = p["theta0"], p["Omega"]
+        s, c = _sin_cos(Om * tau)
+        bamp, bfreq = p["b_amp"], p["b_freq"]
+        if bamp != 0.0:
+            sb, cb = _sin_cos(bfreq * tau)
+            B, dB = p["B0"] * (1.0 + bamp * sb), p["B0"] * bamp * bfreq * cb
+        else:
+            B, dB = p["B0"] + zero, zero
+        return (B, dB, p["theta_offset"] + th0 * s, th0 * Om * c, -th0 * Om * Om * s,
+                zero, zero, zero)
+    if kind == "cone_3d":
+        return (p["B0"] + zero, zero, p["theta_c"] + zero, zero, zero,
+                p["phi_init"] + p["omega_phi"] * tau, p["omega_phi"] + zero, zero)
+    h = p["fd_step"]  # user_tabulated
+    values = profile._tables(np.add.outer((-h, 0.0, h), tau))
+    if isinstance(tau, float):
+        values = values.tolist()
+    (Bm, B, Bp), (thm, th, thp), (phm, ph, php) = values
+    return (B, (Bp - Bm) / (2.0 * h), th, (thp - thm) / (2.0 * h),
+            (thp - 2.0 * th + thm) / (h * h), ph, (php - phm) / (2.0 * h),
+            (php - 2.0 * ph + phm) / (h * h))
+
+
+def cartesian_broadcast(B, th, ph):
+    """(Bx, By, Bz) of the field of magnitude B along (th, ph), trig of both angles taken."""
+    sin_th, cos_th = _sin_cos(th)
+    sin_ph, cos_ph = _sin_cos(ph)
+    return B * sin_th * cos_ph, B * sin_th * sin_ph, B * cos_th
+
+
+def sample_broadcast(profile: FieldProfile, t) -> FieldSample:
+    """``sample`` at a float t or on a 1-D grid of times within the domain, from the
+    broadcast forms above."""
+    eps = profile.epsilon
+    B, dB, th, dth, ddth, ph, dph, ddph = base_eval_broadcast(profile, eps * t)
+    return FieldSample(t=t, B_vec=np.array(cartesian_broadcast(B, th, ph)).T, B_mag=B,
+                       theta=th, phi=ph, theta_dot=eps * dth, theta_ddot=eps * eps * ddth,
+                       phi_dot=eps * dph, phi_ddot=eps * eps * ddph, B_dot=eps * dB)

@@ -20,9 +20,11 @@ from spinphase import (
     ConfigError,
     DegenerateField,
     DomainError,
+    GridTooCoarse,
     IntegratorConfig,
     NormalizationError,
     OverlapLoss,
+    SpinPhaseError,
     Trajectory,
     bloch_series,
     bloch_to_spinor,
@@ -640,6 +642,48 @@ def test_branch_jump_on_coarse_grid_and_auto_refine():
     # the combined runner refines the grid and succeeds
     _, phases = schrodinger_phase(prof, [1.0, 0.0], t_span, cfg)
     assert phases[-1] == pytest.approx(-5.0, abs=1e-8)
+
+
+def _unwrap_remainder_form(angles, error, what):
+    """``_unwrap`` with the remainder (d + pi) % (2 pi) - pi taken on every step d."""
+    steps = (np.diff(angles) + np.pi) % (2.0 * np.pi) - np.pi
+    worst = float(np.max(np.abs(steps))) if steps.size else 0.0
+    if worst > 0.5 * np.pi:
+        raise error(f"{what} step {worst:.3g} rad exceeds pi/2; refine the grid")
+    return np.concatenate([[0.0], np.cumsum(steps)])
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args).tobytes()
+    except SpinPhaseError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("error, what", [(BranchJump, "phase"), (GridTooCoarse, "azimuth")])
+def test_unwrap_matches_the_remainder_form_bitwise(error, what):
+    # the remainder is skipped where d + pi already lies in [0, 2 pi); the wrapped
+    # steps, the unwrapped series and the guard's error must not change
+    pi = math.pi
+    edges = [pi, -pi, np.nextafter(pi, 4.0), np.nextafter(-pi, -4.0),
+             np.nextafter(pi, 0.0), np.nextafter(-pi, 0.0), 0.5 * pi, -0.5 * pi,
+             np.nextafter(0.5 * pi, 4.0), np.nextafter(-0.5 * pi, -4.0)]
+    multiples = [2.0 * pi * k + e for k in (-3, -2, -1, 1, 2, 3)
+                 for e in (0.0, 1e-12, -1e-12, 0.4, -0.4, 0.5 * pi, -0.5 * pi)]
+    rng = np.random.default_rng(5)
+    inside = rng.uniform(-0.5 * pi, 0.5 * pi, 300)
+    series = [np.cumsum(np.concatenate([[0.3], inside])),
+              np.cumsum(np.concatenate([[0.3], inside, multiples])),
+              np.array([0.0]), np.array([1.0, 1.0 + 2.0 * pi])]
+    series += [np.cumsum(np.concatenate([[0.3], inside[:20], [d], inside[20:40]]))
+               for d in edges + multiples]
+    series += [np.array([0.0, d]) for d in edges + multiples]
+    raised = 0
+    for angles in series:
+        want = _outcome(_unwrap_remainder_form, angles, error, what)
+        assert _outcome(exact_dynamics._unwrap, angles, error, what) == want, angles
+        raised += isinstance(want, tuple)
+    assert 10 <= raised <= len(series) - 10  # both outcomes well represented
 
 
 def test_schrodinger_phase_validates_its_grid_once_across_refinements(monkeypatch):

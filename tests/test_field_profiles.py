@@ -21,7 +21,9 @@ from spinphase import (
     uniform_rotation,
     user_tabulated,
 )
-from spinphase.field_profiles import KIND_PARAMS
+from spinphase.field_profiles import KIND_PARAMS, _field_vector
+
+from oracles import cartesian_broadcast, sample_broadcast
 
 
 def test_constant_field_is_static():
@@ -408,3 +410,48 @@ def test_bad_tabulated_settings_raise_config_error(kw):
     taus = np.linspace(0.0, 5.0, 11)
     with pytest.raises(ConfigError):
         user_tabulated(taus, np.ones_like(taus), 0.1 * taus, **kw)
+
+
+_TAUS = np.linspace(-301.0, 301.0, 603)
+# every kind, with integer B0s and signed-zero params, whose sum with the zero term
+# follows the sign of tau
+BITWISE_PROFILES = {
+    "constant": constant(1.3, 0.4, 0.7),
+    "constant_int_signed_zeros": constant(2, -0.0, -0.0, epsilon=1.5),
+    "uniform_rotation_int": uniform_rotation(1, 0.1),
+    "uniform_rotation_still": uniform_rotation(1.2, -0.0, 0.3, epsilon=0.5),
+    "polynomial_angle": polynomial_angle(1, [0.0, 0.1, -0.002]),
+    "polynomial_angle_constant": polynomial_angle(2.0, [0.3]),
+    "sinusoidal_angle": sinusoidal_angle(1.0, 0.3, 0.05),
+    "sinusoidal_angle_modulated": sinusoidal_angle(1.5, 0.3, 0.05, 0.1, 0.2, 0.07, epsilon=0.5),
+    "cone_3d": cone_3d(1.0, 0.8, 0.05),
+    "cone_3d_int_signed_zeros": cone_3d(3, -0.0, -0.0, 0.2),
+    "cone_3d_zero_int_theta": cone_3d(1, 0, 0.1, epsilon=2.0),
+    "user_tabulated": user_tabulated(_TAUS, 1.0 + 0.2 * np.sin(0.3 * _TAUS),
+                                     0.8 + 0.5 * np.sin(0.2 * _TAUS), 0.4 * _TAUS - 1.0),
+}
+BITWISE_TIMES = [np.concatenate([np.linspace(-300.0, 300.0, 4001), [-3.5, -0.0, 0.0, 2.5]]),
+                 np.array([-0.0]), -300.0, -3.5, -0.0, 0.0, 2.5, 300.0]
+
+
+@pytest.mark.parametrize("name", sorted(BITWISE_PROFILES))
+def test_sample_and_field_vector_match_the_broadcast_forms_bitwise(name):
+    # constant terms come back as floats and fill the grid; the values, their signed
+    # zeros and their types stay those of the form that broadcasts every term
+    prof = BITWISE_PROFILES[name]
+    fields = ("B_vec", "B_mag", "theta", "phi", "theta_dot", "theta_ddot", "phi_dot",
+              "phi_ddot", "B_dot")
+    for t in BITWISE_TIMES:
+        got, want = sample(prof, t), sample_broadcast(prof, t)
+        for f in fields:
+            g, w = getattr(got, f), getattr(want, f)
+            assert type(g) is type(w) and np.shape(g) == np.shape(w), (f, t)
+            assert np.asarray(g).tobytes() == np.asarray(w).tobytes(), (f, t)
+        vec = _field_vector(prof, t)
+        if isinstance(t, float):
+            assert [type(v) for v in vec] == [float] * 3
+            assert np.array(vec).tobytes() == np.array(cartesian_broadcast(
+                want.B_mag, want.theta, want.phi)).tobytes()
+        else:
+            assert all(v.shape == t.shape and v.flags.c_contiguous for v in vec)
+            assert np.stack(vec, axis=1).tobytes() == want.B_vec.tobytes()

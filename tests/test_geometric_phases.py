@@ -570,6 +570,27 @@ def test_crossing_sweep_matches_pair_loop(monkeypatch):
         assert _has_proper_crossing(pts) == want, pts
 
 
+def test_crossing_in_a_late_sweep_block_is_found(monkeypatch):
+    # a long strip whose one crossing sits at its right end, where the sweep (by box
+    # x-minimum) comes last; blocks of two pairs leave the blocks before it empty
+    bottom = [(float(x), 0.0) for x in range(9)]
+    top = [(float(x), 2.0) for x in range(8, -1, -1)]
+    crossed = np.array(bottom + [(10.0, 1.0), (10.0, 0.0), (8.0, 1.0)] + top)
+    simple = np.array(bottom + [(10.0, 0.0), (10.0, 1.0), (8.0, 1.0)] + top)
+    default = geometric_phases._SWEEP_BLOCK
+    monkeypatch.setattr(geometric_phases, "_SWEEP_BLOCK", 2)
+    a, b = crossed, np.roll(crossed, -1, axis=0)
+    blocks = [np.any(_proper_crossings(a, b, i, j)) if len(i) else None
+              for i, j in _edge_pairs(a, b)]
+    assert blocks[:10] == [None] * 10 and blocks.count(True) == 1
+    for block in (2, 7, default):
+        monkeypatch.setattr(geometric_phases, "_SWEEP_BLOCK", block)
+        for shift in (0, 5, 13):
+            for pts, want in ((crossed, False), (simple, True)):
+                q = np.roll(pts, shift, axis=0)
+                assert _is_simple(q) == want and _is_simple(q[::-1]) == want, (block, shift)
+
+
 def test_stokes_801_node_ellipse_takes_at_most_10_ms():
     loop = ellipse_loop()
     best = math.inf

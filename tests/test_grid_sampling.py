@@ -111,9 +111,17 @@ def test_grid_calls_equal_stacked_scalar_calls(kind, data, fractions):
         _assert_grid_matches_nodes(lambda t: spinor_solution(CONSTANTS, profile, t, -0.5 * t),
                                    ts, ("",), atol=1e-15)
         with contextlib.suppress(PerturbativeRegimeViolation):
-            col = _chain(profile, ts).u_total[..., 0]
+            chain = _chain(profile, ts)
+            col = chain.u_total[..., 0]
             np.testing.assert_allclose(tracked_eigenvector(profile, ts),
                                        col / np.linalg.norm(col, axis=-1, keepdims=True),
+                                       rtol=0.0, atol=1e-15)
+            # the closed-form rotations against the chain's r_total on the final-frame spin
+            c2, s2 = np.cos(-ts), np.sin(-ts)
+            A, B, C = CONSTANTS.A, CONSTANTS.B, CONSTANTS.C
+            s3 = np.stack([A * c2 + B * s2, B * c2 - A * s2, np.full_like(c2, C)], axis=-1)
+            np.testing.assert_allclose(classical_solution(CONSTANTS, profile, ts, -0.5 * ts),
+                                       (chain.r_total @ s3[..., None])[..., 0],
                                        rtol=0.0, atol=1e-15)
 
 
