@@ -11,12 +11,10 @@ from .adiabatic_engine import (
     AdiabaticParams,
     QuasiStationary,
     SolutionConstants,
-    TransformChain,
     classical_solution,
     quasi_stationary,
     spinor_solution,
     tracked_eigenvector,
-    transform_chain,
 )
 from .errors import (
     ArcTooLong,
@@ -48,18 +46,15 @@ from .exact_dynamics import (
     magnus4_schrodinger,
     schrodinger_phase,
     spinor_to_bloch,
-    trajectory_to_csv,
 )
 from .field_profiles import (
     FieldProfile,
     FieldSample,
     cone_3d,
     constant,
-    derivative_selftest,
     is_in_plane,
     polynomial_angle,
     profile_from_dict,
-    profile_from_json,
     profile_to_dict,
     sample,
     sinusoidal_angle,
@@ -73,7 +68,6 @@ from .geometric_phases import (
     aa_geometric_phase_coordinate,
     aa_geometric_phase_solid_angle,
     berry_phi1,
-    generalized_field,
     generalized_line_integral,
     loop_from_profile,
     phase_decomposition,

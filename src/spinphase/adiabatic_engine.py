@@ -48,32 +48,6 @@ class AdiabaticParams:
 
 
 @dataclass(frozen=True)
-class TransformChain:
-    """The three-step frame chain in both representations.
-
-    Each factor is a matrix on the last two axes: (2, 2) or (3, 3) at one
-    instant, (n, 2, 2) or (n, 3, 3) on a time grid.  u0/r0 are exactly
-    unitary/orthogonal; u1, u2, r1, r2 are truncated at
-    second order and unitary/orthogonal only up to third-order residuals.
-    """
-
-    u0: np.ndarray
-    u1: np.ndarray
-    u2: np.ndarray
-    r0: np.ndarray
-    r1: np.ndarray
-    r2: np.ndarray
-
-    @property
-    def u_total(self) -> np.ndarray:
-        return self.u0 @ self.u1 @ self.u2
-
-    @property
-    def r_total(self) -> np.ndarray:
-        return self.r0 @ self.r1 @ self.r2
-
-
-@dataclass(frozen=True)
 class SolutionConstants:
     """Initial-condition constants: spinor amplitudes and their spin-vector image.
 
@@ -117,7 +91,7 @@ def params_from_sample(s: FieldSample) -> AdiabaticParams:
 
 def _guard_perturbative(params: AdiabaticParams):
     delta, gamma = np.max(np.abs(params.delta)), np.max(np.abs(params.gamma))
-    if delta >= PERTURBATIVE_LIMIT or gamma >= PERTURBATIVE_LIMIT:
+    if not (delta < PERTURBATIVE_LIMIT and gamma < PERTURBATIVE_LIMIT):
         raise PerturbativeRegimeViolation(
             f"|delta|={delta}, |gamma|={gamma} exceed the "
             f"|.| < {PERTURBATIVE_LIMIT} perturbative guard"
@@ -127,29 +101,6 @@ def _guard_perturbative(params: AdiabaticParams):
 # ---------------------------------------------------------------------------
 # Transform chains
 # ---------------------------------------------------------------------------
-
-def transform_chain(theta, params: AdiabaticParams) -> TransformChain:
-    """Build the three frame-change factors in both representations.
-
-    ``theta`` and ``params`` are given at one instant or on a time grid.
-    The truncated factors keep terms through second order in the slowness
-    parameters; their unitarity/orthogonality defect is fourth order.
-    """
-    u0, u1, u2 = (_matrices([[a, -np.conj(b)], [b, np.conj(a)]], complex)
-                  for a, b in _su2_factors(theta, params))
-    d, g = params.delta, params.gamma
-    ct, st = np.cos(theta), np.sin(theta)
-    r0 = _matrices([[ct, 0.0, st], [0.0, 1.0, 0.0], [-st, 0.0, ct]])
-    r1 = _matrices([[1.0, 0.0, 0.0], [0.0, 1.0 - d * d / 2.0, -d], [0.0, d, 1.0 - d * d / 2.0]])
-    r2 = _matrices([[1.0, 0.0, -g], [0.0, 1.0, 0.0], [g, 0.0, 1.0]])
-    return TransformChain(u0=u0, u1=u1, u2=u2, r0=r0, r1=r1, r2=r2)
-
-
-def _matrices(rows, dtype=float) -> np.ndarray:
-    """Matrices on the last two axes from entries that are floats or arrays on one grid."""
-    entries = np.broadcast_arrays(*(entry for row in rows for entry in row))
-    return np.stack(entries, axis=-1, dtype=dtype).reshape(entries[0].shape + (len(rows), -1))
-
 
 def _su2_factors(theta, params: AdiabaticParams):
     """SU(2) pairs (a, b) of U0, U1, U2, each standing for [[a, -conj(b)], [b, conj(a)]]."""
@@ -169,7 +120,8 @@ def _in_plane_params(profile: FieldProfile, t) -> tuple[float | np.ndarray, Adia
             "the diagonalization chain is defined for in-plane profiles (phi == 0)"
         )
     s = sample(profile, t)
-    return s.theta, params_from_sample(s)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the perturbative guard
+        return s.theta, params_from_sample(s)
 
 
 def _u_total(profile: FieldProfile, t):
@@ -207,8 +159,9 @@ def classical_solution(constants: SolutionConstants, profile: FieldProfile, t, p
     quantum phase correction.  The (A, B) rotation sense is fixed by
     requiring S3 = <psi3|sigma|psi3> under the module's spin-map convention.
     ``t`` is a float or a 1-D grid of n times, with ``phase`` of the same
-    shape; the result is (3,) or (n, 3).  The chain's R2, R1 and R0 (see
-    :func:`transform_chain`) are applied to the components in turn, in closed form.
+    shape; the result is (3,) or (n, 3).  The chain's SO(3) factors R2, R1
+    and R0 (see the module docstring) are applied to the components in turn,
+    in closed form.
     """
     theta, params = _in_plane_params(profile, t)
     _guard_perturbative(params)
@@ -282,19 +235,20 @@ def quasi_stationary(profile: FieldProfile, t) -> QuasiStationary:
     pd, pdd = s.phi_dot, s.phi_ddot
 
     s0 = e_r
-    ds0 = td * e_th + pd * st * e_ph
-    s1 = np.cross(ds0, s0, axis=0) / B
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the guard
+        ds0 = td * e_th + pd * st * e_ph
+        s1 = np.cross(ds0, s0, axis=0) / B
+        s1_sq = np.sum(s1 * s1, axis=0)
+    if not np.max(s1_sq) < PERTURBATIVE_LIMIT**2:
+        raise PerturbativeRegimeViolation(
+            f"|s1|={math.sqrt(np.max(s1_sq))} exceeds the perturbative guard {PERTURBATIVE_LIMIT}"
+        )
     dds0 = (
         -(td * td + pd * pd * st * st) * e_r
         + (tdd - pd * pd * st * ct) * e_th
         + (pdd * st + 2.0 * td * pd * ct) * e_ph
     )
     ds1 = np.cross(dds0, s0, axis=0) / B - (s.B_dot / B) * s1
-    s1_sq = np.sum(s1 * s1, axis=0)
-    if np.max(s1_sq) >= PERTURBATIVE_LIMIT**2:
-        raise PerturbativeRegimeViolation(
-            f"|s1|={math.sqrt(np.max(s1_sq))} exceeds the perturbative guard {PERTURBATIVE_LIMIT}"
-        )
     s2 = np.cross(ds1, s0, axis=0) / B - 0.5 * s1_sq * s0
     return QuasiStationary(s_total=(s0 + s1 + s2).T, s0=s0.T, s1=s1.T, s2=s2.T)
 

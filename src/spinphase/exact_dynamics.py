@@ -588,15 +588,6 @@ def schrodinger_phase(
 # Export
 # ---------------------------------------------------------------------------
 
-def trajectory_to_csv(traj: Trajectory) -> str:
-    """Render a trajectory as CSV text with 17-significant-digit floats."""
-    if traj.kind == "spinor":
-        up, dn = traj.states[:, 0], traj.states[:, 1]
-        return _csv("t,re_up,im_up,re_dn,im_dn",
-                    np.column_stack([traj.times, up.real, up.imag, dn.real, dn.imag]))
-    return _csv("t,Sx,Sy,Sz", np.column_stack([traj.times, traj.states]))
-
-
 # _csv renders this many cells at a time, so its scratch arrays stay near a megabyte
 _CSV_BLOCK_CELLS = 1 << 12
 # 10**q for q = 0..20, each exact as a double, and its Veltkamp halves

@@ -16,7 +16,6 @@ profiles fall back to finite differences, with the step declared up front.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
@@ -37,7 +36,6 @@ KIND_PARAMS: dict[str, dict[str, float | None]] = {
     "cone_3d": {"B0": None, "theta_c": None, "omega_phi": None, "phi_init": 0.0},
     "user_tabulated": {"fd_step": 1e-4},
 }
-KINDS = tuple(KIND_PARAMS)
 # the kinds whose phi is identically +-0
 _ZERO_PHI_KINDS = ("uniform_rotation", "polynomial_angle", "sinusoidal_angle")
 
@@ -324,9 +322,12 @@ def _finite(name: str, value) -> float:
 # ---------------------------------------------------------------------------
 
 def _sin_cos(x):
-    """(sin x, cos x): Python floats by ``math`` at a float, numpy's on an array."""
+    """(sin x, cos x): by ``math`` at a float (NaN at inf, as numpy's), numpy's on an array."""
     if isinstance(x, float):
-        return math.sin(x), math.cos(x)
+        try:
+            return math.sin(x), math.cos(x)
+        except ValueError:
+            return math.nan, math.nan
     return np.sin(x), np.cos(x)
 
 
@@ -413,11 +414,17 @@ def _check_domain(profile: FieldProfile, t_min, t_max) -> None:
         raise DomainError(f"t={bad} outside profile domain [{lo}, {hi}]")
 
 
-def _check_floor(profile: FieldProfile, t, B) -> None:
-    """DegenerateField if the magnitude B at the times t falls below the profile's b_min."""
-    B_lo = _extent(B)[0]
-    if B_lo < profile.b_min:
-        t_lo = np.ravel(t)[np.argmin(B)]
+def _check_field(profile: FieldProfile, t, values) -> None:
+    """DomainError unless each value, a float or an array on the times t, is finite (an
+    infinite t, or epsilon or a param times the slow time that overflows, is not); then
+    DegenerateField if the first, the magnitude, falls below the profile's b_min."""
+    for x in values:
+        if not (isinstance(x, float) and math.isfinite(x) or np.isfinite(x).all()):
+            i = np.argmin(np.isfinite(x))
+            raise DomainError(f"field value {np.ravel(x)[i]} at t={np.ravel(t)[i]} is not finite")
+    B_lo = _extent(values[0])[0]
+    if not B_lo >= profile.b_min:
+        t_lo = np.ravel(t)[np.argmin(values[0])]
         raise DegenerateField(f"|B|={B_lo} below floor {profile.b_min} at t={t_lo}")
 
 
@@ -452,32 +459,24 @@ def sample(profile: FieldProfile, t) -> FieldSample:
     Raises
     ------
     DomainError
-        If any time lies outside the profile's declared domain.
+        If any time lies outside the profile's declared domain, or any value
+        returned is not finite.
     DegenerateField
         If the magnitude falls below the profile's b_min floor anywhere.
     """
     _check_domain(profile, *_extent(t))
     eps = profile.epsilon
-    values = _base_eval(profile, eps * t)
-    B, dB, th, dth, ddth, ph, dph, ddph = values
-    _check_floor(profile, t, B)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
+        B, dB, th, dth, ddth, ph, dph, ddph = _base_eval(profile, eps * t)
+        # in FieldSample's order: theta_dot, theta_ddot, phi_dot, phi_ddot, B_dot
+        rates = eps * dth, eps * eps * ddth, eps * dph, eps * eps * ddph, eps * dB
+    _check_field(profile, t, (B, th, ph, *rates))
     if isinstance(t, np.ndarray):
         B_vec = _grid_cartesian(profile, t.shape, B, th, ph)
-        B, dB, th, dth, ddth, ph, dph, ddph = _filled(t.shape, values)
+        B, th, ph, *rates = _filled(t.shape, (B, th, ph, *rates))
     else:
         B_vec = _cartesian(B, th, ph)
-    return FieldSample(
-        t=t,
-        B_vec=np.array(B_vec).T,
-        B_mag=B,
-        theta=th,
-        phi=ph,
-        theta_dot=eps * dth,
-        theta_ddot=eps * eps * ddth,
-        phi_dot=eps * dph,
-        phi_ddot=eps * eps * ddph,
-        B_dot=eps * dB,
-    )
+    return FieldSample(t, np.array(B_vec).T, B, th, ph, *rates)
 
 
 def _field_vector(profile: FieldProfile, t):
@@ -486,18 +485,20 @@ def _field_vector(profile: FieldProfile, t):
     At one time t they are three Python floats, on a 1-D array of times three
     contiguous (n,) arrays.  The solvers' right-hand sides call this once per
     stage and the fixed-step steppers once per block of steps: it makes the
-    same checks as :func:`sample`, with the same errors, and builds neither a
-    :class:`FieldSample` nor its derivative fields.
+    same checks as :func:`sample` on B and the angles, with the same errors,
+    and builds neither a :class:`FieldSample` nor its derivative fields.
     """
     if isinstance(t, np.ndarray):
         _check_domain(profile, *_extent(t))
-        B, _, th, _, _, ph, _, _ = _base_eval(profile, profile.epsilon * t)
-        _check_floor(profile, t, B)
+        with np.errstate(over="ignore", invalid="ignore"):
+            B, _, th, _, _, ph, _, _ = _base_eval(profile, profile.epsilon * t)
+        _check_field(profile, t, (B, th, ph))
         return _grid_cartesian(profile, t.shape, B, th, ph)
     t = float(t)  # the solvers' per-stage path: no _extent call
     _check_domain(profile, t, t)
     B, _, th, _, _, ph, _, _ = _base_eval(profile, profile.epsilon * t)
-    _check_floor(profile, t, B)
+    if not (B >= profile.b_min and math.isfinite(B) and math.isfinite(th) and math.isfinite(ph)):
+        _check_field(profile, t, (B, th, ph))  # raises, naming the value that failed
     return _cartesian(B, th, ph)
 
 
@@ -514,33 +515,6 @@ def is_in_plane(profile: FieldProfile) -> bool:
     if profile.kind == "user_tabulated":
         return not np.any(profile._tables.c[:, 2])
     return False
-
-
-def derivative_selftest(
-    profile: FieldProfile, t_grid: Sequence[float], h: float
-) -> float:
-    """Max relative mismatch between analytic derivatives and central differences.
-
-    For each grid time, theta_dot/phi_dot/B_dot are checked against central
-    differences of theta/phi/B, and theta_ddot/phi_ddot against central
-    differences of theta_dot/phi_dot.  Each residual is scaled by the larger
-    of 1 and the magnitude of the quantity over the grid.
-    """
-    if not h > 0:
-        raise DomainError(f"step h must be positive, got {h}")
-    t = np.asarray(t_grid, dtype=float)
-    s0, sp, sm = sample(profile, t), sample(profile, t + h), sample(profile, t - h)
-    worst = 0.0
-    for exact, fwd, bwd in (
-        (s0.theta_dot, sp.theta, sm.theta),
-        (s0.theta_ddot, sp.theta_dot, sm.theta_dot),
-        (s0.phi_dot, sp.phi, sm.phi),
-        (s0.phi_ddot, sp.phi_dot, sm.phi_dot),
-        (s0.B_dot, sp.B_mag, sm.B_mag),
-    ):
-        err = np.max(np.abs(exact - (fwd - bwd) / (2 * h)))
-        worst = max(worst, float(err) / max(1.0, float(np.max(np.abs(exact)))))
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -578,10 +552,3 @@ def profile_from_dict(d: Mapping) -> FieldProfile:
                                for t, end in zip(t_domain, (-math.inf, math.inf))]}
     return FieldProfile(**d)
 
-
-def profile_from_json(text: str) -> FieldProfile:
-    try:
-        d = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid profile JSON: {exc}") from exc
-    return profile_from_dict(d)

@@ -397,12 +397,6 @@ def _check_field(B_mag: float) -> None:
         raise DegenerateField(f"|B|={B_mag} is not a finite field at or above the floor 1e-6")
 
 
-def generalized_field(B_mag: float) -> float:
-    """Curvature of the second-order connection on the parameter plane: -1/(4B)."""
-    _check_field(B_mag)
-    return -0.25 / B_mag
-
-
 def generalized_line_integral(loop: MLoop, B_mag: float) -> float:
     """Holonomy -(contour integral of (theta_dot/(4B)) dtheta) around the loop."""
     _check_field(B_mag)

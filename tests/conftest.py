@@ -1,7 +1,23 @@
+import importlib
+
 import numpy as np
 import pytest
 
 from spinphase import IntegratorConfig
+
+
+def _importable(module: str) -> bool:
+    try:
+        importlib.import_module(module)
+    except ImportError:
+        return False
+    return True
+
+
+# DOP853 is scipy's solve_ivp, and scipy is a test dependency the numpy-only CI job leaves out:
+# the DOP853 cross-checks skip there and run wherever scipy is installed
+needs_scipy = pytest.mark.skipif(not _importable("scipy.integrate"), reason="DOP853 needs scipy")
+METHODS = ["magnus4", pytest.param("DOP853", marks=needs_scipy)]
 
 
 @pytest.fixture

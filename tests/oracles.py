@@ -3,18 +3,28 @@
 Each function here recomputes a quantity the library computes another
 way: the in-plane Cartesian and spherical views of the quasi-stationary
 corrections, the direct quadrature of the by-parts second-order term, the
-Hamiltonian matrix that the solvers' right-hand side writes out, the
-solid-angle fan by spherical excesses, the mean-spin map and both
-Aharonov-Anandan routes on (n, 3) rows of spin vectors.
-The tests compare the library against them.
+frame chain as (2, 2) and (3, 3) matrices, which the SU(2) pair product and
+the closed-form classical solution are pinned against, the central-difference
+self-test of the analytic field derivatives, the Hamiltonian matrix that the
+solvers' right-hand side writes out, the solid-angle fan by spherical
+excesses, the mean-spin map and both Aharonov-Anandan routes on (n, 3) rows
+of spin vectors.  The tests compare the library against them.
 """
 
 import math
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from spinphase import DomainError, PoleSingularity, bloch_to_spinor, is_in_plane, sample
-from spinphase.adiabatic_engine import QuasiStationary, _guard_perturbative, params_from_sample
+from spinphase.adiabatic_engine import (
+    AdiabaticParams,
+    QuasiStationary,
+    _guard_perturbative,
+    _su2_factors,
+    params_from_sample,
+)
 from spinphase.field_profiles import FieldProfile, FieldSample
 from spinphase.exact_dynamics import Trajectory, bloch_series
 from spinphase.geometric_phases import (
@@ -77,6 +87,82 @@ def phi2_byparts_direct(profile: FieldProfile, t_span: tuple[float, float]) -> f
         return (1.0 - np.cos(s.theta)) * rate
 
     return _integral(0.5, integrand, profile, t_span)
+
+
+@dataclass(frozen=True)
+class TransformChain:
+    """The three-step frame chain in both representations.
+
+    Each factor is a matrix on the last two axes: (2, 2) or (3, 3) at one
+    instant, (n, 2, 2) or (n, 3, 3) on a time grid.  u0/r0 are exactly
+    unitary/orthogonal; u1, u2, r1, r2 are truncated at
+    second order and unitary/orthogonal only up to third-order residuals.
+    """
+
+    u0: np.ndarray
+    u1: np.ndarray
+    u2: np.ndarray
+    r0: np.ndarray
+    r1: np.ndarray
+    r2: np.ndarray
+
+    @property
+    def u_total(self) -> np.ndarray:
+        return self.u0 @ self.u1 @ self.u2
+
+    @property
+    def r_total(self) -> np.ndarray:
+        return self.r0 @ self.r1 @ self.r2
+
+
+def transform_chain(theta, params: AdiabaticParams) -> TransformChain:
+    """Build the three frame-change factors in both representations.
+
+    ``theta`` and ``params`` are given at one instant or on a time grid.
+    The truncated factors keep terms through second order in the slowness
+    parameters; their unitarity/orthogonality defect is fourth order.
+    """
+    u0, u1, u2 = (_matrices([[a, -np.conj(b)], [b, np.conj(a)]], complex)
+                  for a, b in _su2_factors(theta, params))
+    d, g = params.delta, params.gamma
+    ct, st = np.cos(theta), np.sin(theta)
+    r0 = _matrices([[ct, 0.0, st], [0.0, 1.0, 0.0], [-st, 0.0, ct]])
+    r1 = _matrices([[1.0, 0.0, 0.0], [0.0, 1.0 - d * d / 2.0, -d], [0.0, d, 1.0 - d * d / 2.0]])
+    r2 = _matrices([[1.0, 0.0, -g], [0.0, 1.0, 0.0], [g, 0.0, 1.0]])
+    return TransformChain(u0=u0, u1=u1, u2=u2, r0=r0, r1=r1, r2=r2)
+
+
+def _matrices(rows, dtype=float) -> np.ndarray:
+    """Matrices on the last two axes from entries that are floats or arrays on one grid."""
+    entries = np.broadcast_arrays(*(entry for row in rows for entry in row))
+    return np.stack(entries, axis=-1, dtype=dtype).reshape(entries[0].shape + (len(rows), -1))
+
+
+def derivative_selftest(
+    profile: FieldProfile, t_grid: Sequence[float], h: float
+) -> float:
+    """Max relative mismatch between analytic derivatives and central differences.
+
+    For each grid time, theta_dot/phi_dot/B_dot are checked against central
+    differences of theta/phi/B, and theta_ddot/phi_ddot against central
+    differences of theta_dot/phi_dot.  Each residual is scaled by the larger
+    of 1 and the magnitude of the quantity over the grid.
+    """
+    if not h > 0:
+        raise DomainError(f"step h must be positive, got {h}")
+    t = np.asarray(t_grid, dtype=float)
+    s0, sp, sm = sample(profile, t), sample(profile, t + h), sample(profile, t - h)
+    worst = 0.0
+    for exact, fwd, bwd in (
+        (s0.theta_dot, sp.theta, sm.theta),
+        (s0.theta_ddot, sp.theta_dot, sm.theta_dot),
+        (s0.phi_dot, sp.phi, sm.phi),
+        (s0.phi_ddot, sp.phi_dot, sm.phi_dot),
+        (s0.B_dot, sp.B_mag, sm.B_mag),
+    ):
+        err = np.max(np.abs(exact - (fwd - bwd) / (2 * h)))
+        worst = max(worst, float(err) / max(1.0, float(np.max(np.abs(exact)))))
+    return worst
 
 
 def hamiltonian_matrix(s: FieldSample) -> np.ndarray:

@@ -37,9 +37,9 @@ from spinphase import (
     spinor_to_bloch,
     stokes_surface_integral,
     tracked_eigenvector,
-    transform_chain,
     uniform_rotation,
 )
+from oracles import transform_chain
 
 
 def report(number: int, name: str, ok: bool, detail: str):

@@ -27,12 +27,16 @@ from spinphase import (
     spinor_solution,
     spinor_to_bloch,
     tracked_eigenvector,
-    transform_chain,
     uniform_rotation,
     user_tabulated,
 )
 from spinphase.adiabatic_engine import params_from_sample
-from oracles import hamiltonian_matrix, quasi_stationary_cartesian, quasi_stationary_spherical
+from oracles import (
+    hamiltonian_matrix,
+    quasi_stationary_cartesian,
+    quasi_stationary_spherical,
+    transform_chain,
+)
 
 UNIFORM = uniform_rotation(1.0, 0.1)
 

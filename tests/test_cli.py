@@ -216,6 +216,13 @@ def _config_file(tmp_path, d):
     return str(path)
 
 
+def test_malformed_config_file_exits_3(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text("{not json")
+    assert run_main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 3
+    assert "invalid JSON" in capsys.readouterr().err
+
+
 def test_config_without_t_end_exits_3(tmp_path):
     path = _config_file(tmp_path, {"command": "simulate", "params": {}})
     assert run_main(["simulate", "--config", path]) == 3

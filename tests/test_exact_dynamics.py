@@ -43,7 +43,6 @@ from spinphase import (
     aa_geometric_phase_solid_angle,
     spinor_to_bloch,
     tracked_eigenvector,
-    trajectory_to_csv,
     uniform_rotation,
     user_tabulated,
 )
@@ -55,7 +54,7 @@ from spinphase.exact_dynamics import (
     _rhs,
     magnus4_schrodinger,
 )
-from conftest import uniform_grid_cfg
+from conftest import METHODS, needs_scipy, uniform_grid_cfg
 
 UNIFORM = uniform_rotation(1.0, 0.1)
 R2 = 1 / math.sqrt(2)
@@ -93,7 +92,7 @@ def test_norm_checks_reject_non_finite_entries(bad):
             exact_dynamics.as_bloch(S)
 
 
-@pytest.mark.parametrize("method", ["magnus4", "DOP853"])
+@pytest.mark.parametrize("method", METHODS)
 def test_non_finite_initial_state_raises_before_integrating(method):
     with pytest.raises(NormalizationError):
         integrate_schrodinger(uniform_rotation(1.0, 0.1), [math.nan, 0.0], (0.0, 10.0),
@@ -176,6 +175,7 @@ def test_mean_spin_components_match_the_stacked_form_bitwise():
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
+@needs_scipy
 @pytest.mark.parametrize("integrate, y0", [(integrate_schrodinger, [0.6, 0.8j]),
                                            (integrate_bloch, [0.0, 0.6, 0.8])])
 def test_solver_rhs_makes_no_sample_call(integrate, y0, monkeypatch):
@@ -298,7 +298,7 @@ def test_dense_grid_must_match_span():
         integrate_schrodinger(UNIFORM, [1.0, 0.0], (0.0, 2.0), cfg)
 
 
-@pytest.mark.parametrize("method", ["magnus4", "DOP853"])
+@pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_dense_grid_with_non_finite_node_raises_domain_error(method, bad):
     cfg = IntegratorConfig(dense_output_grid=[0.0, bad, 10.0], method=method)
@@ -306,7 +306,7 @@ def test_dense_grid_with_non_finite_node_raises_domain_error(method, bad):
         integrate_schrodinger(UNIFORM, [1.0, 0.0], (0.0, 10.0), cfg)
 
 
-@pytest.mark.parametrize("method", ["magnus4", "DOP853"])
+@pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("grid, t_span", [([], (0.0, 1.0)), ([[0.0, 1.0]], (0.0, 1.0)),
                                           ([0.0], (0.0, 0.0))])
 def test_dense_grid_of_fewer_than_two_nodes_or_not_1d_raises_domain_error(method, grid, t_span):
@@ -373,6 +373,7 @@ def test_ehrenfest_consistency():
         assert np.max(np.abs(bloch_series(straj) - btraj.states)) <= 1e-8
 
 
+@needs_scipy
 def test_adaptive_error_drops_with_max_step():
     # capping the step turns the embedded pair into a fixed-step method of
     # order >= 4, so halving the cap must cut the error at least 4x
@@ -536,6 +537,7 @@ def test_magnus4_cyclic_cone_phases(theta_c):
     assert aa_geometric_phase_solid_angle(traj) == pytest.approx(aa_exact, abs=1e-8)
 
 
+@needs_scipy
 @pytest.mark.parametrize("name", sorted(RHS_PROFILES))
 def test_magnus4_matches_dop853_on_every_kind(name):
     prof, t_span, rel_tol = RHS_PROFILES[name], (1.0, 30.0), 1e-10
@@ -728,26 +730,6 @@ def test_trajectory_rejects_non_monotonic_times():
         Trajectory(times=np.array([0.0, 1.0, 0.5]), states=np.zeros((3, 2)), kind="spinor")
     with pytest.raises(DomainError):
         Trajectory(times=np.array([0.0, 1.0]), states=np.zeros((3, 2)), kind="spinor")
-
-
-def test_csv_export_round_trips_17_digits(tight_cfg):
-    traj = integrate_schrodinger(UNIFORM, tracked_eigenvector(UNIFORM, 0.0), (0.0, 1.0), tight_cfg)
-    text = trajectory_to_csv(traj)
-    lines = text.strip().split("\n")
-    assert lines[0] == "t,re_up,im_up,re_dn,im_dn"
-    t, re_up, im_up, re_dn, im_dn = map(float, lines[-1].split(","))
-    assert t == traj.times[-1]
-    assert re_up == traj.states[-1][0].real and im_dn == traj.states[-1][1].imag
-    # reference: one f-string per row
-    assert lines[1:] == [f"{t:.17g},{u.real:.17g},{u.imag:.17g},{d.real:.17g},{d.imag:.17g}"
-                         for t, (u, d) in zip(traj.times, traj.states)]
-
-    btraj = integrate_bloch(UNIFORM, [0.0, 0.0, 1.0], (0.0, 1.0), tight_cfg)
-    blines = trajectory_to_csv(btraj).strip().split("\n")
-    assert blines[0] == "t,Sx,Sy,Sz"
-    assert float(blines[-1].split(",")[3]) == btraj.states[-1][2]
-    assert blines[1:] == [f"{t:.17g},{x:.17g},{y:.17g},{z:.17g}"
-                          for t, (x, y, z) in zip(btraj.times, btraj.states)]
 
 
 def _per_cell_csv(header, table):

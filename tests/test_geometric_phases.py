@@ -24,7 +24,6 @@ from spinphase import (
     cone_3d,
     constant,
     exponential_midpoint_schrodinger,
-    generalized_field,
     generalized_line_integral,
     integrate_bloch,
     integrate_schrodinger,
@@ -41,7 +40,7 @@ from spinphase import (
 from spinphase import geometric_phases
 from spinphase.exact_dynamics import magnus4_schrodinger
 from spinphase.geometric_phases import _edge_pairs, _proper_crossings
-from conftest import uniform_grid_cfg
+from conftest import needs_scipy, uniform_grid_cfg
 from oracles import (
     aa_coordinate_rows,
     aa_solid_angle_rows,
@@ -340,6 +339,7 @@ def _reference_paths():
     }
 
 
+@needs_scipy
 def test_aa_routes_match_their_row_wise_references():
     # the component-wise routes against the (n, 3) row forms they replaced:
     # spinor, DOP853 Bloch (renormalized) and exact unit-row paths
@@ -460,14 +460,6 @@ def test_line_integral_ellipse_value_and_reversal():
                                      (0.0, 2 * math.pi / 0.05)), abs=1e-6)
     rev = generalized_line_integral(ellipse_loop(reverse=True), 1.0)
     assert rev == -val
-
-
-def test_generalized_field_values():
-    assert generalized_field(1.0) == -0.25
-    assert generalized_field(2.0) == -0.125
-    assert abs(generalized_field(1e12)) <= 1e-12
-    with pytest.raises(DegenerateField):
-        generalized_field(1e-9)
 
 
 def test_surface_integral_unit_square():
@@ -712,10 +704,9 @@ def test_vertex_crossing_matches_pass_pair_loop(monkeypatch):
 
 @pytest.mark.parametrize("B_mag", [math.nan, math.inf, 1e-9])
 @pytest.mark.parametrize("fn", [
-    lambda b: generalized_field(b),
     lambda b: generalized_line_integral(ellipse_loop(n=101), b),
     lambda b: stokes_surface_integral(ellipse_loop(n=101), b),
-], ids=["generalized_field", "generalized_line_integral", "stokes_surface_integral"])
+], ids=["generalized_line_integral", "stokes_surface_integral"])
 def test_non_finite_or_tiny_field_is_degenerate(fn, B_mag):
     with pytest.raises(DegenerateField):
         fn(B_mag)

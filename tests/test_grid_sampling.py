@@ -1,13 +1,15 @@
 """Grid calls against stacked scalar calls.
 
 ``sample``, ``quasi_stationary``, ``tracked_eigenvector``,
-``transform_chain``, ``spinor_solution`` and ``classical_solution`` take a
-float or a 1-D time grid through the same expressions, so a grid call must
-equal the scalar calls at its nodes, stacked, and must raise whenever one of
-them raises.
+``spinor_solution`` and ``classical_solution`` (and the matrix oracle
+``transform_chain``) take a float or a 1-D time grid through the same
+expressions, so a grid call must equal the scalar calls at its nodes,
+stacked, and must raise whenever one of them raises.
 """
 
 import contextlib
+import dataclasses
+import math
 import operator
 
 import numpy as np
@@ -18,6 +20,7 @@ from spinphase import (
     DomainError,
     PerturbativeRegimeViolation,
     SolutionConstants,
+    SpinPhaseError,
     classical_solution,
     cone_3d,
     constant,
@@ -28,11 +31,12 @@ from spinphase import (
     sinusoidal_angle,
     spinor_solution,
     tracked_eigenvector,
-    transform_chain,
     uniform_rotation,
     user_tabulated,
 )
 from spinphase.adiabatic_engine import params_from_sample
+from spinphase.field_profiles import _field_vector
+from oracles import transform_chain
 
 SAMPLE_FIELDS = ("B_vec", "B_mag", "theta", "phi", "theta_dot", "theta_ddot",
                  "phi_dot", "phi_ddot", "B_dot")
@@ -144,3 +148,53 @@ def test_grid_with_one_node_over_perturbative_guard_raises():
     for fn in (quasi_stationary, tracked_eigenvector, _chain):
         with pytest.raises(PerturbativeRegimeViolation):
             fn(profile, ts)
+    # theta = 0.1 t**3 is finite at t = 1e100, but theta_dot**2 overflows on the way to the
+    # guard, which must still raise (a RuntimeWarning fails the test)
+    cubic = polynomial_angle(1.0, [0.0, 0.0, 0.0, 0.1])
+    for fn in (quasi_stationary, tracked_eigenvector):
+        for t in (1e100, np.array([0.0, 1e100])):
+            with pytest.raises(PerturbativeRegimeViolation):
+                fn(cubic, t)
+
+
+# times where the field is finite, where epsilon*t (epsilon <= 1.5 above) or a polynomial
+# angle overflows, and non-finite times
+TIMES = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.sampled_from([math.inf, -math.inf, math.nan, 1.7e308, -1.7e308, 1e308, 1e160, -1e100]),
+    st.floats(),
+)
+# rates at which a param times the slow time overflows while the time is finite
+HUGE = st.sampled_from([1e300, -1e300])
+FAST = {
+    "uniform_rotation": st.builds(uniform_rotation, B0, HUGE, ANGLE),
+    "polynomial_angle": st.builds(polynomial_angle, B0, st.lists(HUGE, min_size=2, max_size=4)),
+    "sinusoidal_angle": st.builds(sinusoidal_angle, B0, st.floats(-1.0, 1.0), HUGE,
+                                  b_amp=st.floats(-0.5, 0.5), b_freq=HUGE),
+    "cone_3d": st.builds(cone_3d, B0, st.floats(0.2, 2.9), HUGE, ANGLE),
+}
+
+
+def _values(result):
+    """Every float in a result of sample, _field_vector, quasi_stationary or tracked_eigenvector."""
+    if dataclasses.is_dataclass(result):
+        result = [getattr(result, f.name) for f in dataclasses.fields(result)]
+    return np.concatenate([np.ravel(np.asarray(x, dtype=complex)) for x in result])
+
+
+@pytest.mark.parametrize("kind", sorted(PROFILES))
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(data=st.data(), times=st.lists(TIMES, min_size=1, max_size=4))
+def test_field_layer_returns_finite_values_or_raises_typed(kind, data, times):
+    # a RuntimeWarning fails this test too, so a value numpy only warns about is caught here
+    profile = data.draw(st.one_of(PROFILES[kind], FAST.get(kind, st.nothing())))
+    fns = [sample, _field_vector, quasi_stationary]
+    if is_in_plane(profile):
+        fns.append(tracked_eigenvector)
+    for fn in fns:
+        for t in [np.array(times), *times]:
+            try:
+                result = fn(profile, t)
+            except SpinPhaseError:
+                continue
+            assert np.all(np.isfinite(_values(result))), (fn.__name__, t)
