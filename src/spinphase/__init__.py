@@ -89,7 +89,6 @@ from .verification import (
     run_stokes_check,
     run_timescale_demo,
     sinusoidal_family,
-    stokes_csv,
 )
 
 __version__ = "0.1.0"

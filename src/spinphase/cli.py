@@ -20,17 +20,16 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
-from typing import Callable, NamedTuple
+from dataclasses import asdict, dataclass, field, fields, replace
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import verification
+from . import field_profiles, verification
 from .errors import ConfigError, IoError, SpinPhaseError
 from .exact_dynamics import (
     MAX_GRID_NODES,
     IntegratorConfig,
-    _csv,
     bloch_series,
     bloch_to_spinor,
     extract_total_phase,
@@ -44,7 +43,6 @@ from .field_profiles import (
     profile_to_dict,
     sample,
 )
-from . import field_profiles
 from .adiabatic_engine import tracked_eigenvector
 from .geometric_phases import loop_from_profile, phase_series
 
@@ -80,24 +78,18 @@ class _Param(NamedTuple):
 
 
 class _Command(NamedTuple):
-    """A subcommand.  ``profile`` is True when it builds one from the profile flags.
-    ``flags`` are its rows other than params.  ``body`` returns its files, keyed by file
-    name, and its stdout lines."""
+    """A subcommand.  ``integrates`` is True when it integrates one field profile: then
+    it takes the integrator and profile flags and config keys.  ``body`` returns its
+    files, keyed by file name, and its stdout lines."""
 
     help: str
     body: Callable
-    profile: bool
-    flags: list
+    integrates: bool
     params: dict
 
     def all_flags(self) -> list:
-        return self.flags + [(p.flag, f"params.{name}", p.type, p.help)
-                             for name, p in self.params.items()]
-
-    @property
-    def integrates(self) -> bool:
-        """True when the command takes the integrator flags, and with them the config key."""
-        return any(dest.startswith("integrator.") for _, dest, *_ in self.flags)
+        return (_RUN_FLAGS if self.integrates else []) + [
+            (p.flag, f"params.{name}", p.type, p.help) for name, p in self.params.items()]
 
 
 @dataclass(frozen=True)
@@ -171,7 +163,7 @@ def _default_out_dir() -> str:
 
 
 def _profile(command: str, d) -> FieldProfile | None:
-    if not _COMMANDS[command].profile:
+    if not _COMMANDS[command].integrates:
         if d is not None:
             raise ConfigError(f"{command} has no profile; got profile {d!r}")
         return None
@@ -243,13 +235,11 @@ _COMMON_FLAGS = [
     ("--formats", "formats", lambda s: [f for f in s.split(",") if f],
      "comma list from csv,json,gnuplot ('' for none)"),
 ]
-_INTEGRATOR_FLAGS = [
+# flags of the commands that integrate a profile
+_RUN_FLAGS = [
     ("--rel-tol", "integrator.rel_tol", float, None),
     ("--abs-tol", "integrator.abs_tol", float, None),
     ("--max-step", "integrator.max_step", float, None),
-]
-# flags of the commands that build a profile
-_PROFILE_RUN_FLAGS = [
     ("--profile", "profile.kind", str, "field profile kind"),
     ("--B0", "profile.params.B0", float, None),
     ("--omega", "profile.params.omega", float, "rotation rate (uniform_rotation)"),
@@ -327,6 +317,133 @@ def _read_config(path: str, command: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# CSV rendering
+# ---------------------------------------------------------------------------
+
+# _csv renders this many cells at a time, so its scratch arrays stay near a megabyte
+_CSV_BLOCK_CELLS = 1 << 12
+# 10**q for q = 0..20, each exact as a double, and its Veltkamp halves
+_POW10 = np.array([float(10**q) for q in range(21)])
+_POW10_HI = 134217729.0 * _POW10 - (134217729.0 * _POW10 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+# A cell's row is ten 4-byte words: "-0.0", "00" and the leading digit of D and ".",
+# then for j = 0..7 the digits 2j+1 and 2j+2 of D each followed by "."; the last "."
+# is the separator's column
+_SIGN_WORD = np.frombuffer(b"-0.0", np.uint32)[0]
+_LEAD_WORDS = np.frombuffer(b"".join(b"00%d." % d for d in range(10)), np.uint32)
+_PAIR_WORDS = np.frombuffer(b"".join(b"%d.%d." % divmod(v, 10) for v in range(100)), np.uint32)
+# [j, v]: the index in D of the last nonzero digit of pair j when that pair is v, 0 for v = 0
+_PAIR_LAST = np.array([[0 if v == 0 else 2 * j + 1 + (v % 10 != 0) for v in range(100)]
+                       for j in range(8)], np.uint8)
+
+
+def _row_masks():
+    """The 0/255 masks that keep the characters of a cell's 40-byte row, one per layout.
+
+    Row 17 * (21 * neg + k + 4) + last is the mask of a nonzero cell with sign
+    bit ``neg``, decimal exponent k in [-4, 16] and last nonzero digit
+    ``last``; rows 714 and 715 are those of 0.0 and -0.0.
+    """
+    masks = np.zeros((2, 21, 17, 40), np.uint8)
+    masks[1, ..., 0] = 255  # "-"
+    masks[..., 39] = 255  # the separator
+    up_to_last = np.tri(17, dtype=bool)  # [last, i]: digit i is at or before digit last
+    for k in range(-4, 17):
+        layout = masks[:, k + 4]
+        if k < 0:
+            layout[..., 1:2 - k] = 255  # "0." and -k-1 zeros
+        layout[..., 6:39:2][:, up_to_last | (np.arange(17) <= k)] = 255  # digits
+        if k >= 0:
+            layout[:, k + 1:, 7 + 2 * k] = 255  # the point, when a nonzero digit follows
+    zeros = np.zeros((2, 40), np.uint8)
+    zeros[:, [1, 39]] = 255  # "0" and the separator
+    zeros[1, 0] = 255
+    return np.concatenate([masks.reshape(-1, 40), zeros])
+
+
+_ROW_MASKS = _row_masks()
+
+
+def _csv(header: str, table, labels: Sequence[str] | None = None) -> str:
+    """CSV text: the header line, one line per row of the 2-D float ``table``, a final newline.
+
+    Every cell is the ``'%.17g' % x`` text of its value, which round-trips a
+    float exactly; given ``labels``, each line starts with its row's label.
+
+    The cells are rendered by numpy, a block of rows at a time.  For
+    1e-4 <= |x| < 1e17 ``%g`` writes x in fixed notation with decimal
+    exponent k = floor(log10|x|) and 17 significant digits, the integer
+    D = round(|x| * 10**q) with q = 16 - k in [0, 20].  10**q is an exact
+    double, so Dekker's product (Veltkamp splitting) gives |x| * 10**q as
+    p + e exactly, with p >= 1e16 an integer, and D = p + round(e).  The
+    digits of D are laid out around the decimal point, trailing zeros
+    stripped.  A cell falls back to ``'%.17g' %`` when it is not finite,
+    when %g would write it in exponent notation (|x| < 1e-4, or |x| that
+    rounds to 1e17 or more), when the estimate of k from log10 is off by
+    one, or when e is exactly half-way between two integers.
+    """
+    table = np.asarray(table, dtype=float)
+    step = max(1, _CSV_BLOCK_CELLS // table.shape[1])
+    chunks = [_csv_lines(table[i:i + step]).decode("ascii") for i in range(0, len(table), step)]
+    if labels is not None:
+        chunks = [f"{label},{line}\n" for label, line in zip(labels, "".join(chunks).splitlines())]
+    return "".join([f"{header}\n", *chunks])
+
+
+def _csv_lines(block):
+    """ASCII lines of the 2-D float ``block``: its cells in ``'%.17g'`` form joined by commas."""
+    x = block.ravel()
+    n = x.size
+    neg = np.signbit(x)
+    a = np.abs(x)
+    zero = a == 0.0
+    nonzero = np.isfinite(a) & ~zero
+    k = np.floor(np.log10(np.where(nonzero, a, 1.0))).astype(np.intp)
+    fixed = nonzero & (k >= -4) & (k <= 16)
+    a[~fixed] = 1.0
+    k[~fixed] = 0
+    q = 16 - k
+    # Dekker's product: a * 10**q == p + e exactly
+    split = 134217729.0 * a
+    a_hi = split - (split - a)
+    a_lo = a - a_hi
+    b_hi, b_lo = _POW10_HI[q], _POW10_LO[q]
+    p = a * _POW10[q]
+    e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    digits = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    # D is the cell's %g digits when k was right (1e16 <= p + e and D < 1e17) and e is no tie
+    fast = zero | (fixed & ((p > 1e16) | ((p == 1e16) & (e >= 0.0)))
+                   & (digits < 10**17) & (e - np.floor(e) != 0.5))
+    digits[~fast] = 10**16  # any 17-digit D: the fallback overwrites these cells
+
+    # the leading digit, then the 16 others as pairs, most significant first
+    lead = digits // 10**16
+    groups = digits - lead * 10**16
+    for scale in (10**8, 10**4, 100):
+        high = groups // scale
+        groups = np.stack([high, groups - high * scale], axis=-2)
+    pairs = groups.reshape(8, n)
+
+    rows = np.empty((n, 40), np.uint8)
+    words = rows.view(np.uint32)
+    words[:, 0] = _SIGN_WORD
+    words[:, 1] = _LEAD_WORDS[lead]
+    last = np.zeros(n, np.uint8)
+    for j, pair in enumerate(pairs):
+        words[:, 2 + j] = _PAIR_WORDS[pair]
+        np.maximum(last, _PAIR_LAST[j][pair], out=last)
+    rows &= np.take(_ROW_MASKS, np.where(zero, 714 + neg, 17 * (21 * neg + k + 4) + last), axis=0)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        texts = ["%.17g" % v for v in x[slow].tolist()]
+        rows[slow] = np.array(texts, dtype="S40").view(np.uint8).reshape(-1, 40)
+    rows[:, 39] = ord(",")
+    rows[block.shape[1] - 1::block.shape[1], 39] = ord("\n")
+    # every character a mask dropped is a zero byte
+    return rows.tobytes().translate(None, b"\0")
+
+
+# ---------------------------------------------------------------------------
 # Command bodies
 # ---------------------------------------------------------------------------
 
@@ -382,9 +499,15 @@ def _cmd_simulate(rc: RunConfig) -> tuple[dict, list[str]]:
 def _cmd_phases(rc: RunConfig) -> tuple[dict, list[str]]:
     t_span = (rc.params["t_start"], rc.params["t_end"])
     budget = verification.run_phase_budget(rc.profile, t_span, rc.integrator)
-    payload = budget.as_dict()
-    payload["metadata"] = budget.metadata
-    return {"phases.json": payload}, budget.report_lines()
+    dec = budget.decomposition
+    phases = {
+        **asdict(dec),
+        "residual_eps4": budget.r_total,
+        "r_aa": budget.r_aa,
+        "aa_over_phi2_ratio": dec.phi_geom_aa / dec.phi2 if dec.phi2 != 0.0 else math.nan,
+    }
+    lines = [f"{k:>20s} = {v:+.12g}" for k, v in phases.items()]
+    return {"phases.json": {**phases, "metadata": budget.metadata}}, lines
 
 
 def _cmd_convergence(rc: RunConfig) -> tuple[dict, list[str]]:
@@ -396,8 +519,13 @@ def _cmd_convergence(rc: RunConfig) -> tuple[dict, list[str]]:
         for k, (s, se) in enumerate(report.slopes)
     ]
     files = {
-        "convergence.csv": report.to_csv(),
-        "summary.json": report.summary(),
+        "convergence.csv": _csv("epsilon,err_order0,err_order1,err_order2", list(zip(
+            report.epsilons, report.errors_order0, report.errors_order1, report.errors_order2))),
+        "summary.json": {
+            "epsilons": report.epsilons,
+            "slopes": [s for s, _ in report.slopes],
+            "slope_stderrs": [se for _, se in report.slopes],
+        },
         "plot.gp": "set datafile separator ','\nset logscale xy\n"
         "set key autotitle columnhead\n"
         "plot 'convergence.csv' using 1:2 with linespoints, \\\n"
@@ -419,8 +547,10 @@ def _cmd_stokes(rc: RunConfig) -> tuple[dict, list[str]]:
     rows = verification.run_stokes_check(loops, p["B_list"])
     worst = max(r.abs_diff for r in rows)
     files = {
-        "stokes.csv": verification.stokes_csv(rows),
-        "summary.json": {"rows": [r.__dict__ for r in rows], "worst_abs_diff": worst},
+        "stokes.csv": _csv("loop_id,line_integral,surface_integral,abs_diff",
+                           [(r.line_integral, r.surface_integral, r.abs_diff) for r in rows],
+                           labels=[r.loop_id for r in rows]),
+        "summary.json": {"rows": [asdict(r) for r in rows], "worst_abs_diff": worst},
     }
     return files, [f"{r.loop_id}: line={r.line_integral:.10g} surface={r.surface_integral:.10g}"
                    for r in rows]
@@ -428,32 +558,31 @@ def _cmd_stokes(rc: RunConfig) -> tuple[dict, list[str]]:
 
 def _cmd_timescale(rc: RunConfig) -> tuple[dict, list[str]]:
     demo = verification.run_timescale_demo(rc.params["B"], rc.params["omega"])
-    return {"timescale.json": demo.as_dict()}, [
+    return {"timescale.json": asdict(demo)}, [
         f"t1 = {demo.t1:g}", f"phi2(t1) = {demo.phi2_at_t1:g}", f"t2 = {demo.t2:g}"]
 
 
 _SPAN = {"t_start": _Param("--t-start", float, 0.0), "t_end": _Param("--t-end", float, _REQUIRED)}
-_RUN_FLAGS = _INTEGRATOR_FLAGS + _PROFILE_RUN_FLAGS
 _COMMANDS = {
     "simulate": _Command(
-        "integrate and export one trajectory", _cmd_simulate, True, _RUN_FLAGS,
+        "integrate and export one trajectory", _cmd_simulate, True,
         {**_SPAN, "grid_n": _Param("--grid-n", int, _OPTIONAL, 2, "output grid size")}),
     "phases": _Command(
-        "phase budget on the quasi-stationary branch", _cmd_phases, True, _RUN_FLAGS, _SPAN),
+        "phase budget on the quasi-stationary branch", _cmd_phases, True, _SPAN),
     "convergence": _Command(
-        "truncation-order study", _cmd_convergence, False, [], {
+        "truncation-order study", _cmd_convergence, False, {
             "eps_list": _Param("--eps", _floats, [0.16, 0.08, 0.04, 0.02], 2,
                                "comma list of scales"),
             "theta0": _Param("--theta0", float, 0.3),
             "Omega": _Param("--Omega", float, 1.0),
             "B0": _Param("--B0", float, 1.0),
             "horizon": _Param("--horizon", float, 2.0 * math.pi, help="fixed eps*t span")}),
-    "stokes": _Command("holonomy identity table", _cmd_stokes, False, [], {
+    "stokes": _Command("holonomy identity table", _cmd_stokes, False, {
         "theta0": _Param("--theta0", float, 0.3),
         "Omega": _Param("--Omega", float, 0.05),
         "B_list": _Param("--B", _floats, [1.0], 1, "comma list of field strengths"),
         "n_nodes": _Param("--n-nodes", int, 801, 4)}),
-    "timescale": _Command("second-order phase breakdown time", _cmd_timescale, False, [], {
+    "timescale": _Command("second-order phase breakdown time", _cmd_timescale, False, {
         "B": _Param("--B", float, 1.0),
         "omega": _Param("--omega", float, 0.05)}),
 }

@@ -39,7 +39,7 @@ from .errors import (
     OverlapLoss,
     StepSizeUnderflow,
 )
-from .field_profiles import FieldProfile, _field_vector, _number, sample
+from .field_profiles import FieldProfile, _field_vector, _number, check_span, sample
 
 MAX_GRID_REFINE = 16
 # largest time grid any run may build, in nodes (about 160 MB of spinor states)
@@ -193,8 +193,10 @@ def _spin_components(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 def _span_nodes(profile: FieldProfile, t_span: tuple[float, float]) -> float:
     """Nodes the span needs at ~16 per radian of the fastest phase rate (the field magnitude).
 
-    A span needing ``MAX_GRID_NODES`` or more raises ConfigError.
+    A span needing ``MAX_GRID_NODES`` or more raises ConfigError, and an end that is not
+    finite DomainError.
     """
+    check_span(t_span)
     t0, t1 = t_span
     b_max = float(np.max(sample(profile, np.linspace(t0, t1, 65)).B_mag))
     nodes = abs(t1 - t0) * 16.0 * max(b_max, 1e-3)
@@ -425,6 +427,7 @@ def _check_steps(n_steps) -> None:
 
 
 def _step_times(t_span, n_steps: int) -> np.ndarray:
+    check_span(t_span)
     t0, t1 = t_span
     return t0 + (t1 - t0) / n_steps * np.arange(n_steps + 1)
 
@@ -582,130 +585,3 @@ def schrodinger_phase(
                 raise
             factor *= 2
             grid = np.linspace(t_span[0], t_span[1], 2 * (len(grid) - 1) + 1)
-
-
-# ---------------------------------------------------------------------------
-# Export
-# ---------------------------------------------------------------------------
-
-# _csv renders this many cells at a time, so its scratch arrays stay near a megabyte
-_CSV_BLOCK_CELLS = 1 << 12
-# 10**q for q = 0..20, each exact as a double, and its Veltkamp halves
-_POW10 = np.array([float(10**q) for q in range(21)])
-_POW10_HI = 134217729.0 * _POW10 - (134217729.0 * _POW10 - _POW10)
-_POW10_LO = _POW10 - _POW10_HI
-# A cell's row is ten 4-byte words: "-0.0", "00" and the leading digit of D and ".",
-# then for j = 0..7 the digits 2j+1 and 2j+2 of D each followed by "."; the last "."
-# is the separator's column
-_SIGN_WORD = np.frombuffer(b"-0.0", np.uint32)[0]
-_LEAD_WORDS = np.frombuffer(b"".join(b"00%d." % d for d in range(10)), np.uint32)
-_PAIR_WORDS = np.frombuffer(b"".join(b"%d.%d." % divmod(v, 10) for v in range(100)), np.uint32)
-# [j, v]: the index in D of the last nonzero digit of pair j when that pair is v, 0 for v = 0
-_PAIR_LAST = np.array([[0 if v == 0 else 2 * j + 1 + (v % 10 != 0) for v in range(100)]
-                       for j in range(8)], np.uint8)
-
-
-def _row_masks():
-    """The 0/255 masks that keep the characters of a cell's 40-byte row, one per layout.
-
-    Row 17 * (21 * neg + k + 4) + last is the mask of a nonzero cell with sign
-    bit ``neg``, decimal exponent k in [-4, 16] and last nonzero digit
-    ``last``; rows 714 and 715 are those of 0.0 and -0.0.
-    """
-    masks = np.zeros((2, 21, 17, 40), np.uint8)
-    masks[1, ..., 0] = 255  # "-"
-    masks[..., 39] = 255  # the separator
-    up_to_last = np.tri(17, dtype=bool)  # [last, i]: digit i is at or before digit last
-    for k in range(-4, 17):
-        layout = masks[:, k + 4]
-        if k < 0:
-            layout[..., 1:2 - k] = 255  # "0." and -k-1 zeros
-        layout[..., 6:39:2][:, up_to_last | (np.arange(17) <= k)] = 255  # digits
-        if k >= 0:
-            layout[:, k + 1:, 7 + 2 * k] = 255  # the point, when a nonzero digit follows
-    zeros = np.zeros((2, 40), np.uint8)
-    zeros[:, [1, 39]] = 255  # "0" and the separator
-    zeros[1, 0] = 255
-    return np.concatenate([masks.reshape(-1, 40), zeros])
-
-
-_ROW_MASKS = _row_masks()
-
-
-def _csv(header: str, table, labels: Sequence[str] | None = None) -> str:
-    """CSV text: the header line, one line per row of the 2-D float ``table``, a final newline.
-
-    Every cell is the ``'%.17g' % x`` text of its value, which round-trips a
-    float exactly; given ``labels``, each line starts with its row's label.
-
-    The cells are rendered by numpy, a block of rows at a time.  For
-    1e-4 <= |x| < 1e17 ``%g`` writes x in fixed notation with decimal
-    exponent k = floor(log10|x|) and 17 significant digits, the integer
-    D = round(|x| * 10**q) with q = 16 - k in [0, 20].  10**q is an exact
-    double, so Dekker's product (Veltkamp splitting) gives |x| * 10**q as
-    p + e exactly, with p >= 1e16 an integer, and D = p + round(e).  The
-    digits of D are laid out around the decimal point, trailing zeros
-    stripped.  A cell falls back to ``'%.17g' %`` when it is not finite,
-    when %g would write it in exponent notation (|x| < 1e-4, or |x| that
-    rounds to 1e17 or more), when the estimate of k from log10 is off by
-    one, or when e is exactly half-way between two integers.
-    """
-    table = np.asarray(table, dtype=float)
-    step = max(1, _CSV_BLOCK_CELLS // table.shape[1])
-    chunks = [_csv_lines(table[i:i + step]).decode("ascii") for i in range(0, len(table), step)]
-    if labels is not None:
-        chunks = [f"{label},{line}\n" for label, line in zip(labels, "".join(chunks).splitlines())]
-    return "".join([f"{header}\n", *chunks])
-
-
-def _csv_lines(block):
-    """ASCII lines of the 2-D float ``block``: its cells in ``'%.17g'`` form joined by commas."""
-    x = block.ravel()
-    n = x.size
-    neg = np.signbit(x)
-    a = np.abs(x)
-    zero = a == 0.0
-    nonzero = np.isfinite(a) & ~zero
-    k = np.floor(np.log10(np.where(nonzero, a, 1.0))).astype(np.intp)
-    fixed = nonzero & (k >= -4) & (k <= 16)
-    a[~fixed] = 1.0
-    k[~fixed] = 0
-    q = 16 - k
-    # Dekker's product: a * 10**q == p + e exactly
-    split = 134217729.0 * a
-    a_hi = split - (split - a)
-    a_lo = a - a_hi
-    b_hi, b_lo = _POW10_HI[q], _POW10_LO[q]
-    p = a * _POW10[q]
-    e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-    digits = p.astype(np.int64) + np.rint(e).astype(np.int64)
-    # D is the cell's %g digits when k was right (1e16 <= p + e and D < 1e17) and e is no tie
-    fast = zero | (fixed & ((p > 1e16) | ((p == 1e16) & (e >= 0.0)))
-                   & (digits < 10**17) & (e - np.floor(e) != 0.5))
-    digits[~fast] = 10**16  # any 17-digit D: the fallback overwrites these cells
-
-    # the leading digit, then the 16 others as pairs, most significant first
-    lead = digits // 10**16
-    groups = digits - lead * 10**16
-    for scale in (10**8, 10**4, 100):
-        high = groups // scale
-        groups = np.stack([high, groups - high * scale], axis=-2)
-    pairs = groups.reshape(8, n)
-
-    rows = np.empty((n, 40), np.uint8)
-    words = rows.view(np.uint32)
-    words[:, 0] = _SIGN_WORD
-    words[:, 1] = _LEAD_WORDS[lead]
-    last = np.zeros(n, np.uint8)
-    for j, pair in enumerate(pairs):
-        words[:, 2 + j] = _PAIR_WORDS[pair]
-        np.maximum(last, _PAIR_LAST[j][pair], out=last)
-    rows &= np.take(_ROW_MASKS, np.where(zero, 714 + neg, 17 * (21 * neg + k + 4) + last), axis=0)
-    slow = np.flatnonzero(~fast)
-    if slow.size:
-        texts = ["%.17g" % v for v in x[slow].tolist()]
-        rows[slow] = np.array(texts, dtype="S40").view(np.uint8).reshape(-1, 40)
-    rows[:, 39] = ord(",")
-    rows[block.shape[1] - 1::block.shape[1], 39] = ord("\n")
-    # every character a mask dropped is a zero byte
-    return rows.tobytes().translate(None, b"\0")

@@ -385,20 +385,19 @@ def _base_eval(profile: FieldProfile, tau):
             th + 0.0 or th + zero, zero, zero,
             p["phi_init"] + w * tau, w + 0.0 or w + zero, zero,
         )
-    if kind == "user_tabulated":
-        h = p["fd_step"]
-        stencil = np.add.outer((-h, 0.0, h), tau)  # rows tau - h, tau, tau + h
-        values = profile._tables(stencil)
-        if isinstance(tau, float):
-            values = values.tolist()
-        (Bm, B, Bp), (thm, th, thp), (phm, ph, php) = values
-        dB = (Bp - Bm) / (2.0 * h)
-        dth = (thp - thm) / (2.0 * h)
-        ddth = (thp - 2.0 * th + thm) / (h * h)
-        dph = (php - phm) / (2.0 * h)
-        ddph = (php - 2.0 * ph + phm) / (h * h)
-        return B, dB, th, dth, ddth, ph, dph, ddph
-    raise ConfigError(f"unknown profile kind {kind!r}")
+    # user_tabulated, the one kind left: FieldProfile admits no other
+    h = p["fd_step"]
+    stencil = np.add.outer((-h, 0.0, h), tau)  # rows tau - h, tau, tau + h
+    values = profile._tables(stencil)
+    if isinstance(tau, float):
+        values = values.tolist()
+    (Bm, B, Bp), (thm, th, thp), (phm, ph, php) = values
+    dB = (Bp - Bm) / (2.0 * h)
+    dth = (thp - thm) / (2.0 * h)
+    ddth = (thp - 2.0 * th + thm) / (h * h)
+    dph = (php - phm) / (2.0 * h)
+    ddph = (php - 2.0 * ph + phm) / (h * h)
+    return B, dB, th, dth, ddth, ph, dph, ddph
 
 
 def _extent(x):
@@ -406,10 +405,24 @@ def _extent(x):
     return (x, x) if isinstance(x, float) else (np.min(x), np.max(x))
 
 
+def check_span(t_span) -> None:
+    """DomainError naming the first end of ``t_span`` that is not a finite time.
+
+    Run before a grid is laid over the span, so an infinite or NaN end is
+    named instead of spreading through the grid's arithmetic.  Whether the
+    span lies in a profile's domain is checked where the profile is sampled.
+    """
+    for t in t_span:
+        if not math.isfinite(t):
+            raise DomainError(f"t={t} is not finite")
+
+
 def _check_domain(profile: FieldProfile, t_min, t_max) -> None:
-    """DomainError unless the times from t_min to t_max lie in the profile's domain."""
+    """DomainError unless the times from t_min to t_max are finite and lie in the
+    profile's domain."""
     lo, hi = profile.t_domain
-    if not (lo <= t_min and t_max <= hi):
+    if not (lo <= t_min and t_max <= hi and -math.inf < t_min and t_max < math.inf):
+        check_span((t_min, t_max))
         bad = t_min if t_min < lo else t_max
         raise DomainError(f"t={bad} outside profile domain [{lo}, {hi}]")
 

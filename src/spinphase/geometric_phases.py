@@ -27,7 +27,7 @@ realize the two sides of that identity.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from .errors import (
     PoleSingularity,
     SelfIntersection,
 )
-from .field_profiles import FieldProfile, FieldSample, sample
+from .field_profiles import FieldProfile, FieldSample, check_span, sample
 from .exact_dynamics import Trajectory, _spin_components, _unwrap, bloch_series
 
 _QUAD_OPTS = {"epsabs": 1e-12, "epsrel": 1e-12, "limit": 500}
@@ -66,9 +66,6 @@ class PhaseDecomposition:
     phi_total_exact: float
     phi_dyn_expect: float
     phi_geom_aa: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -113,6 +110,7 @@ _G_WEIGHTS = np.array(_WG[:3] + _WG[::-1])  # on _GK_NODES[1::2]
 
 
 def _integral(prefactor, integrand, profile: FieldProfile, t_span: tuple[float, float]) -> float:
+    check_span(t_span)
     t0, t1 = t_span
     if t0 == t1:
         return 0.0
@@ -129,7 +127,8 @@ def _gauss_kronrod(f, a: float, b: float) -> tuple[float, float, int]:
     estimate exceeds its length's share of that tolerance is bisected, and
     the others are kept.  When no interval is over its share, or bisecting
     would pass ``_QUAD_OPTS["limit"]`` intervals, the current sums are
-    returned with their estimate, as quad returns its best result.
+    returned with their estimate, as quad returns its best result.  An integrand
+    value or a sum that is not finite raises DomainError.
     """
     epsabs, epsrel, limit = _QUAD_OPTS["epsabs"], _QUAD_OPTS["epsrel"], _QUAD_OPTS["limit"]
     lo, hi = np.array([a], dtype=float), np.array([b], dtype=float)
@@ -137,20 +136,26 @@ def _gauss_kronrod(f, a: float, b: float) -> tuple[float, float, int]:
     n_done = nodes = 0
     while True:
         centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        fv = np.asarray(f((centre[:, None] + half[:, None] * _GK_NODES).ravel()),
-                        dtype=float).reshape(len(lo), 15)
-        nodes += fv.size
-        resk = fv @ _GK_WEIGHTS
-        err = np.abs((resk - fv[:, 1::2] @ _G_WEIGHTS) * half)
-        # QUADPACK's estimate: |K - G| scaled against the integral of |f - mean f|, and
-        # floored at 50 eps times the integral of |f|
-        resasc = np.abs(fv - 0.5 * resk[:, None]) @ _GK_WEIGHTS * np.abs(half)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        t = (centre[:, None] + half[:, None] * _GK_NODES).ravel()
+        # an overflow or invalid value fails the finite checks below
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            fv = np.asarray(f(t), dtype=float).reshape(len(lo), 15)
+            if not np.isfinite(fv).all():
+                i = np.argmin(np.isfinite(fv).ravel())
+                raise DomainError(f"integrand value {fv.flat[i]} at t={t[i]} is not finite")
+            nodes += fv.size
+            resk = fv @ _GK_WEIGHTS
+            err = np.abs((resk - fv[:, 1::2] @ _G_WEIGHTS) * half)
+            # QUADPACK's estimate: |K - G| scaled against the integral of |f - mean f|, and
+            # floored at 50 eps times the integral of |f|
+            resasc = np.abs(fv - 0.5 * resk[:, None]) @ _GK_WEIGHTS * np.abs(half)
             err = np.where(resasc > 0, resasc * np.minimum(1.0, (200.0 * err / resasc)**1.5), err)
-        err = np.maximum(err, 50.0 * np.finfo(float).eps * (np.abs(fv) @ _GK_WEIGHTS)
-                         * np.abs(half))
-        resk = resk * half
-        total, total_err = done + float(np.sum(resk)), done_err + float(np.sum(err))
+            err = np.maximum(err, 50.0 * np.finfo(float).eps * (np.abs(fv) @ _GK_WEIGHTS)
+                             * np.abs(half))
+            resk = resk * half
+            total, total_err = done + float(np.sum(resk)), done_err + float(np.sum(err))
+        if not math.isfinite(total):
+            raise DomainError(f"integral over [{a}, {b}] is not finite")
         tol = max(epsabs, epsrel * abs(total))
         split = err > tol * np.abs(half) / abs(0.5 * (b - a))
         n_split = np.count_nonzero(split)
@@ -182,12 +187,18 @@ def phase_series(samples: FieldSample, times: np.ndarray) -> tuple[np.ndarray, n
     """Running phi0 and phi2 over an already-sampled grid, by the trapezoid rule.
 
     The integrands are the ones :func:`phi0` and :func:`phi2` integrate
-    adaptively; both series are 0.0 on the first node.
+    adaptively; both series are 0.0 on the first node.  A running value that
+    is not finite raises DomainError.
     """
     def running(prefactor, integrand):
-        f = integrand(samples)
-        steps = 0.5 * (f[1:] + f[:-1]) * np.diff(times)
-        return np.concatenate([[0.0], prefactor * np.cumsum(steps)])
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
+            f = integrand(samples)
+            steps = 0.5 * (f[1:] + f[:-1]) * np.diff(times)
+            series = np.concatenate([[0.0], prefactor * np.cumsum(steps)])
+        if not np.isfinite(series).all():
+            i = np.argmin(np.isfinite(series))
+            raise DomainError(f"running phase {series[i]} at t={times[i]} is not finite")
+        return series
 
     return running(*_PHI0), running(*_PHI2)
 
@@ -385,6 +396,7 @@ def loop_from_profile(
     reverse: bool = False,
 ) -> MLoop:
     """Sample (theta, theta_dot) along a profile into a closed loop."""
+    check_span(t_span)
     s = sample(profile, np.linspace(t_span[0], t_span[1], n_nodes))
     th, td = s.theta, s.theta_dot
     if reverse:

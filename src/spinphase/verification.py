@@ -1,10 +1,10 @@
 """Orchestrated experiments turning the theory's claims into pass/fail numbers.
 
 Each runner is deterministic: no randomness anywhere, so re-running a
-configuration reproduces its CSV output byte for byte.  Runners validate
-their horizon against the breakdown time t2 = B**3 / rate**4 (rate = max
-|theta_dot|), beyond one tenth of which the neglected fourth-order
-frequency corrections are no longer guaranteed small.
+configuration reproduces its record, and the CLI's files, byte for byte.
+Runners validate their horizon against the breakdown time t2 = B**3 /
+rate**4 (rate = max |theta_dot|), beyond one tenth of which the neglected
+fourth-order frequency corrections are no longer guaranteed small.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ import numpy as np
 
 from .adiabatic_engine import quasi_stationary, tracked_eigenvector
 from .errors import ConfigError
-from .exact_dynamics import IntegratorConfig, _csv, integrate_bloch, schrodinger_phase
-from .field_profiles import FieldProfile, sample, sinusoidal_angle
+from .exact_dynamics import IntegratorConfig, integrate_bloch, schrodinger_phase
+from .field_profiles import FieldProfile, check_span, sample, sinusoidal_angle
 from .geometric_phases import (
     MLoop,
     PhaseDecomposition,
@@ -30,6 +30,7 @@ from .geometric_phases import (
 
 def check_horizon(profile: FieldProfile, t_span: tuple[float, float]) -> float:
     """Reject spans beyond 0.1 * t2; returns the t2 estimate (inf if static)."""
+    check_span(t_span)
     s = sample(profile, np.linspace(t_span[0], t_span[1], 257))
     t2 = _breakdown_time(float(np.min(s.B_mag)), float(np.max(np.abs(s.theta_dot))), 2)
     span = abs(t_span[1] - t_span[0])
@@ -75,17 +76,6 @@ class ConvergenceReport:
     errors_order1: list[float]
     errors_order2: list[float]
     slopes: list[tuple[float, float]]  # (slope, standard error) per order
-
-    def to_csv(self) -> str:
-        return _csv("epsilon,err_order0,err_order1,err_order2", list(zip(
-            self.epsilons, self.errors_order0, self.errors_order1, self.errors_order2)))
-
-    def summary(self) -> dict:
-        return {
-            "epsilons": self.epsilons,
-            "slopes": [s for s, _ in self.slopes],
-            "slope_stderrs": [se for _, se in self.slopes],
-        }
 
 
 def sinusoidal_family(
@@ -177,24 +167,6 @@ class PhaseBudget:
     r_aa: float
     metadata: dict = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        d = self.decomposition.as_dict()
-        d["residual_eps4"] = self.r_total
-        d["r_aa"] = self.r_aa
-        phi2 = self.decomposition.phi2
-        d["aa_over_phi2_ratio"] = (
-            self.decomposition.phi_geom_aa / phi2 if phi2 != 0.0 else math.nan
-        )
-        return d
-
-    def report_lines(self) -> list[str]:
-        d = self.as_dict()
-        keys = (
-            "phi0", "phi1", "phi2", "phi_total_exact", "phi_dyn_expect",
-            "phi_geom_aa", "residual_eps4", "r_aa", "aa_over_phi2_ratio",
-        )
-        return [f"{k:>20s} = {d[k]:+.12g}" for k in keys]
-
 
 def run_phase_budget(
     profile: FieldProfile,
@@ -252,12 +224,6 @@ def run_stokes_check(
     return rows
 
 
-def stokes_csv(rows: Sequence[StokesRow]) -> str:
-    return _csv("loop_id,line_integral,surface_integral,abs_diff",
-                [(r.line_integral, r.surface_integral, r.abs_diff) for r in rows],
-                labels=[r.loop_id for r in rows])
-
-
 # ---------------------------------------------------------------------------
 # Timescale demonstration
 # ---------------------------------------------------------------------------
@@ -274,9 +240,6 @@ class TimescaleDemo:
     t1: float
     phi2_at_t1: float
     t2: float
-
-    def as_dict(self) -> dict:
-        return {"t1": self.t1, "phi2_at_t1": self.phi2_at_t1, "t2": self.t2}
 
 
 def run_timescale_demo(B: float, omega: float) -> TimescaleDemo:

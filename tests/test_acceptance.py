@@ -4,6 +4,9 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
 appear; each test asserts the same conditions it reports.
 """
 
+import contextlib
+import io
+import json
 import math
 import time
 
@@ -39,6 +42,7 @@ from spinphase import (
     tracked_eigenvector,
     uniform_rotation,
 )
+from spinphase import cli
 from oracles import transform_chain
 
 
@@ -209,18 +213,25 @@ def test_criterion_7_ehrenfest_and_chain_consistency():
     )
 
 
-def test_criterion_8_factor_of_two_report():
-    budget = run_phase_budget(uniform_rotation(1.0, 0.1), (0.0, 200.0))
-    d = budget.as_dict()
-    lines = budget.report_lines()
+def test_criterion_8_factor_of_two_report(tmp_path):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["phases", "--profile", "uniform_rotation", "--B0", "1.0",
+                         "--omega", "0.1", "--t-end", "200", "--formats", "json",
+                         "--out", str(tmp_path)])
+    d = json.loads((tmp_path / "phases.json").read_text(encoding="utf-8"))
+    lines = out.getvalue().splitlines()[:-1]  # the last line names the file written
     for line in lines:
         print(f"    {line}")
+    printed = {k.strip(): float(v) for k, v in (line.split(" = ") for line in lines)}
+    keys = ("phi0", "phi1", "phi2", "phi_total_exact", "phi_dyn_expect", "phi_geom_aa",
+            "residual_eps4", "r_aa", "aa_over_phi2_ratio")
     # diagnostic only: the ratio is recorded, never asserted; asserted facts
     # are those of criterion 1
-    ok = all(
-        math.isfinite(d[k])
-        for k in ("phi2", "phi_geom_aa", "aa_over_phi2_ratio", "r_aa")
-    )
+    ok = (code == 0 and list(printed) == list(keys)
+          and all(math.isclose(printed[k], d[k], rel_tol=1e-11, abs_tol=1e-300) for k in keys)
+          and all(math.isfinite(d[k]) for k in ("phi2", "phi_geom_aa", "aa_over_phi2_ratio",
+                                                 "r_aa")))
     report(
         8, "2x bookkeeping diagnostic", ok,
         f"phi2={d['phi2']:.6f}, aa part={d['phi_geom_aa']:.6f}, "

@@ -5,12 +5,14 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinphase import Trajectory, bloch_series, exact_dynamics, phi0, phi2, profile_from_dict
-from spinphase.cli import RunConfig, _build_parser, main, parse_cli
+from spinphase.cli import RunConfig, _build_parser, _csv, main, parse_cli
 
 
 def run_main(argv):
@@ -178,7 +180,7 @@ def test_phases_prints_factor_two_diagnostics(tmp_path, capsys):
     payload = json.loads((tmp_path / "phases.json").read_text())
     for key in ("phi0", "phi1", "phi2", "phi_total_exact", "phi_dyn_expect",
                 "phi_geom_aa", "residual_eps4"):
-        assert key in payload
+        assert math.isfinite(payload[key])
 
 
 def test_stokes_csv_columns(tmp_path):
@@ -223,6 +225,29 @@ def test_malformed_config_file_exits_3(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config, message", [
+    ([{"params": {"t_end": 5.0}}], "must hold a JSON object"),
+    ({"command": "phases", "params": {"t_end": 5.0}}, "config file is for 'phases'"),
+    ({"profile": ["uniform_rotation"], "params": {"t_end": 5.0}}, "profile must be an object"),
+], ids=["array", "other_command", "profile_array"])
+def test_config_of_the_wrong_shape_exits_3(config, message, tmp_path, capsys):
+    path = _config_file(tmp_path, config)
+    assert run_main(["simulate", "--config", path, "--out", str(tmp_path)]) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_coeffs_flag_matches_its_config_file_twin(tmp_path):
+    path = _config_file(tmp_path, {"profile": {"kind": "polynomial_angle",
+                                               "params": {"c0": 0, "c1": 0.1}},
+                                   "params": {"t_end": 100.0}})
+    rc = parse_cli(["simulate", "--profile", "polynomial", "--coeffs", "0,0.1", "--t-end", "100"])
+    assert rc == parse_cli(["simulate", "--config", path])
+    assert rc.profile.params == {"B0": 1.0, "c0": 0.0, "c1": 0.1}
+    # given coefficients replace the default c0, c1 as a whole
+    rc = parse_cli(["simulate", "--profile", "polynomial", "--coeffs", "0.5", "--t-end", "1"])
+    assert rc.profile.params == {"B0": 1.0, "c0": 0.5}
+
+
 def test_config_without_t_end_exits_3(tmp_path):
     path = _config_file(tmp_path, {"command": "simulate", "params": {}})
     assert run_main(["simulate", "--config", path]) == 3
@@ -263,6 +288,7 @@ def test_other_flag_next_to_config_exits_3(tmp_path, capsys):
     ["simulate", "--t-end", "5", "--profile", "cone", "--omega", "0.2"],
     ["simulate", "--t-end", "5", "--t-start", "5"],
     ["stokes", "--Omega", "0"],
+    ["convergence", "--eps", "0.1"],
 ])
 def test_invalid_values_exit_3(argv, tmp_path):
     assert run_main(argv + ["--out", str(tmp_path)]) == 3
@@ -534,3 +560,84 @@ def test_every_json_output_is_strict(tmp_path, capsys):
     assert profile.t_domain == (-math.inf, math.inf)
     path = _config_file(tmp_path, {"profile": summary["profile"], "params": {"t_end": 200.0}})
     assert parse_cli(["simulate", "--config", path]).profile == profile
+
+
+# ---------------------------------------------------------------------------
+# CSV rendering
+# ---------------------------------------------------------------------------
+
+def _per_cell_csv(header, table):
+    """The reference rendering: every cell through '%.17g' %, one format string per table."""
+    table = np.asarray(table, dtype=float)
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    return f"{header}\n" + (row * len(table)) % tuple(table.ravel().tolist())
+
+
+def _halfway_cells(rng):
+    """Doubles x with 1e-4 <= x < 1e16 whose x * 10**(16 - k), k = floor(log10 x), ends in .5.
+
+    x = odd / 2**(17 - k) gives x * 10**(16 - k) = odd * 5**(16 - k) / 2.
+    """
+    cells = []
+    for k in range(-4, 16):
+        scale = 2 ** (17 - k)
+        lo = -(-scale * 10 ** max(k, 0) // 10 ** max(-k, 0))
+        hi = min(scale * 10 ** max(k + 1, 0) // 10 ** max(-k - 1, 0), 2**53)
+        odds = rng.integers(lo // 2, hi // 2, 40) * 2 + 1
+        cells += [int(odd) / scale for odd in odds]
+    return np.array(cells)
+
+
+def test_csv_rows_are_bytes_of_the_per_cell_form():
+    rng = np.random.default_rng(2007)
+    bits = rng.integers(0, 2**64, 1 << 14, dtype=np.uint64).view(np.float64)
+    neighbours = [np.array([float(f"1e{k}") for k in range(-5, 19)])]
+    for toward in (0.0, math.inf):
+        for _ in range(32):
+            neighbours.append(np.nextafter(neighbours[-1], toward))
+        neighbours.append(neighbours[0])
+    neighbours = np.concatenate(neighbours)
+    halfway = _halfway_cells(rng)
+    k = np.floor(np.log10(halfway)).astype(int)
+    assert all(Fraction(x) * 10 ** (16 - int(kx)) % 1 == Fraction(1, 2)
+               for x, kx in zip(halfway[::97], k[::97]))
+    specials = [math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+                1e-310, 2.2250738585072014e-308, 1e308, -1e308, 0.1, 1 / 3]
+    cells = np.concatenate([specials, halfway, -halfway, neighbours, -neighbours, bits])
+    table = np.resize(cells, (-(-len(cells) // 7), 7))
+    assert _csv("a,b,c,d,e,f,g", table).encode() == _per_cell_csv("a,b,c,d,e,f,g", table).encode()
+    assert _csv("a,b", np.empty((0, 2))) == "a,b\n"
+
+
+@pytest.mark.parametrize("part", range(4))
+def test_csv_of_log_uniform_magnitudes_is_the_per_cell_form(part):
+    # four parts of 2.5e5 cells each: 1e6 magnitudes from 1e-6 to 1e18, both signs
+    rng = np.random.default_rng([2007, part])
+    cells = rng.choice([-1.0, 1.0], 250_000) * 10.0 ** rng.uniform(-6.0, 18.0, 250_000)
+    table = cells.reshape(-1, 10)
+    assert _csv("h", table).encode() == _per_cell_csv("h", table).encode()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(columns=st.integers(1, 6), cells=st.lists(st.floats(), max_size=60))
+def test_csv_of_any_float_table_is_the_per_cell_form(columns, cells):
+    table = np.array(cells[:len(cells) // columns * columns], dtype=float).reshape(-1, columns)
+    assert _csv("h", table) == _per_cell_csv("h", table)
+
+
+def test_csv_labels_lead_their_rows():
+    table = [[0.1, -0.0], [math.nan, 1e-5], [2.5, 1e17]]
+    assert _csv("id,a,b", table, labels=["x", "y", "z"]) == (
+        "id,a,b\nx,0.10000000000000001,-0\ny,nan,1.0000000000000001e-05\nz,2.5,1e+17\n")
+
+
+def test_csv_scratch_memory_does_not_grow_with_rows():
+    table = np.random.default_rng(3).standard_normal((20000, 14))
+    tracemalloc.start()
+    try:
+        text = _csv("h", table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the rendered blocks and the joined text, plus a few MiB of scratch for one block
+    assert peak < 2 * len(text) + 4 * 2**20

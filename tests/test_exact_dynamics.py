@@ -3,11 +3,9 @@ import inspect
 import math
 import time
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from oracles import (
     co_rotating_eigenstate,
@@ -50,7 +48,6 @@ from spinphase import exact_dynamics, field_profiles
 from spinphase.exact_dynamics import (
     MAX_GRID_NODES,
     _cf4_states,
-    _csv,
     _rhs,
     magnus4_schrodinger,
 )
@@ -646,6 +643,18 @@ def test_branch_jump_on_coarse_grid_and_auto_refine():
     assert phases[-1] == pytest.approx(-5.0, abs=1e-8)
 
 
+def test_schrodinger_phase_reraises_once_refinement_is_exhausted(monkeypatch):
+    # two intervals over t = 200: on the 16x grid a step still turns the phase by 3.1 rad
+    grids = []
+    integrate = exact_dynamics._integrate
+    monkeypatch.setattr(exact_dynamics, "_integrate",
+                        lambda *args: grids.append(len(args[3])) or integrate(*args))
+    t_span = (0.0, 200.0)
+    with pytest.raises(BranchJump, match="a-priori"):
+        schrodinger_phase(constant(1.0), [1.0, 0.0], t_span, uniform_grid_cfg(t_span, 3))
+    assert grids == [3, 5, 9, 17, 33]
+
+
 def _unwrap_remainder_form(angles, error, what):
     """``_unwrap`` with the remainder (d + pi) % (2 pi) - pi taken on every step d."""
     steps = (np.diff(angles) + np.pi) % (2.0 * np.pi) - np.pi
@@ -719,10 +728,13 @@ def test_phase_reference_validation(tight_cfg):
     btraj = integrate_bloch(UNIFORM, [0.0, 0.0, 1.0], (0.0, 1.0), tight_cfg)
     with pytest.raises(DomainError):
         extract_total_phase(btraj)
+    bare = Trajectory(times=traj.times, states=traj.states, kind="spinor")
+    with pytest.raises(DomainError, match="requires the trajectory's profile"):
+        extract_total_phase(bare, "tracked_eigenvector")
 
 
 # ---------------------------------------------------------------------------
-# Trajectory container and export
+# Trajectory container
 # ---------------------------------------------------------------------------
 
 def test_trajectory_rejects_non_monotonic_times():
@@ -730,83 +742,6 @@ def test_trajectory_rejects_non_monotonic_times():
         Trajectory(times=np.array([0.0, 1.0, 0.5]), states=np.zeros((3, 2)), kind="spinor")
     with pytest.raises(DomainError):
         Trajectory(times=np.array([0.0, 1.0]), states=np.zeros((3, 2)), kind="spinor")
-
-
-def _per_cell_csv(header, table):
-    """The reference rendering: every cell through '%.17g' %, one format string per table."""
-    table = np.asarray(table, dtype=float)
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    return f"{header}\n" + (row * len(table)) % tuple(table.ravel().tolist())
-
-
-def _halfway_cells(rng):
-    """Doubles x with 1e-4 <= x < 1e16 whose x * 10**(16 - k), k = floor(log10 x), ends in .5.
-
-    x = odd / 2**(17 - k) gives x * 10**(16 - k) = odd * 5**(16 - k) / 2.
-    """
-    cells = []
-    for k in range(-4, 16):
-        scale = 2 ** (17 - k)
-        lo = -(-scale * 10 ** max(k, 0) // 10 ** max(-k, 0))
-        hi = min(scale * 10 ** max(k + 1, 0) // 10 ** max(-k - 1, 0), 2**53)
-        odds = rng.integers(lo // 2, hi // 2, 40) * 2 + 1
-        cells += [int(odd) / scale for odd in odds]
-    return np.array(cells)
-
-
-def test_csv_rows_are_bytes_of_the_per_cell_form():
-    rng = np.random.default_rng(2007)
-    bits = rng.integers(0, 2**64, 1 << 14, dtype=np.uint64).view(np.float64)
-    neighbours = [np.array([float(f"1e{k}") for k in range(-5, 19)])]
-    for toward in (0.0, math.inf):
-        for _ in range(32):
-            neighbours.append(np.nextafter(neighbours[-1], toward))
-        neighbours.append(neighbours[0])
-    neighbours = np.concatenate(neighbours)
-    halfway = _halfway_cells(rng)
-    k = np.floor(np.log10(halfway)).astype(int)
-    assert all(Fraction(x) * 10 ** (16 - int(kx)) % 1 == Fraction(1, 2)
-               for x, kx in zip(halfway[::97], k[::97]))
-    specials = [math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
-                1e-310, 2.2250738585072014e-308, 1e308, -1e308, 0.1, 1 / 3]
-    cells = np.concatenate([specials, halfway, -halfway, neighbours, -neighbours, bits])
-    table = np.resize(cells, (-(-len(cells) // 7), 7))
-    assert _csv("a,b,c,d,e,f,g", table).encode() == _per_cell_csv("a,b,c,d,e,f,g", table).encode()
-    assert _csv("a,b", np.empty((0, 2))) == "a,b\n"
-
-
-@pytest.mark.parametrize("part", range(4))
-def test_csv_of_log_uniform_magnitudes_is_the_per_cell_form(part):
-    # four parts of 2.5e5 cells each: 1e6 magnitudes from 1e-6 to 1e18, both signs
-    rng = np.random.default_rng([2007, part])
-    cells = rng.choice([-1.0, 1.0], 250_000) * 10.0 ** rng.uniform(-6.0, 18.0, 250_000)
-    table = cells.reshape(-1, 10)
-    assert _csv("h", table).encode() == _per_cell_csv("h", table).encode()
-
-
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(columns=st.integers(1, 6), cells=st.lists(st.floats(), max_size=60))
-def test_csv_of_any_float_table_is_the_per_cell_form(columns, cells):
-    table = np.array(cells[:len(cells) // columns * columns], dtype=float).reshape(-1, columns)
-    assert _csv("h", table) == _per_cell_csv("h", table)
-
-
-def test_csv_labels_lead_their_rows():
-    table = [[0.1, -0.0], [math.nan, 1e-5], [2.5, 1e17]]
-    assert _csv("id,a,b", table, labels=["x", "y", "z"]) == (
-        "id,a,b\nx,0.10000000000000001,-0\ny,nan,1.0000000000000001e-05\nz,2.5,1e+17\n")
-
-
-def test_csv_scratch_memory_does_not_grow_with_rows():
-    table = np.random.default_rng(3).standard_normal((20000, 14))
-    tracemalloc.start()
-    try:
-        text = _csv("h", table)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the rendered blocks and the joined text, plus a few MiB of scratch for one block
-    assert peak < 2 * len(text) + 4 * 2**20
 
 
 def test_aliased_grid_raises_branch_jump_and_refines_to_oracle():

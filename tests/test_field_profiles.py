@@ -167,7 +167,7 @@ def test_domain_enforced():
     (uniform_rotation(1.0, 1e300), np.array([0.0, 1e10])),  # omega * tau overflows
 ], ids=["inf", "-inf", "epsilon_t", "grid_inf", "grid_omega_tau"])
 def test_non_finite_field_value_raises_domain_error(profile, t):
-    # an unbounded domain admits these times, so the field values are checked
+    # an infinite time fails the time check, an overflowing slow time or field the value check
     for fn in (sample, _field_vector):
         with pytest.raises(DomainError, match="not finite"):
             fn(profile, t)
@@ -465,3 +465,15 @@ def test_sample_and_field_vector_match_the_broadcast_forms_bitwise(name):
         else:
             assert all(v.shape == t.shape and v.flags.c_contiguous for v in vec)
             assert np.stack(vec, axis=1).tobytes() == want.B_vec.tobytes()
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", sorted(BITWISE_PROFILES))
+def test_non_finite_times_raise_domain_error_for_every_kind(name, t):
+    # a constant field is finite at every time, so only the time check stops these
+    prof = BITWISE_PROFILES[name]
+    start = max(prof.t_domain[0], 0.0)
+    for fn in (sample, _field_vector):
+        for times in (t, np.array([start, t])):
+            with pytest.raises(DomainError, match=f"t={t} is not finite"):
+                fn(prof, times)

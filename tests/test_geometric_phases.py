@@ -28,6 +28,7 @@ from spinphase import (
     integrate_bloch,
     integrate_schrodinger,
     loop_from_profile,
+    phase_series,
     phi0,
     phi2,
     phi2_decomposition,
@@ -35,6 +36,7 @@ from spinphase import (
     sample,
     sinusoidal_angle,
     stokes_surface_integral,
+    tracked_eigenvector,
     uniform_rotation,
 )
 from spinphase import geometric_phases
@@ -119,6 +121,20 @@ def test_gauss_kronrod_rule_constants():
         exact = 0.0 if degree % 2 else 2.0 / (degree + 1)
         moment = geometric_phases._GK_WEIGHTS @ geometric_phases._GK_NODES**degree
         assert moment == pytest.approx(exact, abs=1e-15)
+
+
+_FAST = uniform_rotation(1.0, 1e300)  # theta_dot**2 overflows
+_GRID = np.linspace(0.0, 1.0, 5)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: phi2(_FAST, (0.0, 1.0)),
+    lambda: phi0(constant(1e308), (0.0, 10.0)),  # the weighted sum of B overflows
+    lambda: phase_series(sample(_FAST, _GRID), _GRID),
+], ids=["integrand", "sum", "phase_series"])
+def test_non_finite_phase_integral_raises_domain_error(run):
+    with pytest.raises(DomainError, match="not finite"):
+        run()
 
 
 def test_gauss_kronrod_samples_once_per_level():
@@ -231,6 +247,20 @@ def test_dyn_expect_equator_zero():
         constant(1.0), [R2, R2], t_span, uniform_grid_cfg(t_span, 2001)
     )
     assert phi_dyn_expect(traj, constant(1.0)) == pytest.approx(0.0, abs=1e-9)
+
+
+def test_dyn_expect_on_a_non_uniform_grid_is_the_trapezoid_sum():
+    # node decimation needs a uniform grid; on any other the plain trapezoid sum is taken
+    prof, t_span = uniform_rotation(1.0, 0.1), (0.0, 50.0)
+    u = np.linspace(0.0, 1.0, 2001)
+    grid = 50.0 * (u + 0.05 * np.sin(2.0 * math.pi * u))
+    grid[-1] = 50.0
+    psi0 = tracked_eigenvector(prof, 0.0)
+    traj = integrate_schrodinger(prof, psi0, t_span, IntegratorConfig(dense_output_grid=grid))
+    h = 0.5 * np.sum(sample(prof, grid).B_vec * bloch_series(traj), axis=1)
+    assert phi_dyn_expect(traj, prof) == -float(np.sum(0.5 * (h[1:] + h[:-1]) * np.diff(grid)))
+    uniform = integrate_schrodinger(prof, psi0, t_span, uniform_grid_cfg(t_span, 2001))
+    assert phi_dyn_expect(traj, prof) == pytest.approx(phi_dyn_expect(uniform, prof), abs=1e-5)
 
 
 def test_dyn_expect_quasi_stationary_relation():

@@ -1,9 +1,11 @@
-"""The package exports what it runs.
+"""The package exports what it runs, and its modules share private names only where listed.
 
 Every name ``spinphase/__init__.py`` imports must be referenced, as a name or
 an attribute, by a module of ``src/spinphase`` outside its own definition, or
-be one of the paper's quantities listed below.  The modules are parsed, not
-searched as text, so a docstring mention does not count.
+be one of the paper's quantities listed below.  Every private name one module
+of the package imports from another must be listed below with its reason.
+The modules are parsed, not searched as text, so a docstring mention does not
+count.
 """
 
 import ast
@@ -58,3 +60,39 @@ def test_every_export_has_a_caller_in_the_library_or_is_a_paper_quantity():
     assert sorted(exported - used - set(PAPER_QUANTITIES)) == []
     # the list holds only exported names that need it
     assert sorted(set(PAPER_QUANTITIES) - (exported - used)) == []
+
+
+# private names one module imports from another, and why each is shared; a renderer
+# imported back into a module that computes would show up here
+SHARED_PRIVATE = {
+    "_compose": "the CF4 steppers multiply SU(2) pairs with the frame chain's pair product",
+    "_field_vector": "the solvers and steppers read the field without building a FieldSample",
+    "_number": "IntegratorConfig checks its settings as FieldProfile checks its own",
+    "_finite": "the CLI checks its params as FieldProfile checks its own",
+    "_spin_components": "the geometric phases read a spinor path as mean-spin components",
+    "_unwrap": "the azimuth of the exact geometric phase unwraps as the total phase does",
+}
+
+
+def _private_imports(tree: ast.Module) -> set[str]:
+    """Private names imported from a spinphase module, or read as attributes of one."""
+    modules, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "spinphase"):
+            if node.module is None or node.module == "spinphase":  # from . import module
+                modules |= {alias.asname or alias.name for alias in node.names}
+            else:
+                names |= {alias.name for alias in node.names if alias.name.startswith("_")}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")):
+            names.add(node.attr)
+    return names
+
+
+def test_private_names_cross_modules_only_where_listed():
+    shared = set()
+    for path in SRC.glob("*.py"):
+        shared |= _private_imports(ast.parse(path.read_text(encoding="utf-8")))
+    assert sorted(shared) == sorted(SHARED_PRIVATE)
