@@ -364,15 +364,19 @@ def _row_masks():
 _ROW_MASKS = _row_masks()
 
 
-def _csv(header: str, table, labels: Sequence[str] | None = None) -> str:
-    """CSV text: the header line, one line per row of the 2-D float ``table``, a final newline.
+def _csv(header: str, columns: Sequence, labels: Sequence[str] | None = None):
+    """Yield the CSV as ASCII bytes blocks: the header line, then one line per row.
 
-    Every cell is the ``'%.17g' % x`` text of its value, which round-trips a
-    float exactly; given ``labels``, each line starts with its row's label.
+    The table's columns are the 1-D arrays and the columns of the 2-D arrays in
+    ``columns``, in order, all of one length.  Every cell is the ``'%.17g' % x``
+    text of its value, which round-trips a float exactly; given ``labels``,
+    each line starts with its row's label.  ``_CSV_BLOCK_CELLS`` cells' worth
+    of rows are stacked and rendered at a time, so no full table or text is
+    ever held.
 
-    The cells are rendered by numpy, a block of rows at a time.  For
-    1e-4 <= |x| < 1e17 ``%g`` writes x in fixed notation with decimal
-    exponent k = floor(log10|x|) and 17 significant digits, the integer
+    The cells are rendered by numpy.  For 1e-4 <= |x| < 1e17 ``%g`` writes x
+    in fixed notation with decimal exponent k = floor(log10|x|) and 17
+    significant digits, the integer
     D = round(|x| * 10**q) with q = 16 - k in [0, 20].  10**q is an exact
     double, so Dekker's product (Veltkamp splitting) gives |x| * 10**q as
     p + e exactly, with p >= 1e16 an integer, and D = p + round(e).  The
@@ -382,12 +386,16 @@ def _csv(header: str, table, labels: Sequence[str] | None = None) -> str:
     rounds to 1e17 or more), when the estimate of k from log10 is off by
     one, or when e is exactly half-way between two integers.
     """
-    table = np.asarray(table, dtype=float)
-    step = max(1, _CSV_BLOCK_CELLS // table.shape[1])
-    chunks = [_csv_lines(table[i:i + step]).decode("ascii") for i in range(0, len(table), step)]
-    if labels is not None:
-        chunks = [f"{label},{line}\n" for label, line in zip(labels, "".join(chunks).splitlines())]
-    return "".join([f"{header}\n", *chunks])
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    width = sum(c.shape[1] if c.ndim == 2 else 1 for c in columns)
+    step = max(1, _CSV_BLOCK_CELLS // width)
+    yield f"{header}\n".encode()
+    for i in range(0, len(columns[0]), step):
+        lines = _csv_lines(np.column_stack([c[i:i + step] for c in columns]))
+        if labels is not None:
+            lines = b"".join(b"%s,%s\n" % (label.encode(), line)
+                             for label, line in zip(labels[i:i + step], lines.splitlines()))
+        yield lines
 
 
 def _csv_lines(block):
@@ -469,9 +477,9 @@ def _cmd_simulate(rc: RunConfig) -> tuple[dict, list[str]]:
     phi0_series, phi2_series = phase_series(samples, traj.times)
 
     up, dn = traj.states[:, 0], traj.states[:, 1]
-    table = np.column_stack([traj.times, samples.B_vec, spins, up.real, up.imag, dn.real, dn.imag,
-                             phases, phi0_series, phi2_series])
-    csv = _csv("t,Bx,By,Bz,Sx,Sy,Sz,re_up,im_up,re_dn,im_dn,phase_total,phi0,phi2", table)
+    csv = _csv("t,Bx,By,Bz,Sx,Sy,Sz,re_up,im_up,re_dn,im_dn,phase_total,phi0,phi2",
+               [traj.times, samples.B_vec, spins, up.real, up.imag, dn.real, dn.imag,
+                phases, phi0_series, phi2_series])
     summary = {
         "command": "simulate",
         "profile": profile_to_dict(profile),
@@ -519,8 +527,8 @@ def _cmd_convergence(rc: RunConfig) -> tuple[dict, list[str]]:
         for k, (s, se) in enumerate(report.slopes)
     ]
     files = {
-        "convergence.csv": _csv("epsilon,err_order0,err_order1,err_order2", list(zip(
-            report.epsilons, report.errors_order0, report.errors_order1, report.errors_order2))),
+        "convergence.csv": _csv("epsilon,err_order0,err_order1,err_order2", [list(zip(
+            report.epsilons, report.errors_order0, report.errors_order1, report.errors_order2))]),
         "summary.json": {
             "epsilons": report.epsilons,
             "slopes": [s for s, _ in report.slopes],
@@ -548,7 +556,7 @@ def _cmd_stokes(rc: RunConfig) -> tuple[dict, list[str]]:
     worst = max(r.abs_diff for r in rows)
     files = {
         "stokes.csv": _csv("loop_id,line_integral,surface_integral,abs_diff",
-                           [(r.line_integral, r.surface_integral, r.abs_diff) for r in rows],
+                           [[(r.line_integral, r.surface_integral, r.abs_diff) for r in rows]],
                            labels=[r.loop_id for r in rows]),
         "summary.json": {"rows": [asdict(r) for r in rows], "worst_abs_diff": worst},
     }
@@ -596,9 +604,11 @@ def write_outputs(files: dict, config: RunConfig) -> list[str]:
     """Write the files of the selected formats into the output directory; returns paths.
 
     ``files`` maps file names to payloads; a name's extension gives its
-    format.  With an empty format list nothing is written and the JSON
-    files go to standard output instead.  JSON is strict: a non-finite
-    number is written as ``null``.
+    format.  A CSV payload is the block iterator of :func:`_csv`: it is
+    rendered while it is written, and not at all unless its format is
+    selected.  A format given twice is written once.  With an empty format
+    list nothing is written and the JSON files go to standard output
+    instead.  JSON is strict: a non-finite number is written as ``null``.
     """
     if not config.formats:
         for name, payload in files.items():
@@ -608,13 +618,17 @@ def write_outputs(files: dict, config: RunConfig) -> list[str]:
     paths = []
     try:
         os.makedirs(config.output_dir, exist_ok=True)
-        for fmt in config.formats:
+        for fmt in dict.fromkeys(config.formats):
             for name, payload in files.items():
                 if not name.endswith(_EXTENSIONS[fmt]):
                     continue
                 path = os.path.join(config.output_dir, name)
-                with open(path, "w", encoding="utf-8", newline="") as fh:
-                    fh.write(_json(payload, indent=2) + "\n" if fmt == "json" else payload)
+                if fmt == "csv":
+                    with open(path, "wb") as fh:
+                        fh.writelines(payload)
+                else:
+                    with open(path, "w", encoding="utf-8", newline="") as fh:
+                        fh.write(_json(payload, indent=2) + "\n" if fmt == "json" else payload)
                 paths.append(path)
     except OSError as exc:
         raise IoError(f"cannot write outputs under {config.output_dir}: {exc}") from exc

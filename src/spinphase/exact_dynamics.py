@@ -46,7 +46,8 @@ MAX_GRID_REFINE = 16
 MAX_GRID_NODES = 10**7
 # IntegratorConfig's methods: magnus4 (numpy only) and scipy's solve_ivp DOP853
 _METHODS = ("magnus4", "DOP853")
-_BLOCK_STEPS = 1 << 16  # steps the fixed-step steppers sample and compose at a time
+_BLOCK_STEPS = 1 << 16  # steps the fixed-step steppers compose at a time
+_PAIR_BLOCK = 1 << 12  # steps whose SU(2) pairs the fixed-step steppers make at a time
 # CF4: Gauss points of a step and the weights of its two exponentials
 _CF4_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 _CF4_A1, _CF4_A2 = (3.0 - 2.0 * math.sqrt(3.0)) / 12.0, (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
@@ -399,11 +400,12 @@ def exponential_midpoint_schrodinger(
     ``n_steps + 1 <= MAX_GRID_NODES``, else ConfigError before anything is
     allocated.
 
-    The midpoints are sampled ``_BLOCK_STEPS`` at a time and the steps are
-    composed by a numpy prefix product, later step on the left (state k is
-    U_{k-1} ... U_1 U_0 psi0): about 2 * n_steps SU(2) products in
-    log2(block) whole-array levels, O(n_steps) time, and a peak of the
-    states (32 bytes per step) plus one block.
+    The steps are composed ``_BLOCK_STEPS`` at a time by a numpy prefix
+    product, later step on the left (state k is U_{k-1} ... U_1 U_0 psi0):
+    about 2 * n_steps SU(2) products in log2(block) whole-array levels and
+    O(n_steps) time.  A block's pairs are made ``_PAIR_BLOCK`` steps at a
+    time, so the peak is the states (32 bytes per step) plus one block's
+    pairs plus one sub-block of sampling temporaries.
     """
     _check_steps(n_steps)
     psi0 = as_spinor(psi0)
@@ -419,7 +421,7 @@ def exponential_midpoint_schrodinger(
 
 
 def _check_steps(n_steps) -> None:
-    if not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
+    if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
         raise ConfigError(f"n_steps must be a positive integer, got {n_steps!r}")
     if n_steps + 1 > MAX_GRID_NODES:
         raise ConfigError(f"{n_steps} steps need more than the limit of "
@@ -463,15 +465,22 @@ def _su2(bx: np.ndarray, by: np.ndarray, bz: np.ndarray, h) -> tuple[np.ndarray,
 def _stepped_states(pairs, n_steps: int, psi0: np.ndarray, stride: int = 1) -> np.ndarray:
     """psi0 and the states after steps stride, 2 * stride, ..., n_steps of a stepper.
 
-    ``pairs(lo, hi)`` returns the SU(2) pairs of steps lo .. hi - 1.  They are
-    made and composed ``_BLOCK_STEPS`` at a time, and the state at the end of a
-    block starts the next one, so the peak memory is the kept states plus one block.
+    ``pairs(lo, hi)`` returns the SU(2) pairs of steps lo .. hi - 1, each made from
+    its own step alone.  They are made ``_PAIR_BLOCK`` steps at a time into one
+    buffer of ``_BLOCK_STEPS`` pairs and composed a block at a time, and the state
+    at the end of a block starts the next one, so the peak memory is the kept
+    states plus one block's pairs plus one sub-block of temporaries.
     """
     states = np.empty((n_steps // stride + 1, 2), dtype=complex)
     states[0] = psi0
     up, dn = psi0
+    buf = np.empty((2, min(n_steps, _BLOCK_STEPS)), dtype=complex)
     for lo in range(0, n_steps, _BLOCK_STEPS):
-        a, b = pairs(lo, min(lo + _BLOCK_STEPS, n_steps))
+        hi = min(lo + _BLOCK_STEPS, n_steps)
+        a, b = buf[:, :hi - lo]
+        for sub in range(lo, hi, _PAIR_BLOCK):
+            end = min(sub + _PAIR_BLOCK, hi)
+            a[sub - lo:end - lo], b[sub - lo:end - lo] = pairs(sub, end)
         _prefix_products(a, b)
         first = (-lo - 1) % stride  # the block's first kept step
         ka, kb = a[first::stride], b[first::stride]

@@ -401,8 +401,12 @@ def _base_eval(profile: FieldProfile, tau):
 
 
 def _extent(x):
-    """(min, max) of a float or of an array."""
-    return (x, x) if isinstance(x, float) else (np.min(x), np.max(x))
+    """(min, max) of a float or of an array; DomainError for an empty time grid."""
+    if isinstance(x, float):
+        return x, x
+    if np.size(x) == 0:
+        raise DomainError("the time grid is empty")
+    return np.min(x), np.max(x)
 
 
 def check_span(t_span) -> None:

@@ -435,7 +435,8 @@ def stokes_surface_integral(loop: MLoop, B_mag: float) -> float:
         pts = pts[:-1]
     _check_simple(pts)
     x_c, y_c = pts[:, 0], pts[:, 1]
-    area = 0.5 * float(np.sum(x_c * np.roll(y_c, -1) - np.roll(x_c, -1) * y_c))
+    x_n, y_n = np.concatenate((pts[1:], pts[:1])).T
+    area = 0.5 * float(np.sum(x_c * y_n - x_n * y_c))
     return area / 4.0
 
 

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinphase import Trajectory, bloch_series, exact_dynamics, phi0, phi2, profile_from_dict
-from spinphase.cli import RunConfig, _build_parser, _csv, main, parse_cli
+from spinphase import Trajectory, bloch_series, cli, exact_dynamics, phi0, phi2, profile_from_dict
+from spinphase.cli import RunConfig, _build_parser, _csv, main, parse_cli, write_outputs
 
 
 def run_main(argv):
@@ -588,6 +588,11 @@ def _halfway_cells(rng):
     return np.array(cells)
 
 
+def _rendered(header, table, labels=None):
+    """The joined bytes of ``_csv`` for the one 2-D column block ``table``."""
+    return b"".join(_csv(header, [table], labels=labels))
+
+
 def test_csv_rows_are_bytes_of_the_per_cell_form():
     rng = np.random.default_rng(2007)
     bits = rng.integers(0, 2**64, 1 << 14, dtype=np.uint64).view(np.float64)
@@ -605,8 +610,8 @@ def test_csv_rows_are_bytes_of_the_per_cell_form():
                 1e-310, 2.2250738585072014e-308, 1e308, -1e308, 0.1, 1 / 3]
     cells = np.concatenate([specials, halfway, -halfway, neighbours, -neighbours, bits])
     table = np.resize(cells, (-(-len(cells) // 7), 7))
-    assert _csv("a,b,c,d,e,f,g", table).encode() == _per_cell_csv("a,b,c,d,e,f,g", table).encode()
-    assert _csv("a,b", np.empty((0, 2))) == "a,b\n"
+    assert _rendered("a,b,c,d,e,f,g", table) == _per_cell_csv("a,b,c,d,e,f,g", table).encode()
+    assert _rendered("a,b", np.empty((0, 2))) == b"a,b\n"
 
 
 @pytest.mark.parametrize("part", range(4))
@@ -615,29 +620,64 @@ def test_csv_of_log_uniform_magnitudes_is_the_per_cell_form(part):
     rng = np.random.default_rng([2007, part])
     cells = rng.choice([-1.0, 1.0], 250_000) * 10.0 ** rng.uniform(-6.0, 18.0, 250_000)
     table = cells.reshape(-1, 10)
-    assert _csv("h", table).encode() == _per_cell_csv("h", table).encode()
+    assert _rendered("h", table) == _per_cell_csv("h", table).encode()
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(columns=st.integers(1, 6), cells=st.lists(st.floats(), max_size=60))
 def test_csv_of_any_float_table_is_the_per_cell_form(columns, cells):
     table = np.array(cells[:len(cells) // columns * columns], dtype=float).reshape(-1, columns)
-    assert _csv("h", table) == _per_cell_csv("h", table)
+    assert _rendered("h", table) == _per_cell_csv("h", table).encode()
 
 
 def test_csv_labels_lead_their_rows():
     table = [[0.1, -0.0], [math.nan, 1e-5], [2.5, 1e17]]
-    assert _csv("id,a,b", table, labels=["x", "y", "z"]) == (
-        "id,a,b\nx,0.10000000000000001,-0\ny,nan,1.0000000000000001e-05\nz,2.5,1e+17\n")
+    assert _rendered("id,a,b", table, labels=["x", "y", "z"]) == (
+        b"id,a,b\nx,0.10000000000000001,-0\ny,nan,1.0000000000000001e-05\nz,2.5,1e+17\n")
 
 
-def test_csv_scratch_memory_does_not_grow_with_rows():
+def test_csv_scratch_memory_does_not_grow_with_rows(tmp_path):
+    # rendered while it is written: no full table, text or encoded copy is ever held
     table = np.random.default_rng(3).standard_normal((20000, 14))
+    rc = RunConfig.from_dict({"command": "simulate", "output_dir": str(tmp_path),
+                              "formats": ["csv"], "params": {"t_end": 1.0}})
     tracemalloc.start()
     try:
-        text = _csv("h", table)
+        write_outputs({"traj.csv": _csv("h", [table])}, rc)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the rendered blocks and the joined text, plus a few MiB of scratch for one block
-    assert peak < 2 * len(text) + 4 * 2**20
+    assert (tmp_path / "traj.csv").read_bytes() == _per_cell_csv("h", table).encode()
+    assert peak < 2 * 2**20
+
+
+def test_csv_of_columns_is_the_csv_of_their_table():
+    rng = np.random.default_rng(11)
+    t, vec, col = rng.standard_normal(5000), rng.standard_normal((5000, 3)), rng.standard_normal(5000)
+    table = np.column_stack([t, vec, col])
+    assert b"".join(_csv("h", [t, vec, col])) == _rendered("h", table)
+    labels = [f"row{i}" for i in range(5000)]
+    want = b"h\n" + b"".join(b"%s,%s\n" % (label.encode(), line) for label, line in
+                             zip(labels, _rendered("", table).splitlines()[1:]))
+    assert b"".join(_csv("h", [t, vec, col], labels=labels)) == want
+
+
+def test_unselected_csv_is_never_rendered(tmp_path, monkeypatch):
+    def fail(block):
+        raise AssertionError("CSV rendered")
+
+    monkeypatch.setattr(cli, "_csv_lines", fail)
+    argv = ["simulate", "--t-end", "5", "--formats", "json", "--out", str(tmp_path)]
+    assert run_main(argv) == 0
+    assert sorted(os.listdir(tmp_path)) == ["summary.json"]
+
+
+def test_repeated_format_writes_its_files_once(tmp_path, capsys):
+    argv = ["simulate", "--t-end", "5", "--grid-n", "11"]
+    assert run_main(argv + ["--formats", "csv", "--out", str(tmp_path / "once")]) == 0
+    capsys.readouterr()
+    assert run_main(argv + ["--formats", "csv,csv", "--out", str(tmp_path / "twice")]) == 0
+    assert capsys.readouterr().out.count("wrote") == 1
+    once = (tmp_path / "once" / "traj.csv").read_bytes()
+    assert len(once.splitlines()) == 12
+    assert (tmp_path / "twice" / "traj.csv").read_bytes() == once

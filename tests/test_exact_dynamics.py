@@ -419,7 +419,7 @@ def test_exponential_midpoint_bloch_matches_adaptive(tight_cfg):
     assert np.linalg.norm(ref.states[-1] - fix[-1]) <= 1e-6
 
 
-@pytest.mark.parametrize("n_steps", [0, -3, 2.5])
+@pytest.mark.parametrize("n_steps", [0, -3, 2.5, True])
 @pytest.mark.parametrize("stepper", [exponential_midpoint_schrodinger, magnus4_schrodinger])
 def test_exponential_midpoint_rejects_invalid_step_count(stepper, n_steps):
     with pytest.raises(ConfigError, match="n_steps"):
@@ -594,6 +594,40 @@ def test_steppers_compose_blocks_like_one_block(monkeypatch):
     for a, b in zip(whole, blocked):
         assert a.shape == b.shape
         assert np.max(np.abs(a - b)) <= 1e-14
+
+
+@pytest.mark.parametrize("pair_block", [3, 7])
+def test_pair_sub_blocks_give_the_same_states(monkeypatch, pair_block):
+    # every step's pair is made from its own step alone, so sub-blocks of any size give
+    # the same bits; step counts end before, at and after a default sub-block's edge
+    prof, psi0 = RHS_PROFILES["cone_3d"], np.array([0.6, 0.8j])
+
+    def runs():
+        states = []
+        for n in (1, 4095, 4096, 4097, 3 * 4096 + 5):
+            states += [stepper(prof, psi0, (0.0, 40.0), n).states
+                       for stepper in (exponential_midpoint_schrodinger, magnus4_schrodinger)]
+        # k = 3 steps per interval: kept steps straddle the sub-blocks' edges
+        states += [_cf4_states(prof, psi0, np.linspace(0.0, 40.0, m + 1), 3)
+                   for m in (1, 1365, 1366, 4097)]
+        return states
+
+    default = runs()
+    monkeypatch.setattr(exact_dynamics, "_PAIR_BLOCK", pair_block)
+    for a, b in zip(default, runs()):
+        assert np.array_equal(a, b)
+
+
+def test_stepper_peak_memory_is_a_few_times_its_states():
+    # the kept states, one block's pairs and one sub-block of temporaries
+    tracemalloc.start()
+    try:
+        states = magnus4_schrodinger(RHS_PROFILES["cone_3d"], [1.0, 0.0], (0.0, 60.0),
+                                     60000).states
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * states.nbytes
 
 
 @pytest.mark.parametrize("stepper", [exponential_midpoint_schrodinger, magnus4_schrodinger])

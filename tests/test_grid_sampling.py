@@ -36,6 +36,7 @@ from spinphase import (
 )
 from spinphase.adiabatic_engine import params_from_sample
 from spinphase.field_profiles import _field_vector
+from spinphase.geometric_phases import loop_from_profile
 from oracles import transform_chain
 
 SAMPLE_FIELDS = ("B_vec", "B_mag", "theta", "phi", "theta_dot", "theta_ddot",
@@ -137,6 +138,19 @@ def test_grid_with_one_node_outside_domain_raises():
             fn(profile, ts)
     with pytest.raises(DomainError, match="t=-1"):
         sample(profile, np.array([5.0, -1.0]))
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: sample(p, np.array([])),
+    lambda p: _field_vector(p, np.array([])),
+    lambda p: tracked_eigenvector(p, np.array([])),
+    lambda p: quasi_stationary(p, np.array([])),
+    lambda p: loop_from_profile(p, (0.0, 10.0), 0),
+], ids=["sample", "field_vector", "tracked_eigenvector", "quasi_stationary",
+        "loop_from_profile"])
+def test_empty_time_grid_raises_domain_error_naming_it(call):
+    with pytest.raises(DomainError, match="time grid is empty"):
+        call(uniform_rotation(1.0, 0.1))
 
 
 def test_grid_with_one_node_over_perturbative_guard_raises():
