@@ -16,6 +16,7 @@ interface, the gnuplot script the human one.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -253,6 +254,7 @@ _RUN_FLAGS = [
 ]
 
 
+@functools.cache  # parse_args does not change the parser, so each process builds one
 def _build_parser() -> argparse.ArgumentParser:
     # allow_abbrev=False: a prefix of a flag is an unknown flag, never the flag itself
     p = argparse.ArgumentParser(
@@ -277,7 +279,7 @@ def parse_cli(argv) -> RunConfig:
     The given flags become the keys of a run-config dict, so flags and a
     ``--config`` file both go through :meth:`RunConfig.from_dict`.  Next to
     ``--config`` only ``--out`` and ``--formats`` may be given; they
-    override the file.
+    override the file.  All calls in one process share one parser.
     """
     given = vars(_build_parser().parse_args(argv))
     command = given.pop("command")
@@ -326,15 +328,14 @@ _CSV_BLOCK_CELLS = 1 << 12
 _POW10 = np.array([float(10**q) for q in range(21)])
 _POW10_HI = 134217729.0 * _POW10 - (134217729.0 * _POW10 - _POW10)
 _POW10_LO = _POW10 - _POW10_HI
-# A cell's row is ten 4-byte words: "-0.0", "00" and the leading digit of D and ".",
-# then for j = 0..7 the digits 2j+1 and 2j+2 of D each followed by "."; the last "."
-# is the separator's column
-_SIGN_WORD = np.frombuffer(b"-0.0", np.uint32)[0]
-_LEAD_WORDS = np.frombuffer(b"".join(b"00%d." % d for d in range(10)), np.uint32)
+# A cell's row is five 8-byte words: "-0.000", D's leading digit and ".", then the word [g] of
+# each 4-digit group g of D, its digits each followed by "." (the last "." is the separator's
+# column); [j, g]: the index in D of group j's last nonzero digit when it is g, 0 for g = 0
+_LEAD_WORDS = np.frombuffer(b"".join(b"-0.000%d." % d for d in range(10)), np.uint64)
 _PAIR_WORDS = np.frombuffer(b"".join(b"%d.%d." % divmod(v, 10) for v in range(100)), np.uint32)
-# [j, v]: the index in D of the last nonzero digit of pair j when that pair is v, 0 for v = 0
-_PAIR_LAST = np.array([[0 if v == 0 else 2 * j + 1 + (v % 10 != 0) for v in range(100)]
-                       for j in range(8)], np.uint8)
+_GROUP_WORDS = _PAIR_WORDS[np.stack(np.divmod(np.arange(10**4), 100), -1)].view(np.uint64).ravel()
+_GROUP_LAST = np.array([np.maximum.outer(*pairs).ravel() for pairs in np.where(np.arange(100) > 0,
+    np.arange(1, 17, 2).reshape(4, 2, 1) + (np.arange(100) % 10 > 0), 0)], np.uint8)
 
 
 def _row_masks():
@@ -376,11 +377,11 @@ def _csv(header: str, columns: Sequence, labels: Sequence[str] | None = None):
 
     The cells are rendered by numpy.  For 1e-4 <= |x| < 1e17 ``%g`` writes x
     in fixed notation with decimal exponent k = floor(log10|x|) and 17
-    significant digits, the integer
-    D = round(|x| * 10**q) with q = 16 - k in [0, 20].  10**q is an exact
-    double, so Dekker's product (Veltkamp splitting) gives |x| * 10**q as
-    p + e exactly, with p >= 1e16 an integer, and D = p + round(e).  The
-    digits of D are laid out around the decimal point, trailing zeros
+    significant digits, the integer D = round(|x| * 10**q) with q = 16 - k
+    in [0, 20].  10**q is an exact double, so Dekker's product (Veltkamp
+    splitting) gives |x| * 10**q as p + e exactly, with p >= 1e16 an integer,
+    and D = p + round(e).  D's leading digit and four 4-digit groups are read
+    from tables and laid out around the decimal point, trailing zeros
     stripped.  A cell falls back to ``'%.17g' %`` when it is not finite,
     when %g would write it in exponent notation (|x| < 1e-4, or |x| that
     rounds to 1e17 or more), when the estimate of k from log10 is off by
@@ -424,22 +425,21 @@ def _csv_lines(block):
                    & (digits < 10**17) & (e - np.floor(e) != 0.5))
     digits[~fast] = 10**16  # any 17-digit D: the fallback overwrites these cells
 
-    # the leading digit, then the 16 others as pairs, most significant first
+    # the leading digit, then two 8-digit halves as four 4-digit groups, most significant first
     lead = digits // 10**16
-    groups = digits - lead * 10**16
-    for scale in (10**8, 10**4, 100):
-        high = groups // scale
-        groups = np.stack([high, groups - high * scale], axis=-2)
-    pairs = groups.reshape(8, n)
+    rest = digits - lead * 10**16
+    high = rest // 10**8
+    halves = np.stack([high, rest - high * 10**8])
+    high = halves // 10**4
+    groups = np.stack([high, halves - high * 10**4], axis=1).reshape(4, n)
 
     rows = np.empty((n, 40), np.uint8)
-    words = rows.view(np.uint32)
-    words[:, 0] = _SIGN_WORD
-    words[:, 1] = _LEAD_WORDS[lead]
+    words = rows.view(np.uint64)
+    words[:, 0] = _LEAD_WORDS[lead]
     last = np.zeros(n, np.uint8)
-    for j, pair in enumerate(pairs):
-        words[:, 2 + j] = _PAIR_WORDS[pair]
-        np.maximum(last, _PAIR_LAST[j][pair], out=last)
+    for j, group in enumerate(groups):
+        words[:, 1 + j] = _GROUP_WORDS[group]
+        np.maximum(last, _GROUP_LAST[j][group], out=last)
     rows &= np.take(_ROW_MASKS, np.where(zero, 714 + neg, 17 * (21 * neg + k + 4) + last), axis=0)
     slow = np.flatnonzero(~fast)
     if slow.size:

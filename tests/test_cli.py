@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import json
 import math
 import os
@@ -74,6 +75,18 @@ def test_default_out_dir_env(monkeypatch):
     monkeypatch.setenv("SPINPHASE_OUT_DIR", "/tmp/spin_out_env")
     rc = parse_cli("timescale --B 1 --omega 0.05".split())
     assert rc.output_dir == "/tmp/spin_out_env"
+
+
+def test_one_parser_serves_every_call():
+    # parse_args leaves the parser as it was, so one parser per process reads every argv
+    assert _build_parser() is _build_parser()
+    argv = "simulate --profile sinusoidal --theta0 0.2 --t-end 10 --grid-n 11 --out a".split()
+    first = parse_cli(argv)
+    assert parse_cli("stokes --theta0 0.25 --n-nodes 11".split()).params["theta0"] == 0.25
+    with pytest.raises(SystemExit) as exc:
+        parse_cli(["simulate", "--t-end"])
+    assert exc.value.code == 2
+    assert parse_cli(argv) == first
 
 
 # ---------------------------------------------------------------------------
@@ -627,6 +640,52 @@ def test_csv_of_log_uniform_magnitudes_is_the_per_cell_form(part):
 @given(columns=st.integers(1, 6), cells=st.lists(st.floats(), max_size=60))
 def test_csv_of_any_float_table_is_the_per_cell_form(columns, cells):
     table = np.array(cells[:len(cells) // columns * columns], dtype=float).reshape(-1, columns)
+    assert _rendered("h", table) == _per_cell_csv("h", table).encode()
+
+
+def test_csv_group_tables_are_their_definition():
+    assert [w.tobytes() for w in cli._LEAD_WORDS] == [b"-0.000%d." % d for d in range(10)]
+    assert [w.tobytes() for w in cli._GROUP_WORDS] == [
+        b"%d.%d.%d.%d." % tuple(int(c) for c in "%04d" % g) for g in range(10**4)]
+    # [j, g]: the index in D of the last nonzero digit of group j (D's digits 4j+1..4j+4)
+    assert cli._GROUP_LAST.dtype == np.uint8
+    assert cli._GROUP_LAST.tolist() == [
+        [max((4 * j + 1 + i for i, c in enumerate("%04d" % g) if c != "0"), default=0)
+         for g in range(10**4)] for j in range(4)]
+
+
+def _with_digits(d, k):
+    """The double nearest d * 10**(k - 16) if its 17 significant digits are d and its decimal
+    exponent is k, else None."""
+    x = float(f"{d}e{k - 16}")
+    s = "%.16e" % x
+    return x if s[0] + s[2:18] == str(d) and int(s[19:]) == k else None
+
+
+def _group_cells():
+    """For each group j of D and 4-digit g, a double whose D has group j = g and zeros after it.
+
+    Its decimal exponent is k <= 0 where such a double exists (every g but three in group 0),
+    so each digit of the group is after the point and the group's last nonzero digit decides
+    where the cell ends.
+    """
+    cells = []
+    for j in range(4):
+        for g in range(10**4):
+            if j == 0:  # only the leading digit and the exponent are free
+                tries = ((lead * 10**16 + g * 10**12, k)
+                         for k in (0, -1, -2, -3, -4, 1, 2, 3) for lead in range(1, 10))
+            else:  # group 0 is free
+                tries = ((10**16 + f * 10**12 + g * 10**(12 - 4 * j), 0) for f in range(10**4))
+            cells.append(next(x for x in itertools.starmap(_with_digits, tries) if x is not None))
+    return cells
+
+
+def test_csv_of_every_group_in_every_position_is_the_per_cell_form():
+    # g * 10**p is an exact double for g < 10**4 and p <= 12
+    exact = np.arange(10**4)[:, None] * 10.0 ** np.arange(13)
+    cells = np.concatenate([exact.ravel(), _group_cells()])
+    table = np.concatenate([cells, -cells]).reshape(-1, 10)
     assert _rendered("h", table) == _per_cell_csv("h", table).encode()
 
 
