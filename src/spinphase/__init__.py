@@ -29,7 +29,6 @@ from .errors import (
     OverlapLoss,
     PerturbativeRegimeViolation,
     PoleSingularity,
-    SelfIntersection,
     SpinPhaseError,
     StepSizeUnderflow,
 )

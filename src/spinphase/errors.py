@@ -55,10 +55,6 @@ class LoopNotClosed(SpinPhaseError):
     """Parameter-space loop endpoints do not match within closure tolerance."""
 
 
-class SelfIntersection(SpinPhaseError):
-    """Parameter-space loop crosses itself; surface integral undefined."""
-
-
 class ConfigError(SpinPhaseError):
     """Structurally valid input with invalid content."""
 

@@ -20,8 +20,10 @@ Four related but distinct objects live here.
 
 The second-order phase is also a holonomy on the (theta, theta_dot)
 parameter plane with connection (theta_dot/(4B), 0) and constant curvature
--1/(4B); ``generalized_line_integral`` and ``stokes_surface_integral``
-realize the two sides of that identity.
+-1/(4B); ``generalized_line_integral`` and ``stokes_surface_integral`` (the
+shoelace, which gives a self-crossing loop's winding-weighted area) realize
+its two sides.  On one polygon they are the same sum rearranged, so they agree
+to roundoff; the independent check is ``phi2`` over the loop's period.
 """
 
 from __future__ import annotations
@@ -39,14 +41,12 @@ from .errors import (
     GridTooCoarse,
     LoopNotClosed,
     PoleSingularity,
-    SelfIntersection,
 )
 from .field_profiles import FieldProfile, FieldSample, check_span, sample
 from .exact_dynamics import Trajectory, _spin_components, _unwrap, bloch_series
 
 _QUAD_OPTS = {"epsabs": 1e-12, "epsrel": 1e-12, "limit": 500}
 MIN_SIN_POLAR = 1e-3
-_SWEEP_BLOCK = 1 << 16  # candidate edge pairs per block of the crossing sweep
 _CLOSURE_TOL = 1e-9  # largest endpoint gap of a closed MLoop, per coordinate
 _ROMBERG_LEVELS = 4  # most step sizes (h, 2h, 4h, ...) a Romberg limit extrapolates from
 
@@ -419,117 +419,19 @@ def stokes_surface_integral(loop: MLoop, B_mag: float) -> float:
     """Oriented enclosed area over 4B: the surface side of the holonomy identity.
 
     Counterclockwise loops in the (theta, theta_dot/B) plane count positive
-    area.  The polygon must be simple; properly crossing edges raise
-    SelfIntersection, and so do a node strictly inside an edge of another pass
-    whose two neighbours lie strictly on opposite sides of that edge, and two
-    passes through one node whose incoming and outgoing edges interleave in angle
-    (collinear overlaps of degenerate zero-area loops, retraced edges and passes
-    that only touch at a node or an edge are tolerated).
-    The crossing test sweeps the edges' bounding boxes: O(m log m) time plus the
-    candidate pairs (O(m) on a smooth loop), O(m) memory plus one fixed-size block;
-    a loop revisiting one theta-range k times costs O(k*m), one node k times O(k**2).
+    area.  On any closed polygon, self-crossing or not, the shoelace gives the
+    winding-weighted area: each region counts once per counterclockwise turn of
+    the loop around it, which is what Stokes' theorem gives for a constant
+    curvature.
     """
     _check_field(B_mag)
     pts = np.stack([loop.theta, loop.theta_dot / B_mag], axis=1)
     if np.hypot(*(pts[0] - pts[-1])) <= 1e-12 + _CLOSURE_TOL:
         pts = pts[:-1]
-    _check_simple(pts)
     x_c, y_c = pts[:, 0], pts[:, 1]
     x_n, y_n = np.concatenate((pts[1:], pts[:1])).T
     area = 0.5 * float(np.sum(x_c * y_n - x_n * y_c))
     return area / 4.0
-
-
-def _edge_pairs(a: np.ndarray, b: np.ndarray):
-    """Yield blocks (i, j) of the non-adjacent edges a[i]->b[i], a[j]->b[j] of a closed
-    polygon whose bounding boxes overlap, found by sweeping the boxes sorted by x-minimum."""
-    m = len(a)
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    order = np.argsort(lo[:, 0])
-    # sorted edge k pairs with sorted edges k+1 .. k+counts[k], which start inside its x-range;
-    # taken _SWEEP_BLOCK at a time, non-adjacent pairs whose y-ranges overlap are kept
-    counts = np.searchsorted(lo[order, 0], hi[order, 0], side="right") - np.arange(1, m + 1)
-    ends = np.cumsum(counts)
-    for r0 in range(0, int(ends[-1]), _SWEEP_BLOCK):
-        r = np.arange(r0, min(r0 + _SWEEP_BLOCK, int(ends[-1])))
-        k = np.searchsorted(ends, r, side="right")
-        p, q = order[k], order[k + 1 + r - (ends[k] - counts[k])]
-        i, j = np.minimum(p, q), np.maximum(p, q)
-        keep = ((j - i > 1) & ((i > 0) | (j < m - 1))
-                & (lo[i, 1] <= hi[j, 1]) & (lo[j, 1] <= hi[i, 1]))
-        yield i[keep], j[keep]
-
-
-def _proper_crossings(a: np.ndarray, b: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Mask of the edge pairs (i, j) that cross strictly transversally."""
-    ei, ej = b[i] - a[i], b[j] - a[j]
-    d1, d2 = _cross2(ej, a[i] - a[j]), _cross2(ej, b[i] - a[j])
-    d3, d4 = _cross2(ei, a[j] - a[i]), _cross2(ei, b[j] - a[i])
-    return (d1 * d2 < 0.0) & (d3 * d4 < 0.0)
-
-
-def _nodes_inside_edges(a, b, prev, node: np.ndarray, edge: np.ndarray) -> np.ndarray:
-    """Mask of the nodes a[node] strictly inside edges a[edge]->b[edge] whose two
-    neighbours prev[node] and b[node] lie strictly on opposite sides of the edge's line."""
-    e, rel = b[edge] - a[edge], a[node] - a[edge]
-    along = np.sum(rel * e, axis=1)
-    inside = (_cross2(e, rel) == 0.0) & (along > 0.0) & (along < np.sum(e * e, axis=1))
-    return inside & (_cross2(e, prev[node] - a[edge]) * _cross2(e, b[node] - a[edge]) < 0.0)
-
-
-def _check_simple(pts: np.ndarray) -> None:
-    """Raise SelfIntersection unless the closed polygon only touches itself.
-
-    Repeated consecutive nodes are merged first, so every pass through a node has
-    two nonzero rays.  One sweep then gives all three edge tests their pairs: node k
-    starts edge k, whose box overlaps the box of any edge the node lies in, and
-    every such edge but k+1 (which holds a neighbour on its line, so it never
-    counts) is non-adjacent to edge k; two passes through one node start two
-    non-adjacent edges there, whose boxes share it.  A sweep block whose box filter
-    leaves no candidate pair costs nothing beyond the filter: on a smooth loop that is
-    every block.
-    """
-    p = pts[np.any(pts != np.concatenate((pts[1:], pts[:1])), axis=1)]
-    if len(p) < 4:  # fewer distinct nodes have no non-adjacent edges
-        return
-    a, b, prev = p, np.concatenate((p[1:], p[:1])), np.concatenate((p[-1:], p[:-1]))
-    for i, j in _edge_pairs(a, b):
-        if not len(i):
-            continue
-        if np.any(_proper_crossings(a, b, i, j)):
-            raise SelfIntersection("loop edges cross; oriented area is undefined")
-        if np.any(_nodes_inside_edges(a, b, prev, i, j)
-                  | _nodes_inside_edges(a, b, prev, j, i)):
-            raise SelfIntersection("loop crosses an edge at a node; "
-                                   "oriented area is undefined")
-        if np.any(_passes_cross(a, b, prev, i, j)):
-            raise SelfIntersection("loop crosses itself at a node; oriented area is undefined")
-
-
-def _passes_cross(a, b, prev, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Mask of the pairs of passes through one node, a[i] == a[j], whose in/out rays
-    interleave in angle; a ray shared by both passes, or a pass that reverses on
-    itself, is a touch."""
-    same = np.all(a[i] == a[j], axis=1)
-    i, j = i[same], j[same]
-    u, v = prev[i] - a[i], b[i] - a[i]
-    return _side(u, v, prev[j] - a[j]) * _side(u, v, b[j] - a[j]) < 0
-
-
-def _side(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """+1 if ray w lies strictly inside the counterclockwise wedge from ray u to ray v,
-    -1 strictly outside, 0 on u or v (and everywhere when v retraces u)."""
-    c, cu, cv = _cross2(u, v), _cross2(u, w), _cross2(w, v)
-    side = np.where(c > 0, np.where((cu > 0) & (cv > 0), 1, -1),
-                    np.where(c < 0, np.where((cu < 0) & (cv < 0), -1, 1),
-                             np.sign(cu) * (np.sum(u * v, axis=-1) < 0)))
-    on_u = (cu == 0) & (np.sum(u * w, axis=-1) > 0)
-    on_v = (cv == 0) & (np.sum(v * w, axis=-1) > 0)
-    return np.where(on_u | on_v, 0, side)
-
-
-def _cross2(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
 # ---------------------------------------------------------------------------

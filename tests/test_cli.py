@@ -430,7 +430,7 @@ def test_unbounded_span_with_explicit_grid_exits_3(tmp_path):
 
 
 def test_stokes_large_loop_finishes(tmp_path):
-    # 10**5 nodes: the crossing sweep takes milliseconds where an all-pairs loop took minutes
+    # 10**5 nodes: both sides of the holonomy are O(n) sums over the nodes
     argv = ["stokes", "--n-nodes", "100000", "--out", str(tmp_path)]
     proc = _run_module(argv, timeout=60)
     assert proc.returncode == 0, proc.stderr

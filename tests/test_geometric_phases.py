@@ -14,7 +14,6 @@ from spinphase import (
     LoopNotClosed,
     MLoop,
     PoleSingularity,
-    SelfIntersection,
     Trajectory,
     aa_geometric_phase_coordinate,
     aa_geometric_phase_solid_angle,
@@ -41,7 +40,6 @@ from spinphase import (
 )
 from spinphase import geometric_phases
 from spinphase.exact_dynamics import magnus4_schrodinger
-from spinphase.geometric_phases import _edge_pairs, _proper_crossings
 from conftest import needs_scipy, uniform_grid_cfg
 from oracles import (
     aa_coordinate_rows,
@@ -529,90 +527,6 @@ def test_stokes_identity_on_smooth_random_loops():
             assert abs(line) == pytest.approx(abs(surf), abs=1e-12)
 
 
-def test_self_intersection_detected():
-    eight = MLoop(theta=np.array([0.0, 1.0, 1.0, 0.0, 0.0]),
-                  theta_dot=np.array([0.0, 1.0, 0.0, 1.0, 0.0]))
-    with pytest.raises(SelfIntersection):
-        stokes_surface_integral(eight, 1.0)
-
-
-def _crossing_reference(pts):
-    # the O(m^2) pair loop the sweep replaced: edge ii against every non-adjacent j > ii + 1
-    def cross2(u, v):
-        return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
-
-    m = len(pts)
-    a = pts
-    b = np.roll(pts, -1, axis=0)
-    for ii in range(m - 2):
-        j = np.arange(ii + 2, m - 1 if ii == 0 else m)
-        if j.size == 0:
-            continue
-        d1 = cross2(b[j] - a[j], a[ii] - a[j])
-        d2 = cross2(b[j] - a[j], b[ii] - a[j])
-        d3 = cross2(b[ii] - a[ii], a[j] - a[ii])
-        d4 = cross2(b[ii] - a[ii], b[j] - a[ii])
-        if np.any((d1 * d2 < 0.0) & (d3 * d4 < 0.0)):
-            return True
-    return False
-
-
-def _random_polygon(rng, k):
-    m = int(rng.integers(4, 31))
-    if k % 2:  # star-shaped around the origin: simple unless rounding folds it
-        ang = np.sort(rng.uniform(0.0, 2 * math.pi, m))
-        r = rng.uniform(0.5, 3.0, m)
-        pts = np.stack([r * np.cos(ang), r * np.sin(ang)], axis=1)
-    else:
-        pts = rng.uniform(-3.0, 3.0, (m, 2))
-    # every third polygon on integer nodes: collinear edges, touching and shared vertices
-    return np.round(pts) if k % 3 == 0 else pts
-
-
-def _has_proper_crossing(pts):
-    """Detect strictly transversal edge crossings of a closed polygon by the sweep."""
-    a, b = pts, np.roll(pts, -1, axis=0)
-    return any(np.any(_proper_crossings(a, b, i, j)) for i, j in _edge_pairs(a, b))
-
-
-def test_crossing_sweep_matches_pair_loop(monkeypatch):
-    rng = np.random.default_rng(11)
-    cases = [(pts, _crossing_reference(pts))
-             for pts in (_random_polygon(rng, k) for k in range(1200))]
-    crossing = sum(want for _, want in cases)
-    assert min(crossing, len(cases) - crossing) >= 300  # both answers well represented
-    for pts, want in cases:
-        assert _has_proper_crossing(pts) == want, pts
-        shift = int(rng.integers(1, len(pts)))
-        assert _has_proper_crossing(np.roll(pts, shift, axis=0)) == want, (pts, shift)
-        assert _has_proper_crossing(pts[::-1]) == want, pts
-    # blocks of a few pairs put most candidate pairs past the first block
-    monkeypatch.setattr(geometric_phases, "_SWEEP_BLOCK", 7)
-    for pts, want in cases[:300]:
-        assert _has_proper_crossing(pts) == want, pts
-
-
-def test_crossing_in_a_late_sweep_block_is_found(monkeypatch):
-    # a long strip whose one crossing sits at its right end, where the sweep (by box
-    # x-minimum) comes last; blocks of two pairs leave the blocks before it empty
-    bottom = [(float(x), 0.0) for x in range(9)]
-    top = [(float(x), 2.0) for x in range(8, -1, -1)]
-    crossed = np.array(bottom + [(10.0, 1.0), (10.0, 0.0), (8.0, 1.0)] + top)
-    simple = np.array(bottom + [(10.0, 0.0), (10.0, 1.0), (8.0, 1.0)] + top)
-    default = geometric_phases._SWEEP_BLOCK
-    monkeypatch.setattr(geometric_phases, "_SWEEP_BLOCK", 2)
-    a, b = crossed, np.roll(crossed, -1, axis=0)
-    blocks = [np.any(_proper_crossings(a, b, i, j)) if len(i) else None
-              for i, j in _edge_pairs(a, b)]
-    assert blocks[:10] == [None] * 10 and blocks.count(True) == 1
-    for block in (2, 7, default):
-        monkeypatch.setattr(geometric_phases, "_SWEEP_BLOCK", block)
-        for shift in (0, 5, 13):
-            for pts, want in ((crossed, False), (simple, True)):
-                q = np.roll(pts, shift, axis=0)
-                assert _is_simple(q) == want and _is_simple(q[::-1]) == want, (block, shift)
-
-
 def test_stokes_801_node_ellipse_takes_at_most_10_ms():
     loop = ellipse_loop()
     best = math.inf
@@ -635,15 +549,7 @@ def test_stokes_large_loop_bounded_in_time_and_memory():
         tracemalloc.stop()
     assert val == pytest.approx(ELLIPSE_PHI2, abs=1e-6)
     assert elapsed < 1.0
-    assert peak < 100 * 2**20  # an all-pairs box mask alone would be ~10 GB
-
-
-def test_lemniscate_self_intersection_detected():
-    # figure-eight of Gerono; the offset keeps both passes through the origin off the nodes
-    t = np.linspace(0.0, 2 * math.pi, 2000) + 0.3
-    loop = MLoop(theta=np.sin(t), theta_dot=np.sin(t) * np.cos(t))
-    with pytest.raises(SelfIntersection):
-        stokes_surface_integral(loop, 1.0)
+    assert peak < 100 * 2**20
 
 
 def _closed(pts):
@@ -654,16 +560,8 @@ def _closed(pts):
 
 # a figure-eight whose two passes cross exactly at the shared node (0, 0)
 FIGURE_EIGHT_AT_NODE = [[0, 0], [1, 1], [1, -1], [0, 0], [-1, 1], [-1, -1]]
-# two clockwise lobes that only touch at (0, 0): simple enough for an area
+# two clockwise lobes that only touch at (0, 0)
 KISSING_LOBES = [[0, 0], [1, 1], [1, -1], [0, 0], [-1, -1], [-1, 1]]
-
-
-def test_figure_eight_through_shared_node_detected():
-    for shift in range(len(FIGURE_EIGHT_AT_NODE)):
-        pts = np.roll(FIGURE_EIGHT_AT_NODE, shift, axis=0)
-        for loop in (_closed(pts), _closed(pts[::-1])):
-            with pytest.raises(SelfIntersection):
-                stokes_surface_integral(loop, 1.0)
 
 
 def test_lobes_touching_at_a_node_are_tolerated():
@@ -676,60 +574,6 @@ def test_lobes_touching_at_a_node_are_tolerated():
     assert stokes_surface_integral(_closed(doubled), 1.0) == -0.5
     spike = [[0, 0], [1, 1], [1, -1], [0, 0], [-1, 0], [0, 0], [-1, -1], [-1, 1]]
     assert stokes_surface_integral(_closed(spike), 1.0) == -0.5
-
-
-def _vertex_crossing_reference(pts):
-    # every pair of passes through one node on an integer polygon, rays compared
-    # as gcd-reduced integer directions and ordered by angle
-    keep = [k for k in range(len(pts)) if tuple(pts[k]) != tuple(pts[(k + 1) % len(pts)])]
-    p = [tuple(int(c) for c in pts[k]) for k in keep]
-    m = len(p)
-
-    def ray(k, step):
-        dx, dy = p[(k + step) % m][0] - p[k][0], p[(k + step) % m][1] - p[k][1]
-        g = math.gcd(dx, dy)
-        return dx // g, dy // g
-
-    def ccw(frm, to):
-        return (math.atan2(to[1], to[0]) - math.atan2(frm[1], frm[0])) % (2 * math.pi)
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            if p[i] != p[j]:
-                continue
-            a1, a2, b1, b2 = ray(i, -1), ray(i, 1), ray(j, -1), ray(j, 1)
-            if a1 == a2 or b1 == b2 or {b1, b2} & {a1, a2}:
-                continue  # a pass reversing on itself, or a shared ray: a touch
-            if (ccw(a1, b1) < ccw(a1, a2)) != (ccw(a1, b2) < ccw(a1, a2)):
-                return True
-    return False
-
-
-def test_vertex_crossing_matches_pass_pair_loop(monkeypatch):
-    rng = np.random.default_rng(17)
-    polygons = [rng.integers(-2, 3, (int(rng.integers(4, 25)), 2)).astype(float)
-                for _ in range(600)]
-    # two lobes through the origin: vertex crossings with no other defect are rare above
-    polygons += [np.insert(rng.integers(-2, 3, (4, 2)), [0, 2], 0, axis=0).astype(float)
-                 for _ in range(200)]
-    cases, vertex_only = [], 0
-    for pts in polygons:
-        vertex = _vertex_crossing_reference(pts)
-        other = _crossing_reference(pts) or _inside_edge_reference(pts)
-        vertex_only += vertex and not other
-        cases.append((pts, vertex, not (vertex or other)))
-    crossing = sum(vertex for _, vertex, _ in cases)
-    simple = sum(want for *_, want in cases)
-    assert min(crossing, len(cases) - crossing) >= 100
-    assert vertex_only >= 20 and simple >= 100
-    variants = [(pts, np.roll(pts, int(rng.integers(1, len(pts))), axis=0), pts[::-1])
-                for pts, *_ in cases]
-    # blocks of a few pairs put most candidate pairs past the first block
-    for block in (geometric_phases._SWEEP_BLOCK, 7):
-        monkeypatch.setattr(geometric_phases, "_SWEEP_BLOCK", block)
-        for (*_, want), qs in zip(cases, variants):
-            for q in qs:
-                assert _is_simple(q) == want, q
 
 
 @pytest.mark.parametrize("B_mag", [math.nan, math.inf, 1e-9])
@@ -775,17 +619,6 @@ BOWTIE_THROUGH_EDGE = [[-1, -1], [0, 0], [1, 1], [1, -1], [-1, 1]]
 TOUCHING_BASE = [[0, 0], [4, 0], [4, 3], [2, 0], [0, 3]]
 
 
-def test_node_inside_edge_crossing_detected():
-    for shift in range(len(BOWTIE_THROUGH_EDGE)):
-        pts = np.roll(BOWTIE_THROUGH_EDGE, shift, axis=0)
-        for loop in (_closed(pts), _closed(pts[::-1])):
-            with pytest.raises(SelfIntersection):
-                stokes_surface_integral(loop, 1.0)
-    doubled = [[-1, -1], [0, 0], [0, 0], [1, 1], [1, -1], [-1, 1]]
-    with pytest.raises(SelfIntersection):
-        stokes_surface_integral(_closed(doubled), 1.0)
-
-
 def test_node_touching_an_edge_from_one_side_is_tolerated():
     for shift in range(len(TOUCHING_BASE)):
         pts = np.roll(TOUCHING_BASE, shift, axis=0)
@@ -793,57 +626,40 @@ def test_node_touching_an_edge_from_one_side_is_tolerated():
         assert stokes_surface_integral(_closed(pts[::-1]), 1.0) == -1.5
 
 
-def _inside_edge_reference(pts):
-    # every node against every edge not incident to it, on the polygon with repeats merged
-    keep = [k for k in range(len(pts)) if tuple(pts[k]) != tuple(pts[(k + 1) % len(pts)])]
-    p = [tuple(pts[k]) for k in keep]
-    m = len(p)
-
-    def cross(o, u, v):
-        return (u[0] - o[0]) * (v[1] - o[1]) - (u[1] - o[1]) * (v[0] - o[0])
-
-    for k in range(m):
-        for e in range(m):
-            a, b = p[e], p[(e + 1) % m]
-            if k in (e, (e + 1) % m) or cross(a, b, p[k]) != 0:
-                continue
-            along = (p[k][0] - a[0]) * (b[0] - a[0]) + (p[k][1] - a[1]) * (b[1] - a[1])
-            if not 0 < along < (b[0] - a[0]) ** 2 + (b[1] - a[1]) ** 2:
-                continue
-            if cross(a, b, p[k - 1]) * cross(a, b, p[(k + 1) % m]) < 0:
-                return True
-    return False
+def _rolled(pts):
+    return [_closed(np.roll(pts, shift, axis=0)) for shift in range(len(pts))]
 
 
-def _is_simple(pts):
-    try:
-        geometric_phases._check_simple(pts)
-    except SelfIntersection:
-        return False
-    return True
+def _lemniscate():
+    # figure-eight of Gerono; the offset keeps both passes through the origin off the nodes
+    t = np.linspace(0.0, 2 * math.pi, 2000) + 0.3
+    return [MLoop(theta=np.sin(t), theta_dot=np.sin(t) * np.cos(t))]
 
 
-def _polygon_through_edge(rng, k):
-    pts = 2.0 * rng.integers(-2, 3, (int(rng.integers(4, 9)), 2))
-    if k % 2:  # one more node, on the midpoint of an edge it does not share
-        e = int(rng.integers(len(pts)))
-        at = (e + 2 + int(rng.integers(len(pts) - 1))) % (len(pts) + 1)
-        pts = np.insert(pts, at, 0.5 * (pts[e] + pts[(e + 1) % len(pts)]), axis=0)
-    return pts
+def _ellipse_twice():
+    loop = ellipse_loop()
+    return [MLoop(theta=np.concatenate([loop.theta, loop.theta[1:]]),
+                  theta_dot=np.concatenate([loop.theta_dot, loop.theta_dot[1:]]),
+                  time_unit=loop.time_unit)]
 
 
-def test_simplicity_check_matches_the_three_references():
-    rng = np.random.default_rng(23)
-    cases, inside_only = [], 0
-    for k in range(700):
-        pts = _polygon_through_edge(rng, k)
-        inside = _inside_edge_reference(pts)
-        other = _crossing_reference(pts) or _vertex_crossing_reference(pts)
-        inside_only += inside and not other
-        cases.append((pts, not (inside or other)))
-    simple = sum(want for _, want in cases)
-    assert inside_only >= 20 and min(simple, len(cases) - simple) >= 200
-    for pts, want in cases:
-        shift = int(rng.integers(1, len(pts)))
-        for q in (pts, np.roll(pts, shift, axis=0), pts[::-1]):
-            assert _is_simple(q) == want, q
+# each region counts once per counterclockwise turn of the loop around it, so lobes
+# wound in opposite senses cancel and a loop traced twice counts its area twice
+@pytest.mark.parametrize("sense", [1, -1], ids=["forward", "reversed"])
+@pytest.mark.parametrize("loops, area, tol", [
+    (lambda: [_closed([[0, 0], [1, 1], [1, 0], [0, 1]])], 0.0, 0.0),
+    (lambda: _rolled([[0, 0], [2, 2], [2, -2], [0, 0], [-1, 1], [-1, -1]]), (1 - 4) / 4, 0.0),
+    (lambda: _rolled(BOWTIE_THROUGH_EDGE), 0.0, 0.0),
+    (lambda: _rolled(FIGURE_EIGHT_AT_NODE), 0.0, 0.0),
+    (_lemniscate, 0.0, 1e-15),
+    (_ellipse_twice, 2 * ELLIPSE_PHI2, 1e-6),
+], ids=["bowtie", "asymmetric_figure_eight", "bowtie_through_edge", "figure_eight_at_node",
+        "lemniscate", "ellipse_traced_twice"])
+def test_self_crossing_loop_gives_its_winding_weighted_area(loops, area, tol, sense):
+    # a reversed traversal winds the other way round every region, so the area flips sign
+    for loop in loops():
+        lp = MLoop(theta=loop.theta[::sense], theta_dot=loop.theta_dot[::sense],
+                   time_unit=loop.time_unit)
+        line = generalized_line_integral(lp, 1.0)
+        assert abs(line - stokes_surface_integral(lp, 1.0)) <= 1e-15
+        assert abs(line - sense * area) <= tol
