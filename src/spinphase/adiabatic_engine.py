@@ -110,7 +110,17 @@ def _su2_factors(theta, params: AdiabaticParams):
 
 
 def _compose(a_hi, b_hi, a_lo, b_lo):
-    """SU(2) pair of the product hi @ lo of two [[a, -conj(b)], [b, conj(a)]] matrices."""
+    """SU(2) pair of the product hi @ lo of two [[a, -conj(b)], [b, conj(a)]] matrices.
+
+    The rounding of these complex products depends on how numpy takes them:
+    numpy 2.4 on an x86-64 CPU with FMA rounds an array's x * y with a fused
+    multiply-add, so    not as (xr yr - xi yi) + 1j (xr yi + xi yr) in float operations; it rounds
+    the same with ``out=`` a separate array, but a product taken in place over
+    one element, and a product of numpy scalars, round plainly.  Taking the
+    products of the steppers' scan in place changes the states of a 4096-step
+    CF4 run on a polynomial_angle field from state 3072 on;
+    ``exact_dynamics._pair_product`` is the out-of-place form that keeps the bits.
+    """
     return a_hi * a_lo - np.conj(b_hi) * b_lo, b_hi * a_lo + np.conj(a_hi) * b_lo
 
 

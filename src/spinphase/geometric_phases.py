@@ -257,11 +257,19 @@ def _decimations(n_nodes: int) -> list[int]:
 
 def _is_uniform(times: np.ndarray) -> bool:
     dt = np.diff(times)
-    return bool(np.max(np.abs(dt - dt[0])) <= 1e-9 * abs(dt[0]))
+    dt0 = dt[0]
+    dt -= dt0
+    return bool(max(dt.max(), -dt.min()) <= 1e-9 * abs(dt0))
 
 
 def _stieltjes(x: np.ndarray, f: np.ndarray) -> float:
-    return float(np.sum(0.5 * (f[1:] + f[:-1]) * np.diff(x)))
+    """Trapezoid sum of f dx: the sum of 0.5 (f[k+1] + f[k]) (x[k+1] - x[k])."""
+    w = np.empty((2, len(x) - 1))
+    np.add(f[1:], f[:-1], out=w[0])
+    w[0] *= 0.5
+    np.subtract(x[1:], x[:-1], out=w[1])
+    w[0] *= w[1]
+    return float(np.sum(w[0]))
 
 
 def _refined_stieltjes(times: np.ndarray, x: np.ndarray, f: np.ndarray) -> float:
@@ -276,11 +284,13 @@ def phi_dyn_expect(traj: Trajectory, profile: FieldProfile) -> float:
 
     Composite trapezoid over the trajectory grid, Richardson-refined via node
     decimation when the grid is uniform.  The per-step phase must stay below
-    pi/2 or the grid is rejected.
+    pi/2 or the grid is rejected.  A path of one node gives the empty integral 0.0.
     """
+    if len(traj.times) < 2:
+        return 0.0
     h_expect = 0.5 * np.sum(sample(profile, traj.times).B_vec * bloch_series(traj), axis=1)
     steps = np.abs(h_expect[:-1] * np.diff(traj.times))
-    if steps.size and float(np.max(steps)) >= 0.5 * np.pi:
+    if float(np.max(steps)) >= 0.5 * np.pi:
         raise GridTooCoarse("per-step dynamical phase exceeds pi/2; refine the grid")
     return -_refined_stieltjes(traj.times, traj.times, h_expect)
 
@@ -290,14 +300,22 @@ def aa_geometric_phase_coordinate(traj: Trajectory) -> float:
 
     theta~/phi~ are the spherical coordinates of the (unit-normalized) spin
     trajectory; the azimuth is unwrapped, so full windings accumulate.  The
-    connection is singular at the poles, hence the sin(theta~) floor.
+    connection is singular at the poles, hence the sin(theta~) floor.  A path
+    of one node gives the empty integral 0.0.
     """
+    if len(traj.times) < 2:
+        return 0.0
     x, y, z = _spin_path(traj)
-    sin_polar = math.sqrt(float(np.min(x * x + y * y)))
+    azimuth = np.arctan2(y, x)
+    x *= x
+    y *= y
+    x += y  # sin(theta~)^2
+    sin_polar = math.sqrt(float(np.min(x)))
     if sin_polar < MIN_SIN_POLAR:
         raise PoleSingularity(f"path reaches sin(theta~)={sin_polar:.3g} < {MIN_SIN_POLAR}")
-    azimuth = _unwrap(np.arctan2(y, x), GridTooCoarse, "azimuth")
-    return -0.5 * _refined_stieltjes(traj.times, azimuth, 1.0 - z)
+    azimuth = _unwrap(azimuth, GridTooCoarse, "azimuth")
+    np.subtract(1.0, z, out=z)
+    return -0.5 * _refined_stieltjes(traj.times, azimuth, z)
 
 
 def aa_geometric_phase_solid_angle(traj: Trajectory, refine: bool = True) -> float:
@@ -307,54 +325,77 @@ def aa_geometric_phase_solid_angle(traj: Trajectory, refine: bool = True) -> flo
     the +z axis — the gauge in which the coordinate route measures enclosed
     area — and each triangle contributes its signed solid angle.  Richardson
     refinement over node decimation removes the inscribed-polygon deficit.
+    A path of one node gives the empty integral 0.0.
     """
+    if len(traj.times) < 2:
+        return 0.0
     x, y, z = _spin_path(traj)
-    if len(x) > 1:
-        arc = float(np.arccos(np.clip(np.min(_dots(x, y, z)), -1.0, 1.0)))
-        if arc >= 0.25 * np.pi:
-            raise ArcTooLong(f"consecutive nodes {arc:.3g} rad apart (>= pi/4)")
+    dots, half_angles = _fan(x, y, z)
+    arc = float(np.arccos(np.clip(np.min(dots[:-1]), -1.0, 1.0)))
+    if arc >= 0.25 * np.pi:
+        raise ArcTooLong(f"consecutive nodes {arc:.3g} rad apart (>= pi/4)")
+    area = 2.0 * float(np.sum(half_angles))
+    del dots, half_angles  # the finest level's rows go before the coarser levels are made
     if refine:
-        vals = [_fan_area(x[::s], y[::s], z[::s]) for s in _decimations(len(x))]
+        vals = [area] + [_fan_area(x[::s], y[::s], z[::s]) for s in _decimations(len(x))[1:]]
         area = _romberg_limit(vals, tol=1e-12)
-    else:
-        area = _fan_area(x, y, z)
     return -0.5 * area
 
 
 def _spin_path(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Components (x, y, z) of the trajectory's unit spin path.
+    """Components (x, y, z) of the trajectory's unit spin path, new arrays the caller
+    may overwrite.
 
     A spinor's mean spin is a unit vector by construction; a Bloch path's
     states drift off the sphere under DOP853, so they are normalized here.
     """
     if traj.kind == "spinor":
-        return _spin_components(traj.states)
+        return tuple(_spin_components(traj.states))
     x, y, z = np.asarray(traj.states, dtype=float).T
     r = np.sqrt(x * x + y * y + z * z)
     return x / r, y / r, z / r
 
 
-def _dots(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """p . q of the consecutive nodes p, q of the path with components (x, y, z)."""
-    return x[:-1] * x[1:] + y[:-1] * y[1:] + z[:-1] * z[1:]
+def _cyclic_products(c: np.ndarray, d: np.ndarray, out: np.ndarray) -> None:
+    """out[k] = c[k] * d[k + 1], with the last node paired with the first."""
+    np.multiply(c[:-1], d[1:], out=out[:-1])
+    out[-1] = c[-1] * d[0]
+
+
+def _fan(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Rows (p . q, half the solid angle of (+z, p, q)) for each node p of the path
+    (x, y, z) and the next node q, the last node with the first.
+
+    The triangle (+z, p, q) of unit vectors has the signed solid angle
+    2 atan2(z . (p x q), 1 + z . p + z . q + p . q) (Van Oosterom & Strackee
+    1983).  The rows are made in one (3, n) array, each product once.
+    """
+    w = np.empty((3, len(x)))
+    dots, num, den = w
+    _cyclic_products(x, x, dots)
+    _cyclic_products(y, y, num)
+    dots += num
+    _cyclic_products(z, z, num)
+    dots += num
+    _cyclic_products(x, y, num)
+    _cyclic_products(y, x, den)
+    num -= den  # z . (p x q)
+    np.add(z, 1.0, out=den)
+    den[:-1] += z[1:]
+    den[-1] += z[0]
+    den += dots
+    np.arctan2(num, den, out=num)
+    return w[:2]
 
 
 def _fan_area(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> float:
     """Signed spherical area of the polygon of unit vectors (x, y, z), fanned from +z.
 
     The polygon is always closed by the geodesic from its last node back to
-    its first; on a path that ends where it starts, that triangle is
-    degenerate and adds exactly 0.  The triangle (+z, p, q) of unit vectors
-    has the signed solid angle 2 atan2(z . (p x q), 1 + z . p + z . q + p . q)
-    (Van Oosterom & Strackee 1983).
+    its first: that triangle fills the last slot of :func:`_fan`'s rows, and on
+    a path that ends where it starts it is degenerate and adds exactly 0.
     """
-    x, y, z = (np.append(c, c[0]) for c in (x, y, z))
-    num = x[:-1] * y[1:]
-    num -= y[:-1] * x[1:]
-    den = 1.0 + z[:-1]
-    den += z[1:]
-    den += _dots(x, y, z)
-    return 2.0 * float(np.sum(np.arctan2(num, den, out=num)))
+    return 2.0 * float(np.sum(_fan(x, y, z)[1]))
 
 
 # ---------------------------------------------------------------------------

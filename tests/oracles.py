@@ -9,6 +9,10 @@ self-test of the analytic field derivatives, the Hamiltonian matrix that the
 solvers' right-hand side writes out, the solid-angle fan by spherical
 excesses, the mean-spin map and both Aharonov-Anandan routes on (n, 3) rows
 of spin vectors.  The tests compare the library against them.
+
+The last section keeps the spin-path kernels and the fixed-step steppers in
+their allocating form, one numpy expression per quantity; the library writes
+them with ``out=`` and in-place arithmetic and must match them bit for bit.
 """
 
 import math
@@ -17,16 +21,34 @@ from typing import Sequence
 
 import numpy as np
 
-from spinphase import DomainError, PoleSingularity, bloch_to_spinor, is_in_plane, sample
+from spinphase import (
+    ArcTooLong,
+    DomainError,
+    GridTooCoarse,
+    PoleSingularity,
+    bloch_to_spinor,
+    is_in_plane,
+    sample,
+)
 from spinphase.adiabatic_engine import (
     AdiabaticParams,
     QuasiStationary,
+    _compose,
     _guard_perturbative,
     _su2_factors,
     params_from_sample,
 )
-from spinphase.field_profiles import FieldProfile, FieldSample
-from spinphase.exact_dynamics import Trajectory, bloch_series
+from spinphase.field_profiles import FieldProfile, FieldSample, _field_vector
+from spinphase.exact_dynamics import (
+    _BLOCK_STEPS,
+    _CF4_A1,
+    _CF4_A2,
+    _CF4_NODES,
+    _PAIR_BLOCK,
+    Trajectory,
+    as_spinor,
+    bloch_series,
+)
 from spinphase.geometric_phases import (
     MIN_SIN_POLAR,
     _decimations,
@@ -330,3 +352,162 @@ def sample_broadcast(profile: FieldProfile, t) -> FieldSample:
     return FieldSample(t=t, B_vec=np.array(cartesian_broadcast(B, th, ph)).T, B_mag=B,
                        theta=th, phi=ph, theta_dot=eps * dth, theta_ddot=eps * eps * ddth,
                        phi_dot=eps * dph, phi_ddot=eps * eps * ddph, B_dot=eps * dB)
+
+
+# ---------------------------------------------------------------------------
+# Allocating forms of the spin-path kernels and the fixed-step steppers
+# ---------------------------------------------------------------------------
+
+def su2_complex(bx, by, bz, h):
+    """SU(2) pairs (a, b) of exp(-i h b . sigma / 2) in complex arithmetic."""
+    mag = np.sqrt(bx * bx + by * by + bz * bz)
+    ang = 0.5 * mag * h
+    c, si = np.cos(ang), np.sin(ang)
+    return c - 1j * si * (bz / mag), -1j * si * (bx / mag + 1j * (by / mag))
+
+
+def spin_components_allocating(psi):
+    """(Sx, Sy, Sz) = (2 conj(up) dn, |up|^2 - |dn|^2) / (|up|^2 + |dn|^2)."""
+    up, dn = psi[..., 0], psi[..., 1]
+    uu, dd = np.abs(up) ** 2, np.abs(dn) ** 2
+    nn = uu + dd
+    cross = np.conj(up) * dn
+    sx, sy = 2.0 * cross.real, 2.0 * cross.imag
+    sx /= nn
+    sy /= nn
+    uu -= dd
+    uu /= nn
+    return sx, sy, uu
+
+
+def unwrap_allocating(angles, error, what):
+    """Unwrapped angles from 0, each step wrapped into [-pi, pi) where it lies outside."""
+    steps = np.diff(angles) + np.pi
+    np.remainder(steps, 2.0 * np.pi, out=steps, where=(steps < 0.0) | (steps >= 2.0 * np.pi))
+    steps -= np.pi
+    worst = float(np.max(np.abs(steps))) if steps.size else 0.0
+    if worst > 0.5 * np.pi:
+        raise error(f"{what} step {worst:.3g} rad exceeds pi/2; refine the grid")
+    return np.concatenate([[0.0], np.cumsum(steps)])
+
+
+def _dots_allocating(x, y, z):
+    return x[:-1] * x[1:] + y[:-1] * y[1:] + z[:-1] * z[1:]
+
+
+def fan_area_appended(x, y, z):
+    """Fan area from +z of the path (x, y, z) closed by appending its first node."""
+    x, y, z = (np.append(c, c[0]) for c in (x, y, z))
+    num = x[:-1] * y[1:]
+    num -= y[:-1] * x[1:]
+    den = 1.0 + z[:-1]
+    den += z[1:]
+    den += _dots_allocating(x, y, z)
+    return 2.0 * float(np.sum(np.arctan2(num, den, out=num)))
+
+
+def stieltjes_allocating(x, f):
+    return float(np.sum(0.5 * (f[1:] + f[:-1]) * np.diff(x)))
+
+
+def is_uniform_allocating(times):
+    dt = np.diff(times)
+    return bool(np.max(np.abs(dt - dt[0])) <= 1e-9 * abs(dt[0]))
+
+
+def prefix_products_allocating(a, b):
+    """Overwrite the pairs (a[k], b[k]) with the products of steps k, ..., 0 (odd-even scan)."""
+    if len(a) < 2:
+        return
+    pa, pb = _compose(a[1::2], b[1::2], a[0:-1:2], b[0:-1:2])
+    prefix_products_allocating(pa, pb)
+    a[1::2], b[1::2] = pa, pb
+    k = (len(a) - 1) // 2
+    a[2::2], b[2::2] = _compose(a[2::2], b[2::2], pa[:k], pb[:k])
+
+
+def _refined_stieltjes_allocating(times, x, f):
+    if not is_uniform_allocating(times):
+        return stieltjes_allocating(x, f)
+    return _romberg_limit([stieltjes_allocating(x[::s], f[::s]) for s in _decimations(len(times))])
+
+
+def _spin_path_allocating(traj):
+    if traj.kind == "spinor":
+        return spin_components_allocating(traj.states)
+    x, y, z = np.asarray(traj.states, dtype=float).T
+    r = np.sqrt(x * x + y * y + z * z)
+    return x / r, y / r, z / r
+
+
+def aa_coordinate_allocating(traj):
+    """``aa_geometric_phase_coordinate`` from the allocating kernels (paths of two or more nodes)."""
+    x, y, z = _spin_path_allocating(traj)
+    sin_polar = math.sqrt(float(np.min(x * x + y * y)))
+    if sin_polar < MIN_SIN_POLAR:
+        raise PoleSingularity(f"path reaches sin(theta~)={sin_polar:.3g} < {MIN_SIN_POLAR}")
+    azimuth = unwrap_allocating(np.arctan2(y, x), GridTooCoarse, "azimuth")
+    return -0.5 * _refined_stieltjes_allocating(traj.times, azimuth, 1.0 - z)
+
+
+def aa_solid_angle_allocating(traj, refine=True):
+    """``aa_geometric_phase_solid_angle`` from the allocating kernels (paths of two or more
+    nodes)."""
+    x, y, z = _spin_path_allocating(traj)
+    arc = float(np.arccos(np.clip(np.min(_dots_allocating(x, y, z)), -1.0, 1.0)))
+    if arc >= 0.25 * np.pi:
+        raise ArcTooLong(f"consecutive nodes {arc:.3g} rad apart (>= pi/4)")
+    if refine:
+        vals = [fan_area_appended(x[::s], y[::s], z[::s]) for s in _decimations(len(x))]
+        return -0.5 * _romberg_limit(vals, tol=1e-12)
+    return -0.5 * fan_area_appended(x, y, z)
+
+
+def _stepped_states_allocating(pairs, n_steps, psi0, stride=1):
+    states = np.empty((n_steps // stride + 1, 2), dtype=complex)
+    states[0] = psi0
+    up, dn = psi0
+    buf = np.empty((2, min(n_steps, _BLOCK_STEPS)), dtype=complex)
+    for lo in range(0, n_steps, _BLOCK_STEPS):
+        hi = min(lo + _BLOCK_STEPS, n_steps)
+        a, b = buf[:, :hi - lo]
+        for sub in range(lo, hi, _PAIR_BLOCK):
+            end = min(sub + _PAIR_BLOCK, hi)
+            a[sub - lo:end - lo], b[sub - lo:end - lo] = pairs(sub, end)
+        prefix_products_allocating(a, b)
+        first = (-lo - 1) % stride
+        ka, kb = a[first::stride], b[first::stride]
+        kept = states[(lo + first + 1) // stride:][:len(ka)]
+        kept[:, 0] = ka * up - np.conj(kb) * dn
+        kept[:, 1] = kb * up + np.conj(ka) * dn
+        up, dn = a[-1] * up - np.conj(b[-1]) * dn, b[-1] * up + np.conj(a[-1]) * dn
+    return states
+
+
+def midpoint_states_allocating(profile, psi0, t_span, n_steps):
+    """States of ``exponential_midpoint_schrodinger`` from the allocating kernels."""
+    t0, t1 = t_span
+    h = (t1 - t0) / n_steps
+
+    def pairs(lo, hi):
+        return su2_complex(*_field_vector(profile, t0 + (np.arange(lo, hi) + 0.5) * h), h)
+
+    return _stepped_states_allocating(pairs, n_steps, as_spinor(psi0))
+
+
+def cf4_states_allocating(profile, psi0, grid, k):
+    """States of ``exact_dynamics._cf4_states`` (k CF4 steps per grid interval) from the
+    allocating kernels."""
+    starts, widths = grid[:-1], np.diff(grid) / k
+
+    def pairs(lo, hi):
+        interval, j = np.divmod(np.arange(lo, hi), k)
+        h = widths[interval]
+        t = starts[interval] + j * h
+        m = len(t)
+        b = _field_vector(profile, np.concatenate([t + _CF4_NODES[0] * h, t + _CF4_NODES[1] * h]))
+        first = [_CF4_A2 * c[:m] + _CF4_A1 * c[m:] for c in b]
+        second = [_CF4_A1 * c[:m] + _CF4_A2 * c[m:] for c in b]
+        return _compose(*su2_complex(*second, h), *su2_complex(*first, h))
+
+    return _stepped_states_allocating(pairs, k * (len(grid) - 1), psi0, k)

@@ -552,6 +552,26 @@ def test_stokes_large_loop_bounded_in_time_and_memory():
     assert peak < 100 * 2**20
 
 
+def test_spin_path_routes_allocate_a_fixed_number_of_path_copies():
+    # tracemalloc peak of each route on a 20001-node spinor path, in units of one float
+    # per node: the unit spin path (3), its fan or unwrap rows (3) and nothing that grows
+    # with the path beyond them; bloch_series is the path and its stacked (n, 3) copy
+    psi0 = np.array([0.8, 0.6], dtype=complex)
+    traj = exponential_midpoint_schrodinger(cone_3d(1.0, theta_c=0.9, omega_phi=0.05), psi0,
+                                            (0.0, 40.0 * math.pi), 20000)
+    units = {}
+    for route in (aa_geometric_phase_solid_angle, aa_geometric_phase_coordinate, bloch_series):
+        route(traj)
+        tracemalloc.start()
+        try:
+            route(traj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        units[route.__name__] = peak / (8 * len(traj.times))
+    assert all(u < 6.1 for u in units.values()), units
+
+
 def _closed(pts):
     pts = np.asarray(pts, dtype=float)
     pts = np.vstack([pts, pts[:1]])

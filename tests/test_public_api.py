@@ -65,7 +65,6 @@ def test_every_export_has_a_caller_in_the_library_or_is_a_paper_quantity():
 # private names one module imports from another, and why each is shared; a renderer
 # imported back into a module that computes would show up here
 SHARED_PRIVATE = {
-    "_compose": "the CF4 steppers multiply SU(2) pairs with the frame chain's pair product",
     "_field_vector": "the solvers and steppers read the field without building a FieldSample",
     "_number": "IntegratorConfig checks its settings as FieldProfile checks its own",
     "_finite": "the CLI checks its params as FieldProfile checks its own",
