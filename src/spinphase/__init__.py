@@ -37,7 +37,6 @@ from .exact_dynamics import (
     Trajectory,
     bloch_series,
     bloch_to_spinor,
-    default_grid,
     exponential_midpoint_schrodinger,
     extract_total_phase,
     integrate_bloch,

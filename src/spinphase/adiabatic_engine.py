@@ -112,14 +112,11 @@ def _su2_factors(theta, params: AdiabaticParams):
 def _compose(a_hi, b_hi, a_lo, b_lo):
     """SU(2) pair of the product hi @ lo of two [[a, -conj(b)], [b, conj(a)]] matrices.
 
-    The rounding of these complex products depends on how numpy takes them:
-    numpy 2.4 on an x86-64 CPU with FMA rounds an array's x * y with a fused
-    multiply-add, so    not as (xr yr - xi yi) + 1j (xr yi + xi yr) in float operations; it rounds
-    the same with ``out=`` a separate array, but a product taken in place over
-    one element, and a product of numpy scalars, round plainly.  Taking the
-    products of the steppers' scan in place changes the states of a 4096-step
-    CF4 run on a polynomial_angle field from state 3072 on;
-    ``exact_dynamics._pair_product`` is the out-of-place form that keeps the bits.
+    On an x86-64 CPU with FMA, numpy 2.4 rounds a complex product of arrays (also
+    with ``out=`` a separate array) by fused multiply-adds, but a product of numpy
+    scalars, or one taken in place over a single element, as
+    (xr yr - xi yi) + 1j (xr yi + xi yr) in plain float operations, which is why
+    ``exact_dynamics._pair_product`` takes no product in place.
     """
     return a_hi * a_lo - np.conj(b_hi) * b_lo, b_hi * a_lo + np.conj(a_hi) * b_lo
 
@@ -156,7 +153,7 @@ def spinor_solution(constants: SolutionConstants, profile: FieldProfile, t, phas
     """
     a, b = _u_total(profile, t)
     up, dn = constants.alpha * np.exp(1j * phase), constants.beta * np.exp(-1j * phase)
-    return np.stack([a * up - np.conj(b) * dn, b * up + np.conj(a) * dn], axis=-1)
+    return np.stack(_compose(a, b, up, dn), axis=-1)
 
 
 def classical_solution(constants: SolutionConstants, profile: FieldProfile, t, phase) -> np.ndarray:

@@ -95,7 +95,8 @@ class _Command(NamedTuple):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated description of one CLI run; JSON round-trippable."""
+    """Validated description of one CLI run, built from a config file or flags by
+    :meth:`from_dict`."""
 
     command: str
     profile: FieldProfile | None
@@ -103,22 +104,6 @@ class RunConfig:
     output_dir: str
     formats: tuple[str, ...]
     params: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        d = {
-            "command": self.command,
-            "output_dir": self.output_dir,
-            "formats": list(self.formats),
-            "params": dict(self.params),
-        }
-        if _COMMANDS[self.command].integrates:
-            d["integrator"] = {"rel_tol": self.integrator.rel_tol,
-                               "abs_tol": self.integrator.abs_tol}
-            if math.isfinite(self.integrator.max_step):
-                d["integrator"]["max_step"] = self.integrator.max_step
-        if self.profile is not None:
-            d["profile"] = profile_to_dict(self.profile)
-        return d
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
@@ -210,6 +195,9 @@ def _params(command: str, given) -> dict:
     if ("t_end" in params and params["t_end"] == params["t_start"]
             or params.get("horizon") == 0.0 or command == "stokes" and params["Omega"] == 0.0):
         raise ConfigError(f"{command} needs a non-empty time span")
+    for B in params.get("B_list", ()):
+        if not B > 0:
+            raise ConfigError(f"B_list entries must be positive, got {B}")
     return params
 
 

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .adiabatic_engine import tracked_eigenvector
+from .adiabatic_engine import _compose, tracked_eigenvector
 from .errors import (
     BranchJump,
     ConfigError,
@@ -224,16 +224,6 @@ def _span_nodes(profile: FieldProfile, t_span: tuple[float, float]) -> float:
     return nodes
 
 
-def default_grid(profile: FieldProfile, t_span: tuple[float, float]) -> np.ndarray:
-    """Uniform output grid dense enough for phase unwrapping.
-
-    ``_span_nodes`` nodes with a floor of 257; a span needing
-    ``MAX_GRID_NODES`` or more raises ConfigError before anything is allocated.
-    """
-    nodes = _span_nodes(profile, t_span)
-    return np.linspace(t_span[0], t_span[1], max(257, int(math.ceil(nodes)) + 1))
-
-
 def _run_solver(rhs, y0, grid, cfg):
     sol = _solve_ivp()(
         rhs,
@@ -320,7 +310,8 @@ def _integrate(kind, profile, y0, grid, cfg):
         states=states,
         kind=kind,
         profile=profile,
-        metadata=_meta(cfg, norm_drift=drift, **meta),
+        metadata={"rel_tol": cfg.rel_tol, "abs_tol": cfg.abs_tol, "max_step": cfg.max_step,
+                  "method": cfg.method, "norm_drift": drift, **meta},
     )
 
 
@@ -353,32 +344,27 @@ def _magnus4_on_grid(profile, psi0, grid, cfg):
 def _grid_for(profile, t_span, cfg):
     """The run's output grid; any span the default grid could not cover raises ConfigError.
 
-    A given grid must be 1-D with at least two nodes, start and end exactly at t_span and
-    have finite nodes, else DomainError.
+    The default grid is uniform and dense enough for phase unwrapping: ``_span_nodes``
+    nodes with a floor of 257, checked before anything is allocated.  A given grid must
+    be 1-D with at least two nodes, start and end exactly at t_span, have finite nodes
+    and be strictly monotonic, else DomainError.
     """
-    if cfg.dense_output_grid is not None:
-        grid = np.asarray(cfg.dense_output_grid, dtype=float)
-        if grid.ndim != 1 or len(grid) < 2:
-            raise DomainError(f"dense_output_grid must be 1-D with at least two nodes, "
-                              f"got shape {grid.shape}")
-        if grid[0] != t_span[0] or grid[-1] != t_span[1]:
-            raise DomainError("dense_output_grid must start/end exactly at t_span")
-        if not np.all(np.isfinite(grid)):
-            raise DomainError("dense_output_grid nodes must be finite")
-        _span_nodes(profile, t_span)
-        return grid
-    return default_grid(profile, t_span)
-
-
-def _meta(cfg, **extra):
-    d = {
-        "rel_tol": cfg.rel_tol,
-        "abs_tol": cfg.abs_tol,
-        "max_step": cfg.max_step,
-        "method": cfg.method,
-    }
-    d.update(extra)
-    return d
+    if cfg.dense_output_grid is None:
+        nodes = _span_nodes(profile, t_span)
+        return np.linspace(t_span[0], t_span[1], max(257, int(math.ceil(nodes)) + 1))
+    grid = np.asarray(cfg.dense_output_grid, dtype=float)
+    if grid.ndim != 1 or len(grid) < 2:
+        raise DomainError(f"dense_output_grid must be 1-D with at least two nodes, "
+                          f"got shape {grid.shape}")
+    if grid[0] != t_span[0] or grid[-1] != t_span[1]:
+        raise DomainError("dense_output_grid must start/end exactly at t_span")
+    if not np.all(np.isfinite(grid)):
+        raise DomainError("dense_output_grid nodes must be finite")
+    _span_nodes(profile, t_span)
+    dt = np.diff(grid)
+    if not (np.all(dt > 0) or np.all(dt < 0)):
+        raise DomainError("dense_output_grid must be strictly monotonic")
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -547,8 +533,7 @@ def _stepped_states(pairs, n_steps: int, psi0: np.ndarray, stride: int = 1) -> n
         kept = block[:, first::stride]
         m = kept.shape[1]
         _pair_product(kept, (up, dn), states[(lo + first + 1) // stride:][:m].T, space[0, :m])
-        a, b = block[:, -1]
-        up, dn = a * up - np.conj(b) * dn, b * up + np.conj(a) * dn
+        up, dn = _compose(*block[:, -1], up, dn)
     return states
 
 

@@ -445,24 +445,17 @@ def _check_field(profile: FieldProfile, t, values) -> None:
         raise DegenerateField(f"|B|={B_lo} below floor {profile.b_min} at t={t_lo}")
 
 
-def _cartesian(B, th, ph):
-    """Cartesian components (Bx, By, Bz) of the field of magnitude B along (th, ph)."""
-    sin_th, cos_th = _sin_cos(th)
-    sin_ph, cos_ph = _sin_cos(ph)
-    return B * sin_th * cos_ph, B * sin_th * sin_ph, B * cos_th
+def _cartesian(profile: FieldProfile, B, th, ph):
+    """Cartesian components (Bx, By, Bz) of the field of magnitude B along (th, ph).
 
-
-def _grid_cartesian(profile: FieldProfile, shape, B, th, ph) -> list[np.ndarray]:
-    """``_cartesian`` on a time grid of ``shape``, as three contiguous arrays.
-
-    A constant B or theta comes as a float: its trig is taken once, by numpy as
-    on an array, and a constant component is filled.  The in-plane kinds keep
-    phi at +-0, where sin(phi) = phi and cos(phi) = 1 exactly, so their phi
-    takes no trig.
+    The in-plane kinds keep phi at +-0, where sin(phi) = phi and cos(phi) = 1
+    exactly, so their phi takes no trig.  On a grid, a constant B or theta
+    comes as a float, its trig is taken once, and its component stays a float
+    for :func:`_filled`.
     """
-    sin_th, cos_th = np.sin(th), np.cos(th)
-    sin_ph, cos_ph = (ph, 1.0) if profile.kind in _ZERO_PHI_KINDS else (np.sin(ph), np.cos(ph))
-    return _filled(shape, (B * sin_th * cos_ph, B * sin_th * sin_ph, B * cos_th))
+    sin_th, cos_th = _sin_cos(th)
+    sin_ph, cos_ph = (ph, 1.0) if profile.kind in _ZERO_PHI_KINDS else _sin_cos(ph)
+    return B * sin_th * cos_ph, B * sin_th * sin_ph, B * cos_th
 
 
 def _filled(shape, values) -> list[np.ndarray]:
@@ -488,11 +481,10 @@ def sample(profile: FieldProfile, t) -> FieldSample:
         # in FieldSample's order: theta_dot, theta_ddot, phi_dot, phi_ddot, B_dot
         rates = eps * dth, eps * eps * ddth, eps * dph, eps * eps * ddph, eps * dB
     _check_field(profile, t, (B, th, ph, *rates))
+    B_vec = _cartesian(profile, B, th, ph)
     if isinstance(t, np.ndarray):
-        B_vec = _grid_cartesian(profile, t.shape, B, th, ph)
+        B_vec = _filled(t.shape, B_vec)
         B, th, ph, *rates = _filled(t.shape, (B, th, ph, *rates))
-    else:
-        B_vec = _cartesian(B, th, ph)
     return FieldSample(t, np.array(B_vec).T, B, th, ph, *rates)
 
 
@@ -510,13 +502,13 @@ def _field_vector(profile: FieldProfile, t):
         with np.errstate(over="ignore", invalid="ignore"):
             B, _, th, _, _, ph, _, _ = _base_eval(profile, profile.epsilon * t)
         _check_field(profile, t, (B, th, ph))
-        return _grid_cartesian(profile, t.shape, B, th, ph)
+        return _filled(t.shape, _cartesian(profile, B, th, ph))
     t = float(t)  # the solvers' per-stage path: no _extent call
     _check_domain(profile, t, t)
     B, _, th, _, _, ph, _, _ = _base_eval(profile, profile.epsilon * t)
     if not (B >= profile.b_min and math.isfinite(B) and math.isfinite(th) and math.isfinite(ph)):
         _check_field(profile, t, (B, th, ph))  # raises, naming the value that failed
-    return _cartesian(B, th, ph)
+    return _cartesian(profile, B, th, ph)
 
 
 def is_in_plane(profile: FieldProfile) -> bool:

@@ -304,6 +304,21 @@ def test_dense_grid_with_non_finite_node_raises_domain_error(method, bad):
 
 
 @pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("grid", [[0.0, 2.0, 1.0, 3.0], [0.0, 1.0, 1.0, 3.0]])
+def test_dense_grid_not_strictly_monotonic_raises_before_stepping(method, grid, monkeypatch):
+    def no_stepping(*args, **kwargs):
+        raise AssertionError("the grid was integrated before it was checked")
+
+    monkeypatch.setattr(exact_dynamics, "_cf4_states", no_stepping)
+    monkeypatch.setattr(exact_dynamics, "_run_solver", no_stepping)
+    cfg = IntegratorConfig(dense_output_grid=grid, method=method)
+    with pytest.raises(DomainError, match="strictly monotonic"):
+        integrate_schrodinger(UNIFORM, [1.0, 0.0], (0.0, 3.0), cfg)
+    with pytest.raises(DomainError, match="strictly monotonic"):
+        integrate_bloch(UNIFORM, [0.0, 0.0, 1.0], (0.0, 3.0), cfg)
+
+
+@pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("grid, t_span", [([], (0.0, 1.0)), ([[0.0, 1.0]], (0.0, 1.0)),
                                           ([0.0], (0.0, 0.0))])
 def test_dense_grid_of_fewer_than_two_nodes_or_not_1d_raises_domain_error(method, grid, t_span):

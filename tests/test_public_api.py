@@ -1,11 +1,12 @@
 """The package exports what it runs, and its modules share private names only where listed.
 
-Every name ``spinphase/__init__.py`` imports must be referenced, as a name or
-an attribute, by a module of ``src/spinphase`` outside its own definition, or
-be one of the paper's quantities listed below.  Every private name one module
-of the package imports from another must be listed below with its reason.
-The modules are parsed, not searched as text, so a docstring mention does not
-count.
+Every name ``spinphase/__init__.py`` imports must be read, as a name or an
+attribute, by a module of ``src/spinphase`` outside its own definition, or be
+one of the paper's quantities listed below.  Every private name one module of
+the package imports from another must be listed below with its reason, and
+every private name a module defines at its top level must be read somewhere in
+the package, so a fold leaves no dead helper behind.  The modules are parsed,
+not searched as text, so a docstring mention does not count.
 """
 
 import ast
@@ -38,13 +39,14 @@ def _exported() -> set[str]:
 
 
 def _referenced(node: ast.AST, inside: frozenset = frozenset()) -> set[str]:
-    """Names and attribute names used under ``node``, except a name within its own definition."""
+    """Names and attribute names read under ``node``, except a name within its own definition."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         inside = inside | {node.name}
     found = set()
-    if isinstance(node, ast.Name) and node.id not in inside:
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in inside:
         found.add(node.id)
-    elif isinstance(node, ast.Attribute) and node.attr not in inside:
+    elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+          and node.attr not in inside):
         found.add(node.attr)
     for child in ast.iter_child_nodes(node):
         found |= _referenced(child, inside)
@@ -65,6 +67,7 @@ def test_every_export_has_a_caller_in_the_library_or_is_a_paper_quantity():
 # private names one module imports from another, and why each is shared; a renderer
 # imported back into a module that computes would show up here
 SHARED_PRIVATE = {
+    "_compose": "the steppers carry a state across blocks by the chain's SU(2) product",
     "_field_vector": "the solvers and steppers read the field without building a FieldSample",
     "_number": "IntegratorConfig checks its settings as FieldProfile checks its own",
     "_finite": "the CLI checks its params as FieldProfile checks its own",
@@ -95,3 +98,23 @@ def test_private_names_cross_modules_only_where_listed():
     for path in SRC.glob("*.py"):
         shared |= _private_imports(ast.parse(path.read_text(encoding="utf-8")))
     assert sorted(shared) == sorted(SHARED_PRIVATE)
+
+
+def _private_definitions(tree: ast.Module) -> set[str]:
+    """Private functions, classes and constants a module defines at its top level; dunder
+    names are exempt."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return {n for n in names if n.startswith("_") and not (n.startswith("__") and n.endswith("__"))}
+
+
+def test_every_private_definition_is_read_in_the_library():
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")]
+    read = set().union(*map(_referenced, trees))
+    defined = set().union(*map(_private_definitions, trees))
+    assert sorted(defined - read) == []
