@@ -267,9 +267,14 @@ def parse_cli(argv) -> RunConfig:
     The given flags become the keys of a run-config dict, so flags and a
     ``--config`` file both go through :meth:`RunConfig.from_dict`.  Next to
     ``--config`` only ``--out`` and ``--formats`` may be given; they
-    override the file.  All calls in one process share one parser.
+    override the file.  All calls in one process share one parser.  Every
+    flag takes one value, so ``--flag v`` goes on as ``--flag=v``, even v = ``-1,2``.
     """
-    given = vars(_build_parser().parse_args(argv))
+    tokens, joined = iter(argv), []
+    for token in tokens:
+        value = next(tokens, None) if token in _VALUE_FLAGS else None
+        joined.append(token if value is None else f"{token}={value}")
+    given = vars(_build_parser().parse_args(joined))
     command = given.pop("command")
     config = given.pop("config", None)
     d = {"command": command}
@@ -582,6 +587,7 @@ _COMMANDS = {
         "B": _Param("--B", float, 1.0),
         "omega": _Param("--omega", float, 0.05)}),
 }
+_VALUE_FLAGS = frozenset(f for c in _COMMANDS.values() for f, *_ in _COMMON_FLAGS + c.all_flags())
 
 
 # ---------------------------------------------------------------------------

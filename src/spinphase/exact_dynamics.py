@@ -678,19 +678,19 @@ def schrodinger_phase(
 ) -> tuple[Trajectory, np.ndarray]:
     """Integrate and extract the tracked-eigenvector phase, refining the grid on branch jumps.
 
-    The grid is validated once and doubled (up to 16x, and to no more than
-    ``MAX_GRID_NODES``) whenever unwrapping raises BranchJump; the final
-    trajectory and phase series are returned together.
+    The grid is validated once and refined by bisecting each of its
+    intervals (up to 16x, and to no more than ``MAX_GRID_NODES``) whenever
+    unwrapping raises BranchJump, so every node of a given grid stays; the
+    final trajectory and phase series are returned together.
     """
     psi0 = as_spinor(psi0)
     grid = _grid_for(profile, t_span, cfg)
-    factor = 1
+    finest = MAX_GRID_REFINE * (len(grid) - 1) + 1  # nodes of the 16x grid
     while True:
         traj = _integrate("spinor", profile, psi0, grid, cfg)
         try:
             return traj, extract_total_phase(traj)
         except BranchJump:
-            if factor >= MAX_GRID_REFINE or 2 * len(grid) > MAX_GRID_NODES:
+            if len(grid) >= finest or 2 * len(grid) > MAX_GRID_NODES:
                 raise
-            factor *= 2
-            grid = np.linspace(t_span[0], t_span[1], 2 * (len(grid) - 1) + 1)
+            grid = np.insert(grid, np.arange(1, len(grid)), 0.5 * (grid[:-1] + grid[1:]))

@@ -10,8 +10,8 @@ theta_ddot by eps**2.
 
 Downstream consumers (adiabatic parameters, quasi-stationary corrections)
 need theta_dot, theta_ddot and B_dot exactly, so derivatives are part of
-the profile contract rather than re-derived numerically.  Only tabulated
-profiles fall back to finite differences, with the step declared up front.
+the profile contract rather than re-derived numerically: a tabulated
+profile differentiates its interpolating splines.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ KIND_PARAMS: dict[str, dict[str, float | None]] = {
     "sinusoidal_angle": {"B0": None, "theta0": None, "Omega": None,
                          "theta_offset": 0.0, "b_amp": 0.0, "b_freq": 0.0},
     "cone_3d": {"B0": None, "theta_c": None, "omega_phi": None, "phi_init": 0.0},
-    "user_tabulated": {"fd_step": 1e-4},
+    "user_tabulated": {},
 }
 # the kinds whose phi is identically +-0
 _ZERO_PHI_KINDS = ("uniform_rotation", "polynomial_angle", "sinusoidal_angle")
@@ -108,9 +108,8 @@ class FieldProfile:
             params.update((c, _finite(f"polynomial_angle param {c}", given[c])) for c in coeffs)
         elif given:
             raise ConfigError(f"{self.kind} takes no param {next(iter(given))!r}")
-        for name in ("B0", "fd_step"):
-            if name in params and not params[name] > 0:
-                raise ConfigError(f"{name} must be positive, got {params[name]}")
+        if "B0" in params and not params["B0"] > 0:
+            raise ConfigError(f"B0 must be positive, got {params['B0']}")
         if abs(params.get("b_amp", 0.0)) >= 1.0:
             raise ConfigError("|b_amp| must be < 1 to keep the field non-degenerate, "
                               f"got {params['b_amp']}")
@@ -199,17 +198,15 @@ def user_tabulated(
     B: Sequence[float],
     theta: Sequence[float],
     phi: Sequence[float] | None = None,
-    fd_step: float = 1e-4,
+    fd_step: float | None = None,
     epsilon: float = 1.0,
     b_min: float = DEFAULT_B_MIN,
 ) -> FieldProfile:
     """Profile interpolated from tables of (B, theta, phi) over slow time tau.
 
-    Interpolation is by not-a-knot cubic splines (the same spline as
-    scipy's ``CubicSpline``); derivatives are central finite differences
-    of the splines with the declared step ``fd_step`` (in tau).  The usable
-    lab-time domain shrinks by fd_step/epsilon at each end so the
-    difference stencils stay inside the tables.
+    Interpolation is by not-a-knot cubic splines (scipy's ``CubicSpline``), whose
+    exact slopes and curvatures are the rates.  The lab-time domain is the
+    tables' span over epsilon.  ``fd_step`` is ignored.
     """
     taus = np.asarray(taus, dtype=float)
     if taus.ndim != 1 or taus.size < 4:
@@ -225,19 +222,18 @@ def user_tabulated(
             raise ConfigError(f"tabulated {name} must be finite")
     if np.any(np.diff(taus) <= 0):
         raise ConfigError("tabulated times must be strictly increasing")
-    profile = FieldProfile("user_tabulated", {"fd_step": fd_step}, epsilon=epsilon,
-                           b_min=b_min, _tables=_Spline(taus, np.stack([B, theta, phi], axis=1)))
-    h, eps = profile.params["fd_step"], profile.epsilon  # checked by the constructor
-    return replace(profile, t_domain=((taus[0] + h) / eps, (taus[-1] - h) / eps))
+    profile = FieldProfile("user_tabulated", {}, epsilon=epsilon, b_min=b_min,
+                           _tables=_Spline(taus, np.stack([B, theta, phi], axis=1)))
+    return replace(profile, t_domain=(taus[0] / profile.epsilon, taus[-1] / profile.epsilon))
 
 
 class _Spline:
     """Not-a-knot cubic splines through the columns of ``y`` (n, m) over knots ``x`` (n,), n >= 4.
 
-    Called on an array of times, it returns the m splines' values stacked
-    on a new first axis; outside the knots the end pieces extrapolate.
-    Coefficients and evaluation follow scipy's ``CubicSpline`` operation for
-    operation.
+    Called on an array of times, it returns an array of shape (3, m, *tau.shape):
+    the m splines' values, slopes and curvatures; outside the knots the end
+    pieces extrapolate.  Coefficients and evaluation follow scipy's
+    ``CubicSpline`` operation for operation.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
@@ -256,7 +252,9 @@ class _Spline:
         u = tau - self.x[i]
         c0, c1, c2, c3 = np.take(self.c, i, axis=-1)
         u2 = u * u
-        return c3 + c2 * u + c1 * u2 + c0 * (u2 * u)
+        return np.stack([c3 + c2 * u + c1 * u2 + c0 * (u2 * u),
+                         c2 + c1 * u * 2.0 + c0 * u2 * 3.0,
+                         c1 * 2.0 + c0 * u * 6.0])
 
 
 def _knot_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -386,17 +384,10 @@ def _base_eval(profile: FieldProfile, tau):
             p["phi_init"] + w * tau, w + 0.0 or w + zero, zero,
         )
     # user_tabulated, the one kind left: FieldProfile admits no other
-    h = p["fd_step"]
-    stencil = np.add.outer((-h, 0.0, h), tau)  # rows tau - h, tau, tau + h
-    values = profile._tables(stencil)
+    values = profile._tables(tau)
     if isinstance(tau, float):
         values = values.tolist()
-    (Bm, B, Bp), (thm, th, thp), (phm, ph, php) = values
-    dB = (Bp - Bm) / (2.0 * h)
-    dth = (thp - thm) / (2.0 * h)
-    ddth = (thp - 2.0 * th + thm) / (h * h)
-    dph = (php - phm) / (2.0 * h)
-    ddph = (php - 2.0 * ph + phm) / (h * h)
+    (B, th, ph), (dB, dth, dph), (_, ddth, ddph) = values
     return B, dB, th, dth, ddth, ph, dph, ddph
 
 

@@ -42,7 +42,7 @@ from .errors import (
     LoopNotClosed,
     PoleSingularity,
 )
-from .field_profiles import FieldProfile, FieldSample, check_span, sample
+from .field_profiles import DEFAULT_B_MIN, FieldProfile, FieldSample, check_span, sample
 from .exact_dynamics import Trajectory, _spin_components, _unwrap, bloch_series
 
 _QUAD_OPTS = {"epsabs": 1e-12, "epsrel": 1e-12, "limit": 500}
@@ -446,8 +446,10 @@ def loop_from_profile(
 
 
 def _check_field(B_mag: float) -> None:
-    if not 1e-6 <= B_mag < math.inf:
-        raise DegenerateField(f"|B|={B_mag} is not a finite field at or above the floor 1e-6")
+    if B_mag < DEFAULT_B_MIN:
+        raise DegenerateField(f"|B|={B_mag} below floor {DEFAULT_B_MIN}")
+    if not B_mag < math.inf:
+        raise DegenerateField(f"|B|={B_mag} is not finite")
 
 
 def generalized_line_integral(loop: MLoop, B_mag: float) -> float:

@@ -327,14 +327,19 @@ def base_eval_broadcast(profile: FieldProfile, tau):
     if kind == "cone_3d":
         return (p["B0"] + zero, zero, p["theta_c"] + zero, zero, zero,
                 p["phi_init"] + p["omega_phi"] * tau, p["omega_phi"] + zero, zero)
-    h = p["fd_step"]  # user_tabulated
-    values = profile._tables(np.add.outer((-h, 0.0, h), tau))
+    # user_tabulated: piece i of spline j is c3 + c2 u + c1 u**2 + c0 u**3 at u = tau - x[i],
+    # differentiated term by term in scipy's PPoly order
+    x, c = profile._tables.x, profile._tables.c
+    i = np.clip(np.searchsorted(x, tau, side="right") - 1, 0, len(x) - 2)
+    u = tau - x[i]
+    c0, c1, c2, c3 = c[..., i]
+    value = c3 + c2 * u + c1 * (u * u) + c0 * (u * u * u)
+    slope = c2 + c1 * u * 2.0 + c0 * (u * u) * 3.0
+    curvature = c1 * 2.0 + c0 * u * 6.0
     if isinstance(tau, float):
-        values = values.tolist()
-    (Bm, B, Bp), (thm, th, thp), (phm, ph, php) = values
-    return (B, (Bp - Bm) / (2.0 * h), th, (thp - thm) / (2.0 * h),
-            (thp - 2.0 * th + thm) / (h * h), ph, (php - phm) / (2.0 * h),
-            (php - 2.0 * ph + phm) / (h * h))
+        value, slope, curvature = value.tolist(), slope.tolist(), curvature.tolist()
+    (B, th, ph), (dB, dth, dph), (_, ddth, ddph) = value, slope, curvature
+    return B, dB, th, dth, ddth, ph, dph, ddph
 
 
 def cartesian_broadcast(B, th, ph):

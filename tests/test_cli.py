@@ -313,10 +313,14 @@ def test_integrator_flags_only_where_read(command, tmp_path, capsys):
     assert "'integrator'" in capsys.readouterr().err
 
 
+_BELOW_FLOOR = "|B|=1e-07 below floor 1e-06"
+
+
 @pytest.mark.parametrize("B_list, code, message", [
     ("-1,1,1", 3, "-1.0"), ("1,-1,1", 3, "-1.0"), ("1,1,-1", 3, "-1.0"),
     ("0,1,1", 3, "0.0"), ("1,0,1", 3, "0.0"), ("1,1,0", 3, "0.0"),
-    ("1e-7,1,1", 5, "1e-07"), ("1,1e-7,1", 5, "1e-07"), ("1,1,1e-7", 5, "1e-07"),
+    # one floor and one wording, whichever check meets the entry
+    ("1e-7,1,1", 5, _BELOW_FLOOR), ("1,1e-7,1", 5, _BELOW_FLOOR), ("1,1,1e-7", 5, _BELOW_FLOOR),
 ])
 def test_stokes_bad_field_exits_the_same_wherever_it_stands(B_list, code, message, tmp_path,
                                                              capsys):
@@ -324,6 +328,47 @@ def test_stokes_bad_field_exits_the_same_wherever_it_stands(B_list, code, messag
     argv = ["stokes", f"--B={B_list}", "--n-nodes", "11", "--out", str(tmp_path)]
     assert run_main(argv) == code
     assert message in capsys.readouterr().err
+
+
+# a valid value of each flag, by flag, else by the type it parses with
+_VALID_BY_FLAG = {"--out": "out", "--formats": "csv", "--profile": "constant"}
+_VALID_BY_TYPE = {float: "0.001", int: "5", cli._floats: "0.5,1", cli._coeffs: "0,0.1"}
+# the profile kind that takes each profile flag the default kind does not
+_KIND_TAKING = {"--theta0": "sinusoidal", "--Omega": "sinusoidal", "--theta-c": "cone",
+                "--omega-phi": "cone", "--coeffs": "polynomial"}
+
+
+def _exit_code(argv):
+    try:
+        return run_main(argv)
+    except SystemExit as exc:  # argparse's usage error
+        return exc.code
+
+
+@pytest.mark.parametrize("command, flag, type_", [
+    (name, flag, type_) for name, command in cli._COMMANDS.items()
+    for flag, _, type_, _ in cli._COMMON_FLAGS + command.all_flags()])
+def test_both_spellings_of_a_flag_reach_one_validator(command, flag, type_, tmp_path,
+                                                      monkeypatch, capsys):
+    # the command body does nothing, so only parsing and validation run
+    spec = cli._COMMANDS[command]
+    monkeypatch.setitem(cli._COMMANDS, command, spec._replace(body=lambda rc: ({}, [])))
+    monkeypatch.chdir(tmp_path)
+    required = {name: p.flag for name, p in spec.params.items() if p.default is cli._REQUIRED}
+    if flag == "--config":
+        valid = _config_file(tmp_path, {"command": command,
+                                        "params": dict.fromkeys(required, 5.0)})
+        base = [command]
+    else:
+        valid = _VALID_BY_FLAG.get(flag) or _VALID_BY_TYPE[type_]
+        base = [command] + [arg for f in required.values() if f != flag for arg in (f, "5")]
+        if spec.integrates and flag in _KIND_TAKING:
+            base += ["--profile", _KIND_TAKING[flag]]
+    for value in (valid, "-1,2", "x"):
+        spaced, joined = ((_exit_code(base + argv), capsys.readouterr())
+                          for argv in ([flag, value], [f"{flag}={value}"]))
+        assert spaced == joined, value
+        assert value != valid or spaced[0] == 0, spaced
 
 
 def test_simulate_aliased_explicit_grid_exits_5(tmp_path, capsys):

@@ -283,8 +283,7 @@ def test_degenerate_field_aborts_integration(tight_cfg):
     from spinphase import DegenerateField, user_tabulated
 
     taus = np.linspace(0.0, 10.0, 200)
-    prof = user_tabulated(taus, B=1.0 - 0.12 * taus, theta=np.zeros_like(taus),
-                          fd_step=1e-3, b_min=0.5)
+    prof = user_tabulated(taus, B=1.0 - 0.12 * taus, theta=np.zeros_like(taus), b_min=0.5)
     with pytest.raises(DegenerateField):
         integrate_schrodinger(prof, [1.0, 0.0], (0.1, 9.0), tight_cfg)
 
@@ -690,6 +689,18 @@ def test_branch_jump_on_coarse_grid_and_auto_refine():
     # the combined runner refines the grid and succeeds
     _, phases = schrodinger_phase(prof, [1.0, 0.0], t_span, cfg)
     assert phases[-1] == pytest.approx(-5.0, abs=1e-8)
+
+
+def test_refinement_keeps_every_node_of_a_given_grid():
+    # a branch jump refines by bisecting each interval of the grid in hand, so t = 1 and
+    # t = 9 of the given grid stay nodes
+    grid = [0.0, 1.0, 5.0, 9.0, 10.0]
+    traj, _ = schrodinger_phase(uniform_rotation(1.0, 0.1), [1.0, 0.0], (0.0, 10.0),
+                                IntegratorConfig(dense_output_grid=grid))
+    step = (len(traj.times) - 1) // (len(grid) - 1)
+    assert step > 1 and traj.times[::step].tolist() == grid
+    middle = 0.5 * (traj.times[:-1:step] + traj.times[step::step])
+    assert traj.times[step // 2::step].tolist() == middle.tolist()
 
 
 def test_schrodinger_phase_reraises_once_refinement_is_exhausted(monkeypatch):

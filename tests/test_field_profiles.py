@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinphase import (
     ConfigError,
@@ -242,19 +243,19 @@ def test_null_t_domain_of_other_shapes_raises_config_error(t_domain):
         profile_from_dict({"kind": "constant", "params": {"B0": 1.0}, "t_domain": t_domain})
 
 
-def test_tabulated_profile_interpolates_and_differences():
+def test_tabulated_profile_interpolates_and_differentiates():
     taus = np.linspace(0.0, 10.0, 400)
-    p = user_tabulated(
-        taus, B=1.0 + 0.1 * np.sin(0.3 * taus), theta=0.2 * np.sin(taus), fd_step=1e-3
-    )
+    p = user_tabulated(taus, B=1.0 + 0.1 * np.sin(0.3 * taus), theta=0.2 * np.sin(taus))
     s = sample(p, 4.0)
     assert s.theta == pytest.approx(0.2 * math.sin(4.0), abs=1e-8)
     assert s.theta_dot == pytest.approx(0.2 * math.cos(4.0), abs=1e-6)
     assert s.B_dot == pytest.approx(0.03 * math.cos(1.2), abs=1e-6)
     assert derivative_selftest(p, np.linspace(0.5, 9.5, 7), h=1e-3) <= 1e-6
-    # domain shrinks by the difference step
+    # the domain is the tables' span over epsilon, ends included
+    assert user_tabulated(taus, np.ones_like(taus), taus, epsilon=2.0).t_domain == (0.0, 5.0)
+    sample(p, np.array([0.0, 10.0]))
     with pytest.raises(DomainError):
-        sample(p, 10.0)
+        sample(p, np.nextafter(10.0, 11.0))
 
 
 _RNG = np.random.default_rng(5)
@@ -272,24 +273,56 @@ def test_tabulated_spline_matches_scipy_cubic_spline(knots):
     taus = SPLINE_KNOTS[knots]
     tables = (1.0 + 0.1 * np.sin(3.0 * taus), 0.2 * np.sin(2.0 * taus) + 0.1 * taus,
               0.3 * np.cos(taus))
-    h = 1e-4 * (taus[-1] - taus[0])
-    prof = user_tabulated(taus, *tables, fd_step=h)
-    lo, hi = prof.t_domain
-    t = np.concatenate([np.linspace(lo, hi, 2001), taus[(taus > lo) & (taus < hi)]])
-    splines = [CubicSpline(taus, y) for y in tables]
-    for got, spline in zip(prof._tables(np.add.outer((-h, 0.0, h), t)), splines):
-        want = spline(np.add.outer((-h, 0.0, h), t))
-        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-    # the stencil derivatives are central differences of the splines
+    prof = user_tabulated(taus, *tables)
+    t = np.concatenate([np.linspace(taus[0], taus[-1], 2001), taus])
+    values, slopes, curvatures = prof._tables(t)
+    for j, y in enumerate(tables):
+        spline = CubicSpline(taus, y)
+        for nu, got in enumerate((values[j], slopes[j], curvatures[j])):
+            want = spline(t, nu)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    # the sampled fields are the splines' values and derivatives
     s = sample(prof, t)
-    (bm, b, bp), (thm, th, thp), (phm, ph, php) = (
-        spline(np.add.outer((-h, 0.0, h), t)) for spline in splines)
-    for got, want in ((s.B_mag, b), (s.B_dot, (bp - bm) / (2 * h)),
-                      (s.theta, th), (s.theta_dot, (thp - thm) / (2 * h)),
-                      (s.theta_ddot, (thp - 2 * th + thm) / (h * h)),
-                      (s.phi, ph), (s.phi_dot, (php - phm) / (2 * h)),
-                      (s.phi_ddot, (php - 2 * ph + phm) / (h * h))):
-        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    (b, th, ph), (db, dth, dph), (_, ddth, ddph) = values, slopes, curvatures
+    for got, want in ((s.B_mag, b), (s.B_dot, db), (s.theta, th), (s.theta_dot, dth),
+                      (s.theta_ddot, ddth), (s.phi, ph), (s.phi_dot, dph), (s.phi_ddot, ddph)):
+        assert np.array_equal(got, want)
+
+
+# coefficients far above the subnormals, whose products underflow
+COEFFS = st.floats(-1.0, 1.0).filter(lambda c: c == 0.0 or abs(c) >= 1e-100)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(4, 400), coeffs=st.lists(COEFFS, min_size=4, max_size=4),
+       start=st.floats(-50.0, 50.0), span=st.floats(0.1, 100.0))
+def test_tabulated_cubic_gives_its_exact_rates(n, coeffs, start, span):
+    # a not-a-knot spline through samples of a cubic is that cubic, so its rates are exact
+    a0, a1, a2, a3 = coeffs
+    taus = np.linspace(start, start + span, n)
+    x = (taus - start) / span  # the cubic in the unit variable keeps every coefficient's size
+
+    def theta(x):
+        return a0 + x * (a1 + x * (a2 + x * a3))
+
+    prof = user_tabulated(taus, np.ones(n), theta(x))
+    x = np.linspace(0.0, 1.0, 1001)
+    s = sample(prof, start + span * x)
+    dth = (a1 + x * (2.0 * a2 + x * 3.0 * a3)) / span
+    ddth = (2.0 * a2 + x * 6.0 * a3) / span**2
+    scale = sum(map(abs, coeffs))  # bounds |theta|, the size its roundoff scales with
+    assert np.max(np.abs(s.theta_dot - dth)) <= 1e-12 * scale / span
+    assert np.max(np.abs(s.theta_ddot - ddth)) <= 1e-9 * scale / span**2
+
+
+def test_dense_tabulated_twin_curvature_error_falls_with_the_table():
+    # 6401 knots of sinusoidal_angle(1, 0.6, 0.05) on (0, 200): the spline's own theta_ddot
+    # is off by 3.1e-10, below the 4.4e-8 roundoff floor of a 1e-4 central difference
+    analytic = sinusoidal_angle(1.0, 0.6, 0.05)
+    taus = np.linspace(0.0, 200.0, 6401)
+    twin = user_tabulated(taus, np.ones_like(taus), sample(analytic, taus).theta)
+    t = np.linspace(1.0, 199.0, 20001)
+    assert np.max(np.abs(sample(twin, t).theta_ddot - sample(analytic, t).theta_ddot)) <= 1e-9
 
 
 def test_tabulated_validation():
@@ -331,7 +364,7 @@ VALID_PARAMS = {
     "polynomial_angle": {"B0": 1.0, "c0": 0.0, "c1": 0.1},
     "sinusoidal_angle": {"B0": 1.0, "theta0": 0.3, "Omega": 0.05},
     "cone_3d": {"B0": 1.0, "theta_c": 1.0, "omega_phi": 0.05},
-    "user_tabulated": {"fd_step": 1e-3},
+    "user_tabulated": {},
 }
 TABLES = user_tabulated(np.linspace(0.0, 10.0, 40), B=np.ones(40), theta=np.zeros(40))._tables
 
@@ -343,16 +376,15 @@ def _bare(kind, params):
 def _bad_params(kind):
     """(rule, params) pairs, each breaking one rule of the kind's row of KIND_PARAMS."""
     good = VALID_PARAMS[kind]
-    first = next(iter(good))
     cases = [("unknown", {**good, "bogus": 0.1})]
     cases += [(f"missing {name}", {k: v for k, v in good.items() if k != name})
               for name, default in KIND_PARAMS[kind].items() if default is None]
-    cases += [(f"{first}={value!r}", {**good, first: value})
-              for value in ("1.0", None, True, [1.0], math.nan, math.inf, -math.inf, 10**400)]
+    if good:  # user_tabulated takes no params
+        first = next(iter(good))
+        cases += [(f"{first}={value!r}", {**good, first: value})
+                  for value in ("1.0", None, True, [1.0], math.nan, math.inf, -math.inf, 10**400)]
     if "B0" in good:
         cases += [(f"B0={b}", {**good, "B0": b}) for b in (0.0, -1.0)]
-    if kind == "user_tabulated":
-        cases += [(f"fd_step={h}", {"fd_step": h}) for h in (0.0, -1e-3)]
     if kind == "sinusoidal_angle":
         cases += [(f"b_amp={a}", {**good, "b_amp": a, "b_freq": 0.1}) for a in (1.0, -1.5)]
     if kind == "polynomial_angle":
@@ -414,8 +446,7 @@ def test_profile_settings_stored_as_floats():
     assert [type(x) for x in (p.epsilon, *p.t_domain, p.b_min)] == [float] * 4
 
 
-@pytest.mark.parametrize("kw", [{"fd_step": "x"}, {"fd_step": 0.0}, {"epsilon": "x"},
-                                {"epsilon": 0.0}, {"b_min": "x"}])
+@pytest.mark.parametrize("kw", [{"epsilon": "x"}, {"epsilon": 0.0}, {"b_min": "x"}])
 def test_bad_tabulated_settings_raise_config_error(kw):
     taus = np.linspace(0.0, 5.0, 11)
     with pytest.raises(ConfigError):

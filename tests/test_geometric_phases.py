@@ -40,6 +40,7 @@ from spinphase import (
 )
 from spinphase import geometric_phases
 from spinphase.exact_dynamics import magnus4_schrodinger
+from spinphase.field_profiles import DEFAULT_B_MIN
 from conftest import needs_scipy, uniform_grid_cfg
 from oracles import (
     aa_coordinate_rows,
@@ -604,6 +605,14 @@ def test_lobes_touching_at_a_node_are_tolerated():
 def test_non_finite_or_tiny_field_is_degenerate(fn, B_mag):
     with pytest.raises(DegenerateField):
         fn(B_mag)
+
+
+def test_field_floor_is_the_profiles_default():
+    loop = ellipse_loop(n=101)
+    for fn in (generalized_line_integral, stokes_surface_integral):
+        fn(loop, DEFAULT_B_MIN)
+        with pytest.raises(DegenerateField, match=f"below floor {DEFAULT_B_MIN}$"):
+            fn(loop, np.nextafter(DEFAULT_B_MIN, 0.0))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
