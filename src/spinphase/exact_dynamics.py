@@ -211,10 +211,10 @@ def _spin_components(psi: np.ndarray) -> np.ndarray:
 def _span_nodes(profile: FieldProfile, t_span: tuple[float, float]) -> float:
     """Nodes the span needs at ~16 per radian of the fastest phase rate (the field magnitude).
 
-    A span needing ``MAX_GRID_NODES`` or more raises ConfigError, and an end that is not
-    finite DomainError.
+    A span needing ``MAX_GRID_NODES`` or more raises ConfigError, and an empty span or
+    an end that is not finite DomainError.
     """
-    check_span(t_span)
+    _check_grid_span(t_span)
     t0, t1 = t_span
     b_max = float(np.max(sample(profile, np.linspace(t0, t1, 65)).B_mag))
     nodes = abs(t1 - t0) * 16.0 * max(b_max, 1e-3)
@@ -431,8 +431,17 @@ def _check_steps(n_steps) -> None:
                           f"{MAX_GRID_NODES} grid nodes")
 
 
-def _step_times(t_span, n_steps: int) -> np.ndarray:
+def _check_grid_span(t_span) -> None:
+    """DomainError unless both ends of ``t_span`` are finite and differ, so a grid can
+    be laid over it; checked before any stepping."""
     check_span(t_span)
+    if t_span[0] == t_span[1]:
+        raise DomainError(f"t_span ({t_span[0]}, {t_span[1]}) is empty; a trajectory needs "
+                          "two different ends")
+
+
+def _step_times(t_span, n_steps: int) -> np.ndarray:
+    _check_grid_span(t_span)
     t0, t1 = t_span
     return t0 + (t1 - t0) / n_steps * np.arange(n_steps + 1)
 
@@ -450,7 +459,7 @@ def _cf4_states(profile: FieldProfile, psi0: np.ndarray, grid: np.ndarray, k: in
         first = [_CF4_A2 * c[:m] + _CF4_A1 * c[m:] for c in b]  # acts first
         second = [_CF4_A1 * c[:m] + _CF4_A2 * c[m:] for c in b]
         ab = _su2(*second, h)
-        _pair_product_onto(ab, _su2(*first, h), np.empty((2, m), dtype=complex))
+        _pair_product(ab, _su2(*first, h), ab, np.empty((2, m), dtype=complex))
         return ab
 
     return _stepped_states(pairs, k * (len(grid) - 1), psi0, k)
@@ -532,47 +541,33 @@ def _stepped_states(pairs, n_steps: int, psi0: np.ndarray, stride: int = 1) -> n
         first = (-lo - 1) % stride  # the block's first kept step
         kept = block[:, first::stride]
         m = kept.shape[1]
-        _pair_product(kept, (up, dn), states[(lo + first + 1) // stride:][:m].T, space[0, :m])
+        _pair_product(kept, (up, dn), states[(lo + first + 1) // stride:][:m].T, space[:, :m])
         up, dn = _compose(*block[:, -1], up, dn)
     return states
 
 
-def _pair_product(hi, lo, out, work: np.ndarray) -> None:
+def _pair_product(hi, lo, out, work) -> None:
     """Write the SU(2) pairs of the products hi @ lo into the pair of arrays ``out``.
 
     ``hi``, ``lo`` and ``out`` are pairs (a, b) of arrays, ``lo`` possibly of
-    scalars; ``work`` is one complex array as long as ``out``, and ``out`` shares
-    no memory with ``hi`` or ``lo``.  The arithmetic is that of
-    ``adiabatic_engine._compose``, a_hi a_lo - conj(b_hi) b_lo and
-    b_hi a_lo + conj(a_hi) b_lo: each complex product goes to an array that is
+    scalars; ``work`` is a pair of complex arrays as long as ``out``, and ``out``
+    is ``hi`` itself or shares no memory with ``hi`` or ``lo``.  The arithmetic is
+    that of ``adiabatic_engine._compose``, a_hi a_lo - conj(b_hi) b_lo and
+    b_hi a_lo + conj(a_hi) b_lo: each complex product goes to a work array that is
     not one of its factors, which rounds it as ``_compose`` does at every length
     (a product over one element taken in place does not; see ``_compose``), and
-    only the differences and sums overwrite an operand.
+    each row of ``hi`` is read in full before its row of ``out`` is written.
     """
-    (a_hi, b_hi), (a_lo, b_lo), (out_a, out_b) = hi, lo, out
-    np.conjugate(b_hi, out=work)
-    np.multiply(work, b_lo, out=out_a)  # conj(b_hi) b_lo
-    np.multiply(a_hi, a_lo, out=work)
-    np.subtract(work, out_a, out=out_a)
-    np.conjugate(a_hi, out=work)
-    np.multiply(work, b_lo, out=out_b)  # conj(a_hi) b_lo
-    np.multiply(b_hi, a_lo, out=work)
-    np.add(work, out_b, out=out_b)
-
-
-def _pair_product_onto(hi, lo, work) -> None:
-    """Overwrite the pairs ``hi`` with the products hi @ lo, rounded as in
-    :func:`_pair_product`; ``work`` is a pair of complex arrays as long as ``hi``."""
-    (a_hi, b_hi), (a_lo, b_lo), (w0, w1) = hi, lo, work
+    (a_hi, b_hi), (a_lo, b_lo), (out_a, out_b), (w0, w1) = hi, lo, out, work
     np.conjugate(b_hi, out=w0)
     np.multiply(w0, b_lo, out=w1)  # conj(b_hi) b_lo
     np.multiply(a_hi, a_lo, out=w0)
     w0 -= w1
     np.conjugate(a_hi, out=w1)
-    a_hi[...] = w0
+    out_a[...] = w0
     np.multiply(w1, b_lo, out=w0)  # conj(a_hi) b_lo
     np.multiply(b_hi, a_lo, out=w1)
-    np.add(w1, w0, out=b_hi)
+    np.add(w1, w0, out=out_b)
 
 
 def _prefix_products(a: np.ndarray, b: np.ndarray, sa: np.ndarray, sb: np.ndarray) -> None:
@@ -589,11 +584,12 @@ def _prefix_products(a: np.ndarray, b: np.ndarray, sa: np.ndarray, sb: np.ndarra
         return
     m, k = n // 2, (n - 1) // 2
     pa, pb, ra, rb = sa[:m], sb[:m], sa[m:], sb[m:]
-    _pair_product((a[1::2], b[1::2]), (a[0:-1:2], b[0:-1:2]), (pa, pb), ra[:m])
+    _pair_product((a[1::2], b[1::2]), (a[0:-1:2], b[0:-1:2]), (pa, pb), (ra[:m], rb[:m]))
     _prefix_products(pa, pb, ra, rb)
     a[1::2] = pa
     b[1::2] = pb
-    _pair_product_onto((a[2::2], b[2::2]), (pa[:k], pb[:k]), (ra[:k], rb[:k]))
+    even = (a[2::2], b[2::2])
+    _pair_product(even, (pa[:k], pb[:k]), even, (ra[:k], rb[:k]))
 
 
 # ---------------------------------------------------------------------------

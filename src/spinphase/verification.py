@@ -18,7 +18,7 @@ import numpy as np
 from .adiabatic_engine import quasi_stationary, tracked_eigenvector
 from .errors import ConfigError
 from .exact_dynamics import IntegratorConfig, integrate_bloch, schrodinger_phase
-from .field_profiles import FieldProfile, check_span, sample, sinusoidal_angle
+from .field_profiles import FieldProfile, _finite, check_span, sample, sinusoidal_angle
 from .geometric_phases import (
     MLoop,
     PhaseDecomposition,
@@ -243,6 +243,7 @@ class TimescaleDemo:
 
 
 def run_timescale_demo(B: float, omega: float) -> TimescaleDemo:
+    B, omega = _finite("B", B), _finite("omega", omega)
     if B <= 0:
         raise ConfigError(f"B must be positive, got {B}")
     return TimescaleDemo(t1=_breakdown_time(B, omega, 1), phi2_at_t1=-0.25 if omega else 0.0,

@@ -33,6 +33,7 @@ from spinphase import (
     integrate_bloch,
     integrate_schrodinger,
     polynomial_angle,
+    run_phase_budget,
     sample,
     schrodinger_phase,
     sinusoidal_angle,
@@ -315,6 +316,26 @@ def test_dense_grid_not_strictly_monotonic_raises_before_stepping(method, grid, 
         integrate_schrodinger(UNIFORM, [1.0, 0.0], (0.0, 3.0), cfg)
     with pytest.raises(DomainError, match="strictly monotonic"):
         integrate_bloch(UNIFORM, [0.0, 0.0, 1.0], (0.0, 3.0), cfg)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_empty_span_raises_before_stepping_on_every_entry_point(method, monkeypatch):
+    def no_stepping(*args, **kwargs):
+        raise AssertionError("an empty span was stepped before it was checked")
+
+    for stepper in ("_cf4_states", "_stepped_states", "_run_solver"):
+        monkeypatch.setattr(exact_dynamics, stepper, no_stepping)
+    cfg = IntegratorConfig(method=method)
+    span = (3.0, 3.0)
+    runs = [lambda: integrate_schrodinger(UNIFORM, [1.0, 0.0], span, cfg),
+            lambda: integrate_bloch(UNIFORM, [0.0, 0.0, 1.0], span, cfg),
+            lambda: schrodinger_phase(UNIFORM, [1.0, 0.0], span, cfg),
+            lambda: run_phase_budget(UNIFORM, span, cfg),
+            lambda: magnus4_schrodinger(UNIFORM, [1.0, 0.0], span, 8),
+            lambda: exponential_midpoint_schrodinger(UNIFORM, [1.0, 0.0], span, 8)]
+    for run in runs:
+        with pytest.raises(DomainError, match=r"t_span \(3.0, 3.0\) is empty"):
+            run()
 
 
 @pytest.mark.parametrize("method", METHODS)

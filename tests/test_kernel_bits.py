@@ -31,6 +31,7 @@ from spinphase import (
     uniform_rotation,
 )
 from spinphase import exact_dynamics, geometric_phases
+from spinphase.adiabatic_engine import _compose
 from oracles import (
     aa_coordinate_allocating,
     aa_solid_angle_allocating,
@@ -187,6 +188,23 @@ def test_prefix_products_match_the_allocating_scan(n, seed):
     prefix_products_allocating(*want)
     exact_dynamics._prefix_products(*ab, *np.empty((2, n), dtype=complex))
     assert _same(ab, want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7])
+@pytest.mark.parametrize("carry", [False, True])
+@pytest.mark.parametrize("in_place", [False, True])
+def test_pair_product_matches_compose_in_place_and_not(n, carry, in_place):
+    # one element in place is where a product taken over its own factor rounds apart,
+    # in about half of all draws, so each case takes several
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        hi = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+        lo = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+        lo = tuple(lo[:, 0]) if carry else tuple(lo)  # the carried state: numpy scalars
+        want = np.array(_compose(*hi, *lo))
+        out = hi if in_place else np.empty((2, n), dtype=complex)
+        exact_dynamics._pair_product(hi, lo, out, np.empty((2, n), dtype=complex))
+        assert _same(out, want)
 
 
 B0 = st.floats(0.5, 2.0)

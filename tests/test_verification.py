@@ -179,6 +179,13 @@ def test_timescale_demo_static_sentinel():
         run_timescale_demo(0.0, 0.1)
 
 
+@pytest.mark.parametrize("B, omega", [(math.nan, 0.1), (math.inf, 0.1), (1.0, math.nan),
+                                      (1.0, math.inf), (1.0, -math.inf)])
+def test_timescale_demo_rejects_non_finite_input(B, omega):
+    with pytest.raises(ConfigError, match="must be finite"):
+        run_timescale_demo(B, omega)
+
+
 def test_breakdown_times_are_the_float_quotients_where_those_return():
     rng = np.random.default_rng(3)
     for b, rate in 10.0 ** rng.uniform(-60.0, 60.0, (2000, 2)):
