@@ -29,8 +29,8 @@ import numpy as np
 from . import field_profiles, verification
 from .errors import ConfigError, IoError, SpinPhaseError
 from .exact_dynamics import (
-    MAX_GRID_NODES,
     IntegratorConfig,
+    _check_count,
     bloch_series,
     bloch_to_spinor,
     extract_total_phase,
@@ -180,10 +180,7 @@ def _params(command: str, given) -> dict:
         if value is _OPTIONAL:
             continue
         if spec.type is int:
-            if (isinstance(value, bool) or not isinstance(value, int)
-                    or not spec.least <= value <= MAX_GRID_NODES):
-                raise ConfigError(f"{name} must be an integer in [{spec.least}, "
-                                  f"{MAX_GRID_NODES}], got {value!r}")
+            _check_count(name, value, spec.least)
         elif spec.type is _floats:
             if not isinstance(value, list) or len(value) < spec.least:
                 raise ConfigError(f"{name} needs at least {spec.least} values, got {value!r}")

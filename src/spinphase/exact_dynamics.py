@@ -58,14 +58,15 @@ _NORM_TOL = 1e-9  # largest norm defect as_spinor and as_bloch renormalize away
 class IntegratorConfig:
     """Tolerances, method and output control for the exact integrators.
 
-    ``method`` is ``"magnus4"`` (numpy only) or ``"DOP853"``, scipy's
-    ``solve_ivp`` method, which imports scipy here.  The tolerances and
-    ``max_step`` are stored as floats; any invalid setting, or DOP853
-    without scipy installed, raises :class:`ConfigError`.
+    ``IntegratorConfig()`` is the one default, used by every integrator, runner
+    and CLI command not given another config.  ``method`` is ``"magnus4"``
+    (numpy only) or ``"DOP853"``, scipy's ``solve_ivp`` method, which imports
+    scipy here.  The tolerances and ``max_step`` are stored as floats; any
+    invalid setting, or DOP853 without scipy installed, raises :class:`ConfigError`.
     """
 
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
+    rel_tol: float = 1e-11
+    abs_tol: float = 1e-13
     max_step: float = math.inf
     dense_output_grid: Sequence[float] | None = None
     method: str = "magnus4"
@@ -111,6 +112,8 @@ class Trajectory:
             raise DomainError("trajectory times must be strictly monotonic")
         if len(self.times) != len(self.states):
             raise DomainError("times and states must have equal length")
+        if self.kind not in ("spinor", "bloch"):
+            raise DomainError(f"trajectory kind must be 'spinor' or 'bloch', got {self.kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +388,7 @@ def magnus4_schrodinger(
     anything is allocated.  Steps are made and composed as in
     :func:`exponential_midpoint_schrodinger`.
     """
-    _check_steps(n_steps)
+    _check_count("n_steps", n_steps, 1, MAX_GRID_NODES - 1)
     times = _step_times(t_span, n_steps)
     return Trajectory(times=times, states=_cf4_states(profile, as_spinor(psi0), times, 1),
                       kind="spinor", profile=profile,
@@ -410,7 +413,7 @@ def exponential_midpoint_schrodinger(
     time, so the peak is the states (32 bytes per step) plus one block's
     pairs plus one sub-block of sampling temporaries.
     """
-    _check_steps(n_steps)
+    _check_count("n_steps", n_steps, 1, MAX_GRID_NODES - 1)
     psi0 = as_spinor(psi0)
     t0, t1 = t_span
     h = (t1 - t0) / n_steps
@@ -423,12 +426,10 @@ def exponential_midpoint_schrodinger(
                       profile=profile, metadata={"method": "exp_midpoint", "n_steps": n_steps})
 
 
-def _check_steps(n_steps) -> None:
-    if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
-        raise ConfigError(f"n_steps must be a positive integer, got {n_steps!r}")
-    if n_steps + 1 > MAX_GRID_NODES:
-        raise ConfigError(f"{n_steps} steps need more than the limit of "
-                          f"{MAX_GRID_NODES} grid nodes")
+def _check_count(name: str, n, least: int, most: int = MAX_GRID_NODES) -> None:
+    """ConfigError unless ``n`` is an integer (numpy's too, not a bool) in [least, most]."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not least <= n <= most:
+        raise ConfigError(f"{name} must be an integer from {least} to the limit {most}, got {n!r}")
 
 
 def _check_grid_span(t_span) -> None:

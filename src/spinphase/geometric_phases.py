@@ -42,8 +42,8 @@ from .errors import (
     LoopNotClosed,
     PoleSingularity,
 )
-from .field_profiles import DEFAULT_B_MIN, FieldProfile, FieldSample, check_span, sample
-from .exact_dynamics import Trajectory, _spin_components, _unwrap, bloch_series
+from .field_profiles import DEFAULT_B_MIN, FieldProfile, FieldSample, _number, check_span, sample
+from .exact_dynamics import Trajectory, _check_count, _spin_components, _unwrap, bloch_series
 
 _QUAD_OPTS = {"epsabs": 1e-12, "epsrel": 1e-12, "limit": 500}
 MIN_SIN_POLAR = 1e-3
@@ -437,6 +437,7 @@ def loop_from_profile(
     reverse: bool = False,
 ) -> MLoop:
     """Sample (theta, theta_dot) along a profile into a closed loop."""
+    _check_count("n_nodes", n_nodes, 0)
     check_span(t_span)
     s = sample(profile, np.linspace(t_span[0], t_span[1], n_nodes))
     th, td = s.theta, s.theta_dot
@@ -446,6 +447,7 @@ def loop_from_profile(
 
 
 def _check_field(B_mag: float) -> None:
+    B_mag = _number("B", B_mag)
     if B_mag < DEFAULT_B_MIN:
         raise DegenerateField(f"|B|={B_mag} below floor {DEFAULT_B_MIN}")
     if not B_mag < math.inf:

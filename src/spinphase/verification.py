@@ -17,7 +17,7 @@ import numpy as np
 
 from .adiabatic_engine import quasi_stationary, tracked_eigenvector
 from .errors import ConfigError
-from .exact_dynamics import IntegratorConfig, integrate_bloch, schrodinger_phase
+from .exact_dynamics import IntegratorConfig, _check_count, integrate_bloch, schrodinger_phase
 from .field_profiles import FieldProfile, _finite, check_span, sample, sinusoidal_angle
 from .geometric_phases import (
     MLoop,
@@ -106,7 +106,7 @@ def run_convergence(
     profile_family: Callable[[float], FieldProfile],
     eps_list: Sequence[float],
     horizon_eps_t: float,
-    cfg: IntegratorConfig | None = None,
+    cfg: IntegratorConfig = IntegratorConfig(),
     n_nodes: int = 1201,
 ) -> ConvergenceReport:
     """Fit the truncation orders of the quasi-stationary corrections.
@@ -116,10 +116,10 @@ def run_convergence(
     quasi-stationary branch, and the max deviation from the order-0/1/2
     closed forms is recorded.  Expected log-log slopes: 1, 2, 3.
     """
-    eps_sorted = sorted((float(e) for e in eps_list), reverse=True)
+    eps_sorted = sorted((_finite("epsilon", e) for e in eps_list), reverse=True)
     if len(set(eps_sorted)) < 2:
         raise ConfigError("need at least two distinct epsilon values to fit slopes")
-    cfg = cfg or IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
+    _check_count("n_nodes", n_nodes, 0)
     errs = ([], [], [])
     for eps in eps_sorted:
         profile = profile_family(eps)
@@ -171,10 +171,9 @@ class PhaseBudget:
 def run_phase_budget(
     profile: FieldProfile,
     t_span: tuple[float, float],
-    cfg: IntegratorConfig | None = None,
+    cfg: IntegratorConfig = IntegratorConfig(),
 ) -> PhaseBudget:
     """Integrate on the quasi-stationary branch and tabulate every phase."""
-    cfg = cfg or IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
     check_horizon(profile, t_span)
     psi0 = tracked_eigenvector(profile, t_span[0])
     traj, phases = schrodinger_phase(profile, psi0, t_span, cfg)

@@ -6,13 +6,25 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinphase import Trajectory, bloch_series, cli, exact_dynamics, phi0, phi2, profile_from_dict
+from spinphase import (
+    IntegratorConfig,
+    Trajectory,
+    bloch_series,
+    cli,
+    exact_dynamics,
+    phi0,
+    phi2,
+    profile_from_dict,
+    sinusoidal_angle,
+    verification,
+)
 from spinphase.cli import RunConfig, _build_parser, _csv, main, parse_cli, write_outputs
 
 
@@ -188,6 +200,35 @@ def test_phases_prints_factor_two_diagnostics(tmp_path, capsys):
     for key in ("phi0", "phi1", "phi2", "phi_total_exact", "phi_dyn_expect",
                 "phi_geom_aa", "residual_eps4"):
         assert math.isfinite(payload[key])
+
+
+def test_phases_json_is_the_runners_budget_bit_for_bit(tmp_path):
+    # the CLI and the library runner integrate at the one default, IntegratorConfig()
+    t_span = (0.0, 125.66370614359172)
+    argv = ["phases", "--profile", "sinusoidal", "--t-end", repr(t_span[1]), "--formats", "json"]
+    profile = sinusoidal_angle(B0=1.0, theta0=0.3, Omega=0.05)
+    assert parse_cli(argv).profile == profile
+    assert run_main(argv + ["--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "phases.json").read_text())
+    budget = verification.run_phase_budget(profile, t_span)
+    want = {**asdict(budget.decomposition), "residual_eps4": budget.r_total,
+            "r_aa": budget.r_aa}
+    assert {k: payload[k] for k in want} == want
+    assert payload["metadata"] == budget.metadata
+    cfg = IntegratorConfig()
+    assert (budget.metadata["rel_tol"], budget.metadata["abs_tol"]) == (cfg.rel_tol, cfg.abs_tol)
+
+
+@pytest.mark.parametrize("bad", [2.5, True, "3", None, -1, 10**8])
+def test_every_int_param_exits_3_on_a_bad_value(bad, tmp_path, capsys):
+    ints = [(command, name) for command, spec in cli._COMMANDS.items()
+            for name, param in spec.params.items() if param.type is int]
+    assert ints == [("simulate", "grid_n"), ("stokes", "n_nodes")]
+    for command, name in ints:
+        params = {"t_end": 5.0, name: bad} if command == "simulate" else {name: bad}
+        path = _config_file(tmp_path, {"command": command, "params": params})
+        assert run_main([command, "--config", path, "--out", str(tmp_path)]) == 3
+        assert f"{name} must be an integer" in capsys.readouterr().err
 
 
 def test_stokes_csv_columns(tmp_path):

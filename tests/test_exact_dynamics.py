@@ -825,6 +825,12 @@ def test_trajectory_rejects_non_monotonic_times():
         Trajectory(times=np.array([0.0, 1.0]), states=np.zeros((3, 2)), kind="spinor")
 
 
+def test_trajectory_rejects_an_unknown_kind():
+    # bloch_series would cast the complex states of an unknown kind to real
+    with pytest.raises(DomainError, match="'spinor' or 'bloch', got 'foo'"):
+        Trajectory(times=np.array([0.0, 1.0]), states=np.zeros((2, 2), complex), kind="foo")
+
+
 def test_aliased_grid_raises_branch_jump_and_refines_to_oracle():
     # 0.5*|B|*dt = 12.5 rad per node step: the wrapped steps alias to a tiny phase
     t_span = (0.0, 50.0)

@@ -67,6 +67,8 @@ def test_every_export_has_a_caller_in_the_library_or_is_a_paper_quantity():
 # private names one module imports from another, and why each is shared; a renderer
 # imported back into a module that computes would show up here
 SHARED_PRIVATE = {
+    "_check_count": "the steppers, the loop sampler, the convergence runner and the CLI state "
+                    "one rule for a count",
     "_compose": "the steppers carry a state across blocks by the chain's SU(2) product",
     "_field_vector": "the solvers and steppers read the field without building a FieldSample",
     "_number": "IntegratorConfig checks its settings as FieldProfile checks its own",

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from spinphase import (
     tracked_eigenvector,
     uniform_rotation,
 )
+from spinphase import verification
 from spinphase.verification import _breakdown_time
 
 
@@ -73,6 +75,47 @@ def test_convergence_deterministic():
     rep1 = run_convergence(sinusoidal_family(), [0.16, 0.08], math.pi)
     rep2 = run_convergence(sinusoidal_family(), [0.16, 0.08], math.pi)
     assert rep1 == rep2
+
+
+def test_both_runners_integrate_at_the_one_default(monkeypatch):
+    assert (IntegratorConfig().rel_tol, IntegratorConfig().abs_tol) == (1e-11, 1e-13)
+    used = []
+    for name in ("integrate_bloch", "schrodinger_phase"):
+        run = getattr(verification, name)
+        monkeypatch.setattr(verification, name,
+                            lambda *args, run=run: used.append(args[-1]) or run(*args))
+    run_convergence(sinusoidal_family(), [0.16, 0.08], math.pi)
+    budget = run_phase_budget(uniform_rotation(1.0, 0.1), (0.0, 20.0))
+    assert [replace(cfg, dense_output_grid=None) for cfg in used] == [IntegratorConfig()] * 3
+    assert (budget.metadata["rel_tol"], budget.metadata["abs_tol"]) == (1e-11, 1e-13)
+
+
+@pytest.mark.parametrize("eps_list", [["a", 0.05], [None, 0.05], [math.nan, 0.05],
+                                      [0.1, math.inf]])
+def test_convergence_rejects_a_non_finite_epsilon(eps_list):
+    with pytest.raises(ConfigError, match="epsilon"):
+        run_convergence(sinusoidal_family(), eps_list, 2.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: loop_from_profile(uniform_rotation(1.0, 0.1), (0.0, 10.0), 2.5),
+    lambda: loop_from_profile(uniform_rotation(1.0, 0.1), (0.0, 10.0), -1),
+    lambda: loop_from_profile(uniform_rotation(1.0, 0.1), (0.0, 10.0), True),
+    lambda: loop_from_profile(uniform_rotation(1.0, 0.1), (0.0, 10.0), 10**8),
+    lambda: run_convergence(sinusoidal_family(), [0.16, 0.08], math.pi, n_nodes=2.5),
+    lambda: run_convergence(sinusoidal_family(), [0.16, 0.08], math.pi, n_nodes="11"),
+], ids=["loop_float", "loop_negative", "loop_bool", "loop_past_limit", "convergence_float",
+        "convergence_str"])
+def test_node_counts_are_checked_before_sampling(call):
+    with pytest.raises(ConfigError, match="n_nodes must be an integer"):
+        call()
+
+
+@pytest.mark.parametrize("B", ["x", None, [1.0]])
+def test_stokes_check_rejects_a_field_that_is_not_a_number(B):
+    loop = loop_from_profile(sinusoidal_angle(1.0, 0.3, 0.05), (0.0, 2.0 * math.pi / 0.05), 101)
+    with pytest.raises(ConfigError, match="B must be a number"):
+        run_stokes_check([("ellipse", loop)], [B])
 
 
 def test_phase_budget_uniform_rotation():
