@@ -42,7 +42,6 @@ from .exact_dynamics import (
     integrate_bloch,
     integrate_schrodinger,
     magnus4_schrodinger,
-    schrodinger_phase,
     spinor_to_bloch,
 )
 from .field_profiles import (

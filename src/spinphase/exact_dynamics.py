@@ -41,7 +41,6 @@ from .errors import (
 )
 from .field_profiles import FieldProfile, _field_vector, _number, check_span, sample
 
-MAX_GRID_REFINE = 16
 # largest time grid any run may build, in nodes (about 160 MB of spinor states)
 MAX_GRID_NODES = 10**7
 # IntegratorConfig's methods: magnus4 (numpy only) and scipy's solve_ivp DOP853
@@ -267,7 +266,8 @@ def integrate_bloch(
 ) -> Trajectory:
     """Integrate the precession equation dS/dt = B(t) x S over t_span.
 
-    ``magnus4`` integrates the spinor of S0 and returns its mean spins.
+    ``magnus4`` integrates the spinor of S0 and returns its mean spins; ``DOP853``
+    integrates B x S itself, so its states drift off the sphere within the tolerances.
     """
     return _integrate("bloch", profile, as_bloch(S0), _grid_for(profile, t_span, cfg), cfg)
 
@@ -352,6 +352,7 @@ def _grid_for(profile, t_span, cfg):
     be 1-D with at least two nodes, start and end exactly at t_span, have finite nodes
     and be strictly monotonic, else DomainError.
     """
+    _check_cfg(cfg)
     if cfg.dense_output_grid is None:
         nodes = _span_nodes(profile, t_span)
         return np.linspace(t_span[0], t_span[1], max(257, int(math.ceil(nodes)) + 1))
@@ -430,6 +431,12 @@ def _check_count(name: str, n, least: int, most: int = MAX_GRID_NODES) -> None:
     """ConfigError unless ``n`` is an integer (numpy's too, not a bool) in [least, most]."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not least <= n <= most:
         raise ConfigError(f"{name} must be an integer from {least} to the limit {most}, got {n!r}")
+
+
+def _check_cfg(cfg) -> None:
+    """ConfigError unless ``cfg`` is an IntegratorConfig."""
+    if not isinstance(cfg, IntegratorConfig):
+        raise ConfigError(f"cfg must be an IntegratorConfig, got {cfg!r}")
 
 
 def _check_grid_span(t_span) -> None:
@@ -666,28 +673,3 @@ def _unwrap(angles: np.ndarray, error: type[Exception], what: str) -> np.ndarray
     np.cumsum(steps, out=steps)
     return out
 
-
-def schrodinger_phase(
-    profile: FieldProfile,
-    psi0,
-    t_span: tuple[float, float],
-    cfg: IntegratorConfig = IntegratorConfig(),
-) -> tuple[Trajectory, np.ndarray]:
-    """Integrate and extract the tracked-eigenvector phase, refining the grid on branch jumps.
-
-    The grid is validated once and refined by bisecting each of its
-    intervals (up to 16x, and to no more than ``MAX_GRID_NODES``) whenever
-    unwrapping raises BranchJump, so every node of a given grid stays; the
-    final trajectory and phase series are returned together.
-    """
-    psi0 = as_spinor(psi0)
-    grid = _grid_for(profile, t_span, cfg)
-    finest = MAX_GRID_REFINE * (len(grid) - 1) + 1  # nodes of the 16x grid
-    while True:
-        traj = _integrate("spinor", profile, psi0, grid, cfg)
-        try:
-            return traj, extract_total_phase(traj)
-        except BranchJump:
-            if len(grid) >= finest or 2 * len(grid) > MAX_GRID_NODES:
-                raise
-            grid = np.insert(grid, np.arange(1, len(grid)), 0.5 * (grid[:-1] + grid[1:]))

@@ -298,8 +298,8 @@ def _knot_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _number(name: str, value) -> float:
-    """``value`` as a float; ConfigError unless it is a real number in float range."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """``value`` as a float; ConfigError unless it is a real number (numpy's too) in float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ConfigError(f"{name} must be a number, got {value!r}")
     try:
         return float(value)
@@ -401,14 +401,19 @@ def _extent(x):
 
 
 def check_span(t_span) -> None:
-    """DomainError naming the first end of ``t_span`` that is not a finite time.
+    """ConfigError unless ``t_span`` is a pair of real numbers (``_number``); then
+    DomainError naming the first end that is not a finite time.
 
     Run before a grid is laid over the span, so an infinite or NaN end is
     named instead of spreading through the grid's arithmetic.  Whether the
     span lies in a profile's domain is checked where the profile is sampled.
     """
-    for t in t_span:
-        if not math.isfinite(t):
+    try:
+        t0, t1 = t_span
+    except (TypeError, ValueError):
+        raise ConfigError(f"t_span must be a pair of real numbers, got {t_span!r}") from None
+    for t in (t0, t1):
+        if not math.isfinite(_number("each end of t_span", t)):
             raise DomainError(f"t={t} is not finite")
 
 

@@ -279,16 +279,19 @@ def _refined_stieltjes(times: np.ndarray, x: np.ndarray, f: np.ndarray) -> float
     return _romberg_limit(vals)
 
 
-def phi_dyn_expect(traj: Trajectory, profile: FieldProfile) -> float:
-    """Expectation-value dynamical phase -(integral of <psi|H|psi> dt).
+def phi_dyn_expect(traj: Trajectory) -> float:
+    """Expectation-value dynamical phase -(integral of <psi|H|psi> dt) in the trajectory's field.
 
     Composite trapezoid over the trajectory grid, Richardson-refined via node
     decimation when the grid is uniform.  The per-step phase must stay below
-    pi/2 or the grid is rejected.  A path of one node gives the empty integral 0.0.
+    pi/2 or the grid is rejected.  A path of one node gives the empty integral 0.0;
+    a trajectory without its profile raises DomainError.
     """
+    if traj.profile is None:
+        raise DomainError("phi_dyn_expect requires the trajectory's profile")
     if len(traj.times) < 2:
         return 0.0
-    h_expect = 0.5 * np.sum(sample(profile, traj.times).B_vec * bloch_series(traj), axis=1)
+    h_expect = 0.5 * np.sum(sample(traj.profile, traj.times).B_vec * bloch_series(traj), axis=1)
     steps = np.abs(h_expect[:-1] * np.diff(traj.times))
     if float(np.max(steps)) >= 0.5 * np.pi:
         raise GridTooCoarse("per-step dynamical phase exceeds pi/2; refine the grid")
@@ -483,14 +486,13 @@ def stokes_surface_integral(loop: MLoop, B_mag: float) -> float:
 # Assembly
 # ---------------------------------------------------------------------------
 
-def phase_decomposition(
-    profile: FieldProfile,
-    traj: Trajectory,
-    total_phase: float,
-    t_span: tuple[float, float],
-) -> PhaseDecomposition:
-    """Collect all phase functionals of one run into a single record."""
-    dyn = phi_dyn_expect(traj, profile)
+def phase_decomposition(traj: Trajectory, total_phase: float) -> PhaseDecomposition:
+    """Collect all phase functionals of one run into a single record.
+
+    The field is the trajectory's profile and the span runs from its first node to its last.
+    """
+    dyn = phi_dyn_expect(traj)
+    profile, t_span = traj.profile, (float(traj.times[0]), float(traj.times[-1]))
     return PhaseDecomposition(
         phi0=phi0(profile, t_span),
         phi1=berry_phi1(profile, t_span),

@@ -10,14 +10,15 @@ fourth-order frequency corrections are no longer guaranteed small.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
 
 import numpy as np
 
 from .adiabatic_engine import quasi_stationary, tracked_eigenvector
 from .errors import ConfigError
-from .exact_dynamics import IntegratorConfig, _check_count, integrate_bloch, schrodinger_phase
+from .exact_dynamics import (IntegratorConfig, _check_cfg, _check_count, extract_total_phase,
+                             integrate_bloch, integrate_schrodinger)
 from .field_profiles import FieldProfile, _finite, check_span, sample, sinusoidal_angle
 from .geometric_phases import (
     MLoop,
@@ -114,8 +115,13 @@ def run_convergence(
     For each scale eps the classical precession is integrated over a fixed
     slow-time horizon (lab span horizon_eps_t/eps), seeded on the
     quasi-stationary branch, and the max deviation from the order-0/1/2
-    closed forms is recorded.  Expected log-log slopes: 1, 2, 3.
+    closed forms is recorded.  Expected log-log slopes: 1, 2, 3.  A ``cfg``, ``eps_list``
+    or horizon or epsilon of the wrong type, or not finite, raises ConfigError.
     """
+    _check_cfg(cfg)
+    if not isinstance(eps_list, (Sequence, np.ndarray)):
+        raise ConfigError(f"eps_list must be a sequence of numbers, got {eps_list!r}")
+    horizon_eps_t = _finite("horizon_eps_t", horizon_eps_t)
     eps_sorted = sorted((_finite("epsilon", e) for e in eps_list), reverse=True)
     if len(set(eps_sorted)) < 2:
         raise ConfigError("need at least two distinct epsilon values to fit slopes")
@@ -173,11 +179,12 @@ def run_phase_budget(
     t_span: tuple[float, float],
     cfg: IntegratorConfig = IntegratorConfig(),
 ) -> PhaseBudget:
-    """Integrate on the quasi-stationary branch and tabulate every phase."""
+    """Integrate on the quasi-stationary branch and tabulate every phase.
+
+    A grid too coarse to unwrap the phase raises BranchJump."""
     check_horizon(profile, t_span)
-    psi0 = tracked_eigenvector(profile, t_span[0])
-    traj, phases = schrodinger_phase(profile, psi0, t_span, cfg)
-    dec = phase_decomposition(profile, traj, float(phases[-1]), t_span)
+    traj = integrate_schrodinger(profile, tracked_eigenvector(profile, t_span[0]), t_span, cfg)
+    dec = phase_decomposition(traj, float(extract_total_phase(traj)[-1]))
     return PhaseBudget(
         decomposition=dec,
         r_total=dec.phi_total_exact - (dec.phi0 + dec.phi2),

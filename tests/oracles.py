@@ -374,7 +374,7 @@ def su2_complex(bx, by, bz, h):
 def spin_components_allocating(psi):
     """(Sx, Sy, Sz) = (2 conj(up) dn, |up|^2 - |dn|^2) / (|up|^2 + |dn|^2)."""
     up, dn = psi[..., 0], psi[..., 1]
-    uu, dd = np.abs(up) ** 2, np.abs(dn) ** 2
+    uu, dd = np.square(np.abs(up)), np.square(np.abs(dn))
     nn = uu + dd
     cross = np.conj(up) * dn
     sx, sy = 2.0 * cross.real, 2.0 * cross.imag

@@ -34,7 +34,6 @@ from spinphase import (
     run_convergence,
     run_phase_budget,
     run_timescale_demo,
-    schrodinger_phase,
     sinusoidal_angle,
     sinusoidal_family,
     spinor_to_bloch,
@@ -65,8 +64,7 @@ def test_criterion_1_rotating_frame_total_phase():
     t_span = (0.0, 200.0)
     cfg = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
     psi0 = tracked_eigenvector(profile, 0.0)
-    _, phases = schrodinger_phase(profile, psi0, t_span, cfg)
-    extracted = float(phases[-1])
+    extracted = float(extract_total_phase(integrate_schrodinger(profile, psi0, t_span, cfg))[-1])
     analytic = -0.5 * math.sqrt(1.01) * 200.0
     series = phi0(profile, t_span) + phi2(profile, t_span)
     elapsed = time.perf_counter() - start
@@ -114,7 +112,7 @@ def test_criterion_3_aa_identity():
     cfg = grid_cfg((0.0, Tf), 40001, 1e-12, 1e-14)
     traj = integrate_schrodinger(profile, psi0, (0.0, Tf), cfg)
     total = float(extract_total_phase(traj, "initial_state")[-1])
-    dyn = phi_dyn_expect(traj, profile)
+    dyn = phi_dyn_expect(traj)
     btraj = Trajectory(times=traj.times, states=bloch_series(traj), kind="bloch", profile=profile)
     coord = aa_geometric_phase_coordinate(btraj)
     identity_err = abs((total - dyn) - coord)

@@ -413,7 +413,7 @@ def test_both_spellings_of_a_flag_reach_one_validator(command, flag, type_, tmp_
 
 
 def test_simulate_aliased_explicit_grid_exits_5(tmp_path, capsys):
-    # three nodes over t = 50 alias the phase; simulate does not refine an explicit grid
+    # three nodes over t = 50 alias the phase; no run refines a given grid
     argv = ["simulate", "--profile", "uniform_rotation", "--t-end", "50", "--grid-n", "3"]
     assert run_main(argv + ["--out", str(tmp_path)]) == 5
     assert "a-priori phase step" in capsys.readouterr().err

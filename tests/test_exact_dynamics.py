@@ -35,7 +35,6 @@ from spinphase import (
     polynomial_angle,
     run_phase_budget,
     sample,
-    schrodinger_phase,
     sinusoidal_angle,
     StepSizeUnderflow,
     aa_geometric_phase_coordinate,
@@ -250,10 +249,9 @@ def test_rotating_frame_eigenfrequency(tight_cfg):
     # in the frame co-rotating with the field the problem is static with
     # frequency sqrt(B^2 + omega^2); seeding on the tracked branch the
     # extracted phase is -(1/2) sqrt(1.01) t up to third-order wobble
-    traj, phases = schrodinger_phase(
-        UNIFORM, tracked_eigenvector(UNIFORM, 0.0), (0.0, 50.0), tight_cfg
-    )
-    assert phases[-1] == pytest.approx(-0.5 * math.sqrt(1.01) * 50.0, abs=5e-6)
+    traj = integrate_schrodinger(UNIFORM, tracked_eigenvector(UNIFORM, 0.0), (0.0, 50.0),
+                                 tight_cfg)
+    assert extract_total_phase(traj)[-1] == pytest.approx(-0.5 * math.sqrt(1.01) * 50.0, abs=5e-6)
 
 
 def test_norm_drift_within_contract(tight_cfg):
@@ -329,7 +327,6 @@ def test_empty_span_raises_before_stepping_on_every_entry_point(method, monkeypa
     span = (3.0, 3.0)
     runs = [lambda: integrate_schrodinger(UNIFORM, [1.0, 0.0], span, cfg),
             lambda: integrate_bloch(UNIFORM, [0.0, 0.0, 1.0], span, cfg),
-            lambda: schrodinger_phase(UNIFORM, [1.0, 0.0], span, cfg),
             lambda: run_phase_budget(UNIFORM, span, cfg),
             lambda: magnus4_schrodinger(UNIFORM, [1.0, 0.0], span, 8),
             lambda: exponential_midpoint_schrodinger(UNIFORM, [1.0, 0.0], span, 8)]
@@ -700,40 +697,12 @@ def test_initial_state_phase_mod_2pi_at_full_turn(tight_cfg):
     assert abs(end_overlap - (-1.0)) <= 1e-9  # arg = pi == -pi (mod 2pi)
 
 
-def test_branch_jump_on_coarse_grid_and_auto_refine():
-    prof = constant(5.0)
+def test_branch_jump_on_coarse_grid():
     t_span = (0.0, 2.0)
     cfg = uniform_grid_cfg(t_span, 4)  # ~1.7 rad of phase per node step
-    traj = integrate_schrodinger(prof, [1.0, 0.0], t_span, cfg)
+    traj = integrate_schrodinger(constant(5.0), [1.0, 0.0], t_span, cfg)
     with pytest.raises(BranchJump):
         extract_total_phase(traj, "tracked_eigenvector")
-    # the combined runner refines the grid and succeeds
-    _, phases = schrodinger_phase(prof, [1.0, 0.0], t_span, cfg)
-    assert phases[-1] == pytest.approx(-5.0, abs=1e-8)
-
-
-def test_refinement_keeps_every_node_of_a_given_grid():
-    # a branch jump refines by bisecting each interval of the grid in hand, so t = 1 and
-    # t = 9 of the given grid stay nodes
-    grid = [0.0, 1.0, 5.0, 9.0, 10.0]
-    traj, _ = schrodinger_phase(uniform_rotation(1.0, 0.1), [1.0, 0.0], (0.0, 10.0),
-                                IntegratorConfig(dense_output_grid=grid))
-    step = (len(traj.times) - 1) // (len(grid) - 1)
-    assert step > 1 and traj.times[::step].tolist() == grid
-    middle = 0.5 * (traj.times[:-1:step] + traj.times[step::step])
-    assert traj.times[step // 2::step].tolist() == middle.tolist()
-
-
-def test_schrodinger_phase_reraises_once_refinement_is_exhausted(monkeypatch):
-    # two intervals over t = 200: on the 16x grid a step still turns the phase by 3.1 rad
-    grids = []
-    integrate = exact_dynamics._integrate
-    monkeypatch.setattr(exact_dynamics, "_integrate",
-                        lambda *args: grids.append(len(args[3])) or integrate(*args))
-    t_span = (0.0, 200.0)
-    with pytest.raises(BranchJump, match="a-priori"):
-        schrodinger_phase(constant(1.0), [1.0, 0.0], t_span, uniform_grid_cfg(t_span, 3))
-    assert grids == [3, 5, 9, 17, 33]
 
 
 def _unwrap_remainder_form(angles, error, what):
@@ -778,20 +747,6 @@ def test_unwrap_matches_the_remainder_form_bitwise(error, what):
     assert 10 <= raised <= len(series) - 10  # both outcomes well represented
 
 
-def test_schrodinger_phase_validates_its_grid_once_across_refinements(monkeypatch):
-    calls = []
-    span_nodes = exact_dynamics._span_nodes
-    monkeypatch.setattr(exact_dynamics, "_span_nodes",
-                        lambda *args: calls.append(args) or span_nodes(*args))
-    t_span = (0.0, 2.0)
-    traj, _ = schrodinger_phase(constant(5.0), [1.0, 0.0], t_span, uniform_grid_cfg(t_span, 4))
-    assert len(traj.times) > 4 and len(calls) == 1
-    # one reference and one branch: the tracked eigenvector of the upper level
-    assert list(inspect.signature(schrodinger_phase).parameters) == [
-        "profile", "psi0", "t_span", "cfg"]
-    assert list(inspect.signature(tracked_eigenvector).parameters) == ["profile", "t"]
-
-
 def test_overlap_loss_when_tracking_wrong_branch(tight_cfg):
     # the chain is an SU(2) matrix [[a, -conj(b)], [b, conj(a)]], so the lower
     # branch is the column orthogonal to the tracked (upper) one
@@ -800,6 +755,8 @@ def test_overlap_loss_when_tracking_wrong_branch(tight_cfg):
     traj = integrate_schrodinger(UNIFORM, lower, (0.0, 1.0), tight_cfg)
     with pytest.raises(OverlapLoss):
         extract_total_phase(traj, "tracked_eigenvector")
+    # one reference and one branch: the tracked eigenvector of the upper level
+    assert list(inspect.signature(tracked_eigenvector).parameters) == ["profile", "t"]
 
 
 def test_phase_reference_validation(tight_cfg):
@@ -831,7 +788,7 @@ def test_trajectory_rejects_an_unknown_kind():
         Trajectory(times=np.array([0.0, 1.0]), states=np.zeros((2, 2), complex), kind="foo")
 
 
-def test_aliased_grid_raises_branch_jump_and_refines_to_oracle():
+def test_aliased_grid_raises_branch_jump():
     # 0.5*|B|*dt = 12.5 rad per node step: the wrapped steps alias to a tiny phase
     t_span = (0.0, 50.0)
     cfg = uniform_grid_cfg(t_span, 3)
@@ -840,5 +797,10 @@ def test_aliased_grid_raises_branch_jump_and_refines_to_oracle():
     for reference in ("tracked_eigenvector", "initial_state"):
         with pytest.raises(BranchJump, match="a-priori"):
             extract_total_phase(traj, reference)
-    _, phases = schrodinger_phase(UNIFORM, psi0, t_span, cfg)
-    assert phases[-1] == pytest.approx(-0.5 * math.sqrt(1.01) * 50.0, abs=1e-5)
+
+
+def test_phase_budget_on_an_aliased_grid_raises_branch_jump():
+    # the library twin of `simulate --grid-n 3 --t-end 50`, which exits 5: the given
+    # grid is run as given, never refined
+    with pytest.raises(BranchJump, match="a-priori"):
+        run_phase_budget(UNIFORM, (0, 50), uniform_grid_cfg((0, 50), 3))

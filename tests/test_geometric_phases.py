@@ -27,6 +27,7 @@ from spinphase import (
     integrate_bloch,
     integrate_schrodinger,
     loop_from_profile,
+    phase_decomposition,
     phase_series,
     phi0,
     phi2,
@@ -237,7 +238,7 @@ def test_byparts_direct_pole_guard():
 
 def test_dyn_expect_stationary_state(tight_cfg):
     traj = integrate_schrodinger(constant(1.0), [1.0, 0.0], (0.0, 10.0), tight_cfg)
-    assert phi_dyn_expect(traj, constant(1.0)) == pytest.approx(-5.0, abs=1e-9)
+    assert phi_dyn_expect(traj) == pytest.approx(-5.0, abs=1e-9)
 
 
 def test_dyn_expect_equator_zero():
@@ -245,7 +246,7 @@ def test_dyn_expect_equator_zero():
     traj = integrate_schrodinger(
         constant(1.0), [R2, R2], t_span, uniform_grid_cfg(t_span, 2001)
     )
-    assert phi_dyn_expect(traj, constant(1.0)) == pytest.approx(0.0, abs=1e-9)
+    assert phi_dyn_expect(traj) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_dyn_expect_on_a_non_uniform_grid_is_the_trapezoid_sum():
@@ -257,9 +258,9 @@ def test_dyn_expect_on_a_non_uniform_grid_is_the_trapezoid_sum():
     psi0 = tracked_eigenvector(prof, 0.0)
     traj = integrate_schrodinger(prof, psi0, t_span, IntegratorConfig(dense_output_grid=grid))
     h = 0.5 * np.sum(sample(prof, grid).B_vec * bloch_series(traj), axis=1)
-    assert phi_dyn_expect(traj, prof) == -float(np.sum(0.5 * (h[1:] + h[:-1]) * np.diff(grid)))
+    assert phi_dyn_expect(traj) == -float(np.sum(0.5 * (h[1:] + h[:-1]) * np.diff(grid)))
     uniform = integrate_schrodinger(prof, psi0, t_span, uniform_grid_cfg(t_span, 2001))
-    assert phi_dyn_expect(traj, prof) == pytest.approx(phi_dyn_expect(uniform, prof), abs=1e-5)
+    assert phi_dyn_expect(traj) == pytest.approx(phi_dyn_expect(uniform), abs=1e-5)
 
 
 def test_dyn_expect_quasi_stationary_relation():
@@ -272,7 +273,7 @@ def test_dyn_expect_quasi_stationary_relation():
     traj = integrate_schrodinger(
         prof, tracked_eigenvector(prof, 0.0), t_span, uniform_grid_cfg(t_span, 4001)
     )
-    dyn = phi_dyn_expect(traj, prof)
+    dyn = phi_dyn_expect(traj)
     expect = phi0(prof, t_span) - phi2(prof, t_span)
     assert abs(dyn - expect) <= 0.1**3 * 100.0  # O(eps^3) * span
 
@@ -282,7 +283,19 @@ def test_dyn_expect_grid_guard():
     states = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]], dtype=complex)
     traj = Trajectory(times=times, states=states, kind="spinor", profile=constant(1.0))
     with pytest.raises(GridTooCoarse):
-        phi_dyn_expect(traj, constant(1.0))
+        phi_dyn_expect(traj)
+
+
+def test_phase_functionals_read_the_field_and_span_of_the_trajectory(tight_cfg):
+    prof, t_span = uniform_rotation(1.0, 0.1), (5.0, 25.0)
+    traj = integrate_schrodinger(prof, tracked_eigenvector(prof, 5.0), t_span, tight_cfg)
+    d = phase_decomposition(traj, -10.0)
+    assert (d.phi0, d.phi1, d.phi2) == (phi0(prof, t_span), 0.0, phi2(prof, t_span))
+    assert (d.phi_dyn_expect, d.phi_geom_aa) == (phi_dyn_expect(traj), -10.0 - d.phi_dyn_expect)
+    bare = Trajectory(times=traj.times, states=traj.states, kind="spinor")
+    for functional in (phi_dyn_expect, lambda t: phase_decomposition(t, -10.0)):
+        with pytest.raises(DomainError, match="requires the trajectory's profile"):
+            functional(bare)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +471,7 @@ def test_aa_identity_constant_tilted_field():
     from spinphase import extract_total_phase
 
     total = extract_total_phase(traj, "initial_state")[-1]
-    dyn = phi_dyn_expect(traj, prof)
+    dyn = phi_dyn_expect(traj)
     btraj = Trajectory(
         times=traj.times, states=bloch_series(traj), kind="bloch", profile=prof
     )

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spinphase import (
     GridTooCoarse,
@@ -109,8 +109,20 @@ def spinors(draw):
     return psi.reshape(shape + (2,))
 
 
+def _spinor(re_up, im_up, re_dn, im_dn):
+    """A spinor of one node from the float.hex texts of its four parts."""
+    parts = [float.fromhex(x) for x in (re_up, im_up, re_dn, im_dn)]
+    return np.array([complex(*parts[:2]), complex(*parts[2:])])
+
+
+# 0-d spinors whose |up| or |dn| numpy's scalar power squares one ulp off x * x
 @FAST
 @given(spinors())
+@example(_spinor("0x1.2e1fbb9801782p+1", "0x1p+0", "0x1.2261abe2d10f8p+0", "-0x0p+0"))
+@example(_spinor("-0x1.32dbfefc0bbb1p+1", "0x1.1aa34b5ac43c0p+0", "-0x1p-1",
+                 "-0x1.c3d76ce1a965fp+0"))
+@example(_spinor("-0x1.fbdeba1c7f004p-1", "-0x1.3c80c3fad5cddp+0", "0x1p+0",
+                 "-0x1.658837f7d47f8p-1"))
 def test_spin_components_match_the_allocating_form(psi):
     got = exact_dynamics._spin_components(psi)
     assert _same(got, np.stack(spin_components_allocating(psi)))
@@ -254,6 +266,6 @@ def test_one_node_path_gives_the_empty_integral(kind):
     profile = uniform_rotation(1.0, 0.1)
     state = [0.6, 0.8j] if kind == "spinor" else [0.0, 0.6, 0.8]
     traj = Trajectory(np.array([2.0]), np.array([state]), kind, profile)
-    values = [phi_dyn_expect(traj, profile), aa_geometric_phase_coordinate(traj),
+    values = [phi_dyn_expect(traj), aa_geometric_phase_coordinate(traj),
               aa_geometric_phase_solid_angle(traj), aa_geometric_phase_solid_angle(traj, False)]
     assert all(v == 0.0 and math.copysign(1.0, v) == 1.0 for v in values), values

@@ -67,6 +67,7 @@ def test_every_export_has_a_caller_in_the_library_or_is_a_paper_quantity():
 # private names one module imports from another, and why each is shared; a renderer
 # imported back into a module that computes would show up here
 SHARED_PRIVATE = {
+    "_check_cfg": "the integrators and the convergence runner state one rule for a config",
     "_check_count": "the steppers, the loop sampler, the convergence runner and the CLI state "
                     "one rule for a count",
     "_compose": "the steppers carry a state across blocks by the chain's SU(2) product",

@@ -12,16 +12,18 @@ from spinphase import (
     check_horizon,
     constant,
     exponential_midpoint_schrodinger,
+    extract_total_phase,
+    integrate_bloch,
     integrate_schrodinger,
     loop_from_profile,
     magnus4_schrodinger,
     phase_decomposition,
+    phi0,
     phi2,
     run_convergence,
     run_phase_budget,
     run_stokes_check,
     run_timescale_demo,
-    schrodinger_phase,
     sinusoidal_angle,
     sinusoidal_family,
     tracked_eigenvector,
@@ -80,7 +82,7 @@ def test_convergence_deterministic():
 def test_both_runners_integrate_at_the_one_default(monkeypatch):
     assert (IntegratorConfig().rel_tol, IntegratorConfig().abs_tol) == (1e-11, 1e-13)
     used = []
-    for name in ("integrate_bloch", "schrodinger_phase"):
+    for name in ("integrate_bloch", "integrate_schrodinger"):
         run = getattr(verification, name)
         monkeypatch.setattr(verification, name,
                             lambda *args, run=run: used.append(args[-1]) or run(*args))
@@ -109,6 +111,51 @@ def test_convergence_rejects_a_non_finite_epsilon(eps_list):
 def test_node_counts_are_checked_before_sampling(call):
     with pytest.raises(ConfigError, match="n_nodes must be an integer"):
         call()
+
+
+@pytest.mark.parametrize("span", [(0.0, "x"), 5.0, (0.0,), (0.0, 1.0, 2.0), (0.0, None),
+                                  (True, 10.0), (0, False), "ab", None])
+@pytest.mark.parametrize("call", [
+    lambda span: run_phase_budget(uniform_rotation(1.0, 0.1), span),
+    lambda span: phi0(uniform_rotation(1.0, 0.1), span),
+    lambda span: loop_from_profile(uniform_rotation(1.0, 0.1), span, 11),
+    lambda span: check_horizon(uniform_rotation(1.0, 0.1), span),
+    lambda span: magnus4_schrodinger(uniform_rotation(1.0, 0.1), [1.0, 0.0], span, 8),
+], ids=["run_phase_budget", "phi0", "loop_from_profile", "check_horizon",
+        "magnus4_schrodinger"])
+def test_a_span_that_is_not_a_pair_of_real_numbers_raises_config_error(call, span):
+    with pytest.raises(ConfigError, match="t_span"):
+        call(span)
+
+
+@pytest.mark.parametrize("span", [(np.int64(0), np.float64(10.0)), np.array([0.0, 10.0]),
+                                  [0, 10]])
+def test_numpy_and_python_reals_stay_valid_span_ends(span):
+    assert phi0(constant(1.0), span) == pytest.approx(-5.0, abs=1e-12)
+    with pytest.raises(DomainError, match="t=inf is not finite"):
+        check_horizon(constant(1.0), (span[0], math.inf))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: integrate_schrodinger(constant(1.0), [1.0, 0.0], (0.0, 1.0), "cfg"),
+    lambda: integrate_bloch(constant(1.0), [0.0, 0.0, 1.0], (0.0, 1.0), None),
+    lambda: run_phase_budget(uniform_rotation(1.0, 0.1), (0.0, 10.0), {"rel_tol": 1e-9}),
+    lambda: run_convergence(sinusoidal_family(), [0.16, 0.08], math.pi, None),
+], ids=["integrate_schrodinger", "integrate_bloch", "run_phase_budget", "run_convergence"])
+def test_a_cfg_that_is_not_an_integrator_config_raises_config_error(call):
+    with pytest.raises(ConfigError, match="cfg must be an IntegratorConfig"):
+        call()
+
+
+@pytest.mark.parametrize("eps_list, horizon, match", [
+    ([0.1, 0.05], "x", "horizon_eps_t must be a number"),
+    ([0.1, 0.05], math.nan, "horizon_eps_t must be finite"),
+    (0.1, 1.0, "eps_list must be a sequence"),
+    (None, 1.0, "eps_list must be a sequence"),
+])
+def test_convergence_rejects_a_horizon_or_eps_list_of_the_wrong_type(eps_list, horizon, match):
+    with pytest.raises(ConfigError, match=match):
+        run_convergence(sinusoidal_family(), eps_list, horizon)
 
 
 @pytest.mark.parametrize("B", ["x", None, [1.0]])
@@ -141,8 +188,8 @@ def test_factor_two_is_two_cos_chi_on_the_exact_cyclic_state(B, omega, T):
     # with phi2 = -omega^2 T/(4B), the ratio is 2 cos(chi)
     prof, big = uniform_rotation(B, omega), math.hypot(B, omega)
     cfg = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
-    traj, phases = schrodinger_phase(prof, co_rotating_eigenstate(B, omega), (0.0, T), cfg)
-    d = phase_decomposition(prof, traj, float(phases[-1]), (0.0, T))
+    traj = integrate_schrodinger(prof, co_rotating_eigenstate(B, omega), (0.0, T), cfg)
+    d = phase_decomposition(traj, float(extract_total_phase(traj)[-1]))
     assert d.phi_geom_aa == pytest.approx(-0.5 * omega**2 * T / big, abs=1e-8)
     assert d.phi_geom_aa / d.phi2 == pytest.approx(2.0 * B / big, abs=1e-8)
 
