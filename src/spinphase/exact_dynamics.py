@@ -51,6 +51,7 @@ _PAIR_BLOCK = 1 << 12  # steps whose SU(2) pairs the fixed-step steppers make at
 _CF4_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 _CF4_A1, _CF4_A2 = (3.0 - 2.0 * math.sqrt(3.0)) / 12.0, (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
 _NORM_TOL = 1e-9  # largest norm defect as_spinor and as_bloch renormalize away
+_GRID_MULTIPLE = 8  # divides a default grid's interval count: the largest Romberg stride
 
 
 @dataclass(frozen=True)
@@ -348,14 +349,16 @@ def _grid_for(profile, t_span, cfg):
     """The run's output grid; any span the default grid could not cover raises ConfigError.
 
     The default grid is uniform and dense enough for phase unwrapping: ``_span_nodes``
-    nodes with a floor of 257, checked before anything is allocated.  A given grid must
-    be 1-D with at least two nodes, start and end exactly at t_span, have finite nodes
-    and be strictly monotonic, else DomainError.
+    intervals with a floor of 256, checked before anything is allocated, rounded up to a
+    multiple of ``_GRID_MULTIPLE`` so the trajectory integrals take every Romberg stride.
+    A given grid must be 1-D with at least two nodes, start and end exactly at t_span,
+    have finite nodes and be strictly monotonic, else DomainError.
     """
     _check_cfg(cfg)
     if cfg.dense_output_grid is None:
-        nodes = _span_nodes(profile, t_span)
-        return np.linspace(t_span[0], t_span[1], max(257, int(math.ceil(nodes)) + 1))
+        intervals = max(256, math.ceil(_span_nodes(profile, t_span)))
+        intervals += -intervals % _GRID_MULTIPLE
+        return np.linspace(t_span[0], t_span[1], intervals + 1)
     grid = np.asarray(cfg.dense_output_grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2:
         raise DomainError(f"dense_output_grid must be 1-D with at least two nodes, "

@@ -43,12 +43,13 @@ from .errors import (
     PoleSingularity,
 )
 from .field_profiles import DEFAULT_B_MIN, FieldProfile, FieldSample, _number, check_span, sample
-from .exact_dynamics import Trajectory, _check_count, _spin_components, _unwrap, bloch_series
+from .exact_dynamics import (_GRID_MULTIPLE, Trajectory, _check_count, _spin_components, _unwrap,
+                             bloch_series)
 
 _QUAD_OPTS = {"epsabs": 1e-12, "epsrel": 1e-12, "limit": 500}
 MIN_SIN_POLAR = 1e-3
 _CLOSURE_TOL = 1e-9  # largest endpoint gap of a closed MLoop, per coordinate
-_ROMBERG_LEVELS = 4  # most step sizes (h, 2h, 4h, ...) a Romberg limit extrapolates from
+_STRIDES = tuple(2**k for k in range(_GRID_MULTIPLE.bit_length()))  # Romberg's 1, 2, 4, 8
 
 
 @dataclass(frozen=True)
@@ -232,34 +233,29 @@ def phi2_decomposition(profile: FieldProfile, t_span: tuple[float, float]) -> Ph
 # Trajectory integrals with decimation-Richardson refinement
 # ---------------------------------------------------------------------------
 
-def _romberg_limit(estimates: list[float], tol: float = 1e-9) -> float:
-    """Extrapolate trapezoid-type estimates at steps h, 2h, 4h, ... to h -> 0."""
+def _romberg_limit(estimates: list[float]) -> float:
+    """The h -> 0 entry of the full Richardson table of trapezoid estimates at h, 2h, 4h, ..."""
     col = list(estimates)
-    j = 0
-    while len(col) >= 2:
-        j += 1
+    for j in range(1, len(col)):
         fac = 4.0**j
-        nxt = [(fac * col[k] - col[k + 1]) / (fac - 1.0) for k in range(len(col) - 1)]
-        if abs(nxt[0] - col[0]) < tol:
-            return nxt[0]
-        col = nxt
+        col = [(fac * col[k] - col[k + 1]) / (fac - 1.0) for k in range(len(col) - 1)]
     return col[0]
 
 
-def _decimations(n_nodes: int) -> list[int]:
-    strides = [1]
-    s = 2
-    while len(strides) < _ROMBERG_LEVELS and (n_nodes - 1) % s == 0 and (n_nodes - 1) // s >= 8:
-        strides.append(s)
-        s *= 2
-    return strides
-
-
-def _is_uniform(times: np.ndarray) -> bool:
+def _strides(times: np.ndarray) -> list[int]:
+    """Decimation strides of a time grid: 1, then, if it is uniform up to node roundoff,
+    each of ``_STRIDES`` that divides the interval count and leaves at least 8 intervals."""
     dt = np.diff(times)
-    dt0 = dt[0]
-    dt -= dt0
-    return bool(max(dt.max(), -dt.min()) <= 1e-9 * abs(dt0))
+    # np.linspace steps differ by up to about 2 eps max |t| of roundoff; 8 eps leave a margin
+    tol = 1e-9 * abs(dt[0]) + 8 * np.finfo(float).eps * max(abs(times[0]), abs(times[-1]))
+    uniform = max(dt.max() - dt[0], dt[0] - dt.min()) <= tol
+    return [s for s in _STRIDES if s == 1 or (uniform and len(dt) % s == 0 and len(dt) // s >= 8)]
+
+
+def _refined(times: np.ndarray, finest: float, estimate) -> float:
+    """Romberg limit of a trajectory integral from its trapezoid value ``finest`` on the grid
+    and ``estimate(s)``, its value on every s-th node, for each of the grid's strides."""
+    return _romberg_limit([finest] + [estimate(s) for s in _strides(times)[1:]])
 
 
 def _stieltjes(x: np.ndarray, f: np.ndarray) -> float:
@@ -272,18 +268,11 @@ def _stieltjes(x: np.ndarray, f: np.ndarray) -> float:
     return float(np.sum(w[0]))
 
 
-def _refined_stieltjes(times: np.ndarray, x: np.ndarray, f: np.ndarray) -> float:
-    if not _is_uniform(times):
-        return _stieltjes(x, f)
-    vals = [_stieltjes(x[::s], f[::s]) for s in _decimations(len(times))]
-    return _romberg_limit(vals)
-
-
 def phi_dyn_expect(traj: Trajectory) -> float:
     """Expectation-value dynamical phase -(integral of <psi|H|psi> dt) in the trajectory's field.
 
-    Composite trapezoid over the trajectory grid, Richardson-refined via node
-    decimation when the grid is uniform.  The per-step phase must stay below
+    Composite trapezoid over the trajectory grid, refined as the AA routes are (see
+    :func:`aa_geometric_phase_coordinate`).  The per-step phase must stay below
     pi/2 or the grid is rejected.  A path of one node gives the empty integral 0.0;
     a trajectory without its profile raises DomainError.
     """
@@ -295,7 +284,8 @@ def phi_dyn_expect(traj: Trajectory) -> float:
     steps = np.abs(h_expect[:-1] * np.diff(traj.times))
     if float(np.max(steps)) >= 0.5 * np.pi:
         raise GridTooCoarse("per-step dynamical phase exceeds pi/2; refine the grid")
-    return -_refined_stieltjes(traj.times, traj.times, h_expect)
+    return -_refined(traj.times, _stieltjes(traj.times, h_expect),
+                     lambda s: _stieltjes(traj.times[::s], h_expect[::s]))
 
 
 def aa_geometric_phase_coordinate(traj: Trajectory) -> float:
@@ -304,7 +294,9 @@ def aa_geometric_phase_coordinate(traj: Trajectory) -> float:
     theta~/phi~ are the spherical coordinates of the (unit-normalized) spin
     trajectory; the azimuth is unwrapped, so full windings accumulate.  The
     connection is singular at the poles, hence the sin(theta~) floor.  A path
-    of one node gives the empty integral 0.0.
+    of one node gives the empty integral 0.0.  On a uniform grid, the trapezoids on every
+    1st, 2nd, 4th and 8th node, while the stride divides the interval count and leaves 8
+    intervals, go through the full Romberg table; any other grid gives the plain trapezoid.
     """
     if len(traj.times) < 2:
         return 0.0
@@ -318,7 +310,8 @@ def aa_geometric_phase_coordinate(traj: Trajectory) -> float:
         raise PoleSingularity(f"path reaches sin(theta~)={sin_polar:.3g} < {MIN_SIN_POLAR}")
     azimuth = _unwrap(azimuth, GridTooCoarse, "azimuth")
     np.subtract(1.0, z, out=z)
-    return -0.5 * _refined_stieltjes(traj.times, azimuth, z)
+    return -0.5 * _refined(traj.times, _stieltjes(azimuth, z),
+                           lambda s: _stieltjes(azimuth[::s], z[::s]))
 
 
 def aa_geometric_phase_solid_angle(traj: Trajectory, refine: bool = True) -> float:
@@ -326,9 +319,9 @@ def aa_geometric_phase_solid_angle(traj: Trajectory, refine: bool = True) -> flo
 
     The path (geodesically closed) is fanned into spherical triangles from
     the +z axis — the gauge in which the coordinate route measures enclosed
-    area — and each triangle contributes its signed solid angle.  Richardson
-    refinement over node decimation removes the inscribed-polygon deficit.
-    A path of one node gives the empty integral 0.0.
+    area — and each triangle contributes its signed solid angle.  ``refine``
+    applies the coordinate route's Romberg rule to the inscribed-polygon deficit
+    (none on a non-uniform grid).  A path of one node gives the empty integral 0.0.
     """
     if len(traj.times) < 2:
         return 0.0
@@ -340,8 +333,7 @@ def aa_geometric_phase_solid_angle(traj: Trajectory, refine: bool = True) -> flo
     area = 2.0 * float(np.sum(half_angles))
     del dots, half_angles  # the finest level's rows go before the coarser levels are made
     if refine:
-        vals = [area] + [_fan_area(x[::s], y[::s], z[::s]) for s in _decimations(len(x))[1:]]
-        area = _romberg_limit(vals, tol=1e-12)
+        area = _refined(traj.times, area, lambda s: _fan_area(x[::s], y[::s], z[::s]))
     return -0.5 * area
 
 

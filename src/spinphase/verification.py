@@ -2,9 +2,9 @@
 
 Each runner is deterministic: no randomness anywhere, so re-running a
 configuration reproduces its record, and the CLI's files, byte for byte.
-Runners validate their horizon against the breakdown time t2 = B**3 /
-rate**4 (rate = max |theta_dot|), beyond one tenth of which the neglected
-fourth-order frequency corrections are no longer guaranteed small.
+Runners validate their horizon against the breakdown time t2 = B**3 / rate**4
+(rate = max |d(B/|B|)/dt| = max hypot(theta_dot, sin(theta) phi_dot)), beyond one
+tenth of which the neglected fourth-order frequency corrections are no longer guaranteed small.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ def check_horizon(profile: FieldProfile, t_span: tuple[float, float]) -> float:
     """Reject spans beyond 0.1 * t2; returns the t2 estimate (inf if static)."""
     check_span(t_span)
     s = sample(profile, np.linspace(t_span[0], t_span[1], 257))
-    t2 = _breakdown_time(float(np.min(s.B_mag)), float(np.max(np.abs(s.theta_dot))), 2)
+    rate = float(np.max(np.hypot(s.theta_dot, np.sin(s.theta) * s.phi_dot)))  # |d(B/|B|)/dt|
+    t2 = _breakdown_time(float(np.min(s.B_mag)), rate, 2)
     span = abs(t_span[1] - t_span[0])
     if span > 0.1 * t2:
         raise ConfigError(

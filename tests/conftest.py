@@ -16,7 +16,8 @@ def _importable(module: str) -> bool:
 
 # DOP853 is scipy's solve_ivp, and scipy is a test dependency the numpy-only CI job leaves out:
 # the DOP853 cross-checks skip there and run wherever scipy is installed
-needs_scipy = pytest.mark.skipif(not _importable("scipy.integrate"), reason="DOP853 needs scipy")
+HAS_SCIPY = _importable("scipy.integrate")
+needs_scipy = pytest.mark.skipif(not HAS_SCIPY, reason="DOP853 needs scipy")
 METHODS = ["magnus4", pytest.param("DOP853", marks=needs_scipy)]
 
 

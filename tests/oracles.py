@@ -4,11 +4,13 @@ Each function here recomputes a quantity the library computes another
 way: the in-plane Cartesian and spherical views of the quasi-stationary
 corrections, the direct quadrature of the by-parts second-order term, the
 frame chain as (2, 2) and (3, 3) matrices, which the SU(2) pair product and
-the closed-form classical solution are pinned against, the central-difference
+the closed-form classical solution are pinned against, the closed-form precession
+of a classical spin in a uniformly rotating field, the central-difference
 self-test of the analytic field derivatives, the Hamiltonian matrix that the
 solvers' right-hand side writes out, the solid-angle fan by spherical
 excesses, the mean-spin map and both Aharonov-Anandan routes on (n, 3) rows
-of spin vectors.  The tests compare the library against them.
+of spin vectors, refined by Romberg strides and a Romberg table of their own.
+The tests compare the library against them.
 
 The last section keeps the spin-path kernels and the fixed-step steppers in
 their allocating form, one numpy expression per quantity; the library writes
@@ -49,13 +51,7 @@ from spinphase.exact_dynamics import (
     as_spinor,
     bloch_series,
 )
-from spinphase.geometric_phases import (
-    MIN_SIN_POLAR,
-    _decimations,
-    _integral,
-    _refined_stieltjes,
-    _romberg_limit,
-)
+from spinphase.geometric_phases import MIN_SIN_POLAR, _integral
 
 
 def quasi_stationary_cartesian(profile: FieldProfile, t: float) -> QuasiStationary:
@@ -216,6 +212,25 @@ def uniform_rotation_exact(B0: float, omega: float, psi0, t) -> np.ndarray:
     return np.stack([cr * up - sr * dn, sr * up + cr * dn], axis=1)
 
 
+def uniform_rotation_spin_exact(B0: float, omega: float, S0, t) -> np.ndarray:
+    """Exact spins (n, 3) at times t of dS/dt = B x S under uniform_rotation(B0, omega).
+
+    The classical closed form, in numpy alone and apart from the spinor one: in the frame
+    that turns with the field about y, S obeys dS/dt = W x S with the static
+    W = B(0) - omega y = B0 z - omega y, so S(t) = R_y(omega t) Rot(W, |W| t) S0, each a
+    right-handed rotation by Rodrigues' formula.
+    """
+    t = np.atleast_1d(np.asarray(t, dtype=float))[:, None]
+    S0 = np.asarray(S0, dtype=float)
+    big = math.hypot(B0, omega)
+    k = np.array([0.0, -omega, B0]) / big
+    c, s = np.cos(big * t), np.sin(big * t)
+    co = S0 * c + np.cross(k, S0) * s + k * float(k @ S0) * (1.0 - c)
+    cr, sr = np.cos(omega * t[:, 0]), np.sin(omega * t[:, 0])
+    x, y, z = co.T
+    return np.stack([cr * x + sr * z, y, cr * z - sr * x], axis=1)
+
+
 def co_rotating_eigenstate(B0: float, omega: float) -> np.ndarray:
     """The exactly cyclic state of uniform_rotation(B0, omega) at t = 0: spin up along the
     co-rotating frame's static field B0 z - omega y, tilted from B by chi, tan chi = omega/B0."""
@@ -266,7 +281,7 @@ def aa_coordinate_rows(traj: Trajectory) -> float:
     raw = np.arctan2(S[:, 1], S[:, 0])
     steps = (np.diff(raw) + np.pi) % (2.0 * np.pi) - np.pi
     azimuth = np.concatenate([[0.0], np.cumsum(steps)])
-    return -0.5 * _refined_stieltjes(traj.times, azimuth, 1.0 - S[:, 2])
+    return -0.5 * refined_stieltjes_allocating(traj.times, azimuth, 1.0 - S[:, 2])
 
 
 def fan_area_rows(S: np.ndarray) -> float:
@@ -281,8 +296,8 @@ def fan_area_rows(S: np.ndarray) -> float:
 def aa_solid_angle_rows(traj: Trajectory) -> float:
     """The Romberg-refined solid-angle Aharonov-Anandan route on unit-normalized (n, 3) rows."""
     S = _unit_spin_rows(traj)
-    vals = [fan_area_rows(S[::s]) for s in _decimations(len(S))]
-    return -0.5 * _romberg_limit(vals, tol=1e-12)
+    vals = [fan_area_rows(S[::s]) for s in strides_allocating(traj.times)]
+    return -0.5 * romberg_table_limit(vals)
 
 
 def _sin_cos(x):
@@ -415,9 +430,25 @@ def stieltjes_allocating(x, f):
     return float(np.sum(0.5 * (f[1:] + f[:-1]) * np.diff(x)))
 
 
-def is_uniform_allocating(times):
+def strides_allocating(times):
+    """Romberg strides of a time grid: 1, and on a grid uniform up to its nodes' roundoff
+    each of 2, 4 and 8 that divides the interval count and leaves at least 8 intervals."""
     dt = np.diff(times)
-    return bool(np.max(np.abs(dt - dt[0])) <= 1e-9 * abs(dt[0]))
+    roundoff = 8 * np.finfo(float).eps * np.max(np.abs(times[[0, -1]]))
+    if not np.max(np.abs(dt - dt[0])) <= 1e-9 * abs(dt[0]) + roundoff:
+        return [1]
+    return [1] + [s for s in (2, 4, 8) if len(dt) % s == 0 and len(dt) // s >= 8]
+
+
+def romberg_table_limit(estimates):
+    """The h -> 0 entry of the Richardson triangle of trapezoid estimates at h, 2h, 4h, ...,
+    every column kept: column j removes the h**(2j) term, R[j][k] = (4**j R[j-1][k] -
+    R[j-1][k+1]) / (4**j - 1)."""
+    table = [list(estimates)]
+    for j in range(1, len(estimates)):
+        prev, fac = table[-1], 4.0**j
+        table.append([(fac * prev[k] - prev[k + 1]) / (fac - 1.0) for k in range(len(prev) - 1)])
+    return table[-1][0]
 
 
 def prefix_products_allocating(a, b):
@@ -431,10 +462,10 @@ def prefix_products_allocating(a, b):
     a[2::2], b[2::2] = _compose(a[2::2], b[2::2], pa[:k], pb[:k])
 
 
-def _refined_stieltjes_allocating(times, x, f):
-    if not is_uniform_allocating(times):
-        return stieltjes_allocating(x, f)
-    return _romberg_limit([stieltjes_allocating(x[::s], f[::s]) for s in _decimations(len(times))])
+def refined_stieltjes_allocating(times, x, f):
+    """Romberg limit of the trapezoid sums of f dx on every s-th node, s over the grid's strides."""
+    return romberg_table_limit([stieltjes_allocating(x[::s], f[::s])
+                                for s in strides_allocating(times)])
 
 
 def _spin_path_allocating(traj):
@@ -452,7 +483,7 @@ def aa_coordinate_allocating(traj):
     if sin_polar < MIN_SIN_POLAR:
         raise PoleSingularity(f"path reaches sin(theta~)={sin_polar:.3g} < {MIN_SIN_POLAR}")
     azimuth = unwrap_allocating(np.arctan2(y, x), GridTooCoarse, "azimuth")
-    return -0.5 * _refined_stieltjes_allocating(traj.times, azimuth, 1.0 - z)
+    return -0.5 * refined_stieltjes_allocating(traj.times, azimuth, 1.0 - z)
 
 
 def aa_solid_angle_allocating(traj, refine=True):
@@ -463,8 +494,8 @@ def aa_solid_angle_allocating(traj, refine=True):
     if arc >= 0.25 * np.pi:
         raise ArcTooLong(f"consecutive nodes {arc:.3g} rad apart (>= pi/4)")
     if refine:
-        vals = [fan_area_appended(x[::s], y[::s], z[::s]) for s in _decimations(len(x))]
-        return -0.5 * _romberg_limit(vals, tol=1e-12)
+        vals = [fan_area_appended(x[::s], y[::s], z[::s]) for s in strides_allocating(traj.times)]
+        return -0.5 * romberg_table_limit(vals)
     return -0.5 * fan_area_appended(x, y, z)
 
 

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     co_rotating_eigenstate,
@@ -44,7 +46,7 @@ from spinphase import (
     uniform_rotation,
     user_tabulated,
 )
-from spinphase import exact_dynamics, field_profiles
+from spinphase import exact_dynamics, field_profiles, geometric_phases
 from spinphase.exact_dynamics import (
     MAX_GRID_NODES,
     _cf4_states,
@@ -87,6 +89,19 @@ def test_norm_checks_reject_non_finite_entries(bad):
         S[slot] = bad
         with pytest.raises(NormalizationError):
             exact_dynamics.as_bloch(S)
+
+
+def test_initial_states_off_the_unit_norm_by_1e_6_are_rejected():
+    # a defect of 1e-10 is renormalized away; 1e-6 is past the 1e-9 tolerance
+    prof, t_span = uniform_rotation(1.0, 0.1), (0.0, 1.0)
+    for scale, ok in ((1.0 + 1e-10, True), (1.0 + 1e-6, False), (1.0 - 1e-6, False)):
+        for integrate, state in ((integrate_schrodinger, [0.6 * scale, 0.8j * scale]),
+                                 (integrate_bloch, [0.0, 0.6 * scale, 0.8 * scale])):
+            if ok:
+                assert len(integrate(prof, state, t_span).times) > 1
+            else:
+                with pytest.raises(NormalizationError):
+                    integrate(prof, state, t_span)
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -285,6 +300,29 @@ def test_degenerate_field_aborts_integration(tight_cfg):
     prof = user_tabulated(taus, B=1.0 - 0.12 * taus, theta=np.zeros_like(taus), b_min=0.5)
     with pytest.raises(DegenerateField):
         integrate_schrodinger(prof, [1.0, 0.0], (0.1, 9.0), tight_cfg)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.builds(constant, st.floats(1e-3, 50.0)),
+    st.builds(uniform_rotation, st.floats(1e-3, 50.0), st.floats(-2.0, 2.0)),
+    st.builds(sinusoidal_angle, st.floats(1e-3, 50.0), st.floats(-1.0, 1.0),
+              st.floats(-1.0, 1.0), b_amp=st.floats(0.0, 0.5), b_freq=st.floats(0.0, 2.0)),
+    st.builds(cone_3d, st.floats(1e-3, 50.0), st.floats(0.1, 3.0), st.floats(-2.0, 2.0)),
+), st.floats(-50.0, 50.0), st.floats(1e-6, 2e3), st.booleans())
+@example(uniform_rotation(1.0, 0.1), 1e6, 123.4, False)
+@example(constant(1.0), 32.0, 0.001, False)
+def test_default_grid_has_every_romberg_stride(profile, t0, length, backward):
+    # the interval count is the span's node need, at least 256, rounded up to a multiple
+    # of 8, so the trajectory integrals take the strides 1, 2, 4 and 8; the examples are
+    # grids whose node roundoff exceeds 1e-9 of a step and passes as uniform all the same
+    t_span = (t0 + length, t0) if backward else (t0, t0 + length)
+    grid = exact_dynamics._grid_for(profile, t_span, IntegratorConfig())
+    intervals = len(grid) - 1
+    need = max(256, math.ceil(exact_dynamics._span_nodes(profile, t_span)))
+    assert intervals % 8 == 0 and need <= intervals < need + 8
+    assert (grid[0], grid[-1]) == t_span
+    assert geometric_phases._strides(grid) == [1, 2, 4, 8]
 
 
 def test_dense_grid_must_match_span():
@@ -757,6 +795,21 @@ def test_overlap_loss_when_tracking_wrong_branch(tight_cfg):
         extract_total_phase(traj, "tracked_eigenvector")
     # one reference and one branch: the tracked eigenvector of the upper level
     assert list(inspect.signature(tracked_eigenvector).parameters) == ["profile", "t"]
+
+
+def test_overlap_loss_threshold_is_one_half(tight_cfg):
+    # a seed at overlap 0.3 with the tracked branch keeps about that overlap over a short
+    # span: below the 0.5 floor it raises, and at 0.7 it unwraps
+    a, b = tracked_eigenvector(UNIFORM, 0.0)
+    upper, lower = np.array([a, b]), np.array([-np.conj(b), np.conj(a)])
+    for overlap, fails in ((0.3, True), (0.7, False)):
+        psi0 = overlap * upper + math.sqrt(1.0 - overlap**2) * lower
+        traj = integrate_schrodinger(UNIFORM, psi0, (0.0, 1.0), tight_cfg)
+        if fails:
+            with pytest.raises(OverlapLoss, match="dropped to 0.3"):
+                extract_total_phase(traj, "tracked_eigenvector")
+        else:
+            assert np.isfinite(extract_total_phase(traj, "tracked_eigenvector")).all()
 
 
 def test_phase_reference_validation(tight_cfg):

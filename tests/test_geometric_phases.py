@@ -263,6 +263,31 @@ def test_dyn_expect_on_a_non_uniform_grid_is_the_trapezoid_sum():
     assert phi_dyn_expect(traj) == pytest.approx(phi_dyn_expect(uniform), abs=1e-5)
 
 
+def test_romberg_refined_trapezoid_of_exp_is_exact_to_roundoff():
+    # 64 intervals take the strides 1, 2, 4 and 8; the trapezoid's error is a series in
+    # h**2, so only the full table with the factors 4, 16 and 64 removes it (the plain sum
+    # is off by 3.5e-5, and a table with factors 2, 4 and 8 by 9e-9)
+    t = np.linspace(0.0, 1.0, 65)
+    f = np.exp(t)
+    assert geometric_phases._strides(t) == [1, 2, 4, 8]
+    trapezoid = geometric_phases._stieltjes
+    value = geometric_phases._refined(t, trapezoid(t, f), lambda s: trapezoid(t[::s], f[::s]))
+    assert abs(value - (math.e - 1.0)) <= 1e-13
+
+
+def test_trajectory_integrals_on_the_default_grid_match_a_fine_grid():
+    # one period of a sinusoidal budget path: the default grid's interval count is a
+    # multiple of 8, so every integral takes all four strides (2011 intervals took none)
+    prof = sinusoidal_angle(1.0, 0.6, 0.05)
+    t_span = (0.0, 2 * math.pi / 0.05)
+    psi0 = tracked_eigenvector(prof, 0.0)
+    default = integrate_schrodinger(prof, psi0, t_span)
+    assert (len(default.times) - 1) % 8 == 0
+    fine = integrate_schrodinger(prof, psi0, t_span, uniform_grid_cfg(t_span, 16385))
+    for route in (aa_geometric_phase_coordinate, aa_geometric_phase_solid_angle, phi_dyn_expect):
+        assert abs(route(default) - route(fine)) <= 1e-12, route.__name__
+
+
 def test_dyn_expect_quasi_stationary_relation():
     # on the tracked branch <H> = (B/2)(1 - delta^2/2) + higher order, so the
     # dynamical phase is phi0 - phi2 up to a third-order-in-eps remainder
@@ -409,6 +434,24 @@ def test_fan_area_closes_a_nearly_closed_path():
     open_fan = float(np.sum(2.0 * np.arctan2(p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0],
                                              1.0 + p[:, 2] + q[:, 2] + np.sum(p * q, axis=1))))
     assert abs(open_fan - area) > 2e-6
+
+
+def test_aa_routes_on_a_non_uniform_grid_are_unrefined():
+    # 2000 intervals would take every stride on a uniform grid; on this one neither route
+    # refines, so the solid-angle route is its refine=False value and the coordinate route
+    # the plain trapezoid of (1 - cos theta~) dphi~
+    prof, t_span = uniform_rotation(1.0, 0.1), (0.0, 50.0)
+    u = np.linspace(0.0, 1.0, 2001)
+    grid = 50.0 * (u + 0.05 * np.sin(2.0 * math.pi * u))
+    grid[-1] = 50.0
+    cfg = IntegratorConfig(dense_output_grid=grid)
+    traj = integrate_schrodinger(prof, tracked_eigenvector(prof, 0.0), t_span, cfg)
+    assert geometric_phases._strides(grid) == [1]
+    assert aa_geometric_phase_solid_angle(traj) == aa_geometric_phase_solid_angle(traj, False)
+    x, y, z = bloch_series(traj).T
+    azimuth = np.unwrap(np.arctan2(y, x))
+    trapezoid = -0.5 * geometric_phases._stieltjes(azimuth, 1.0 - z)
+    assert aa_geometric_phase_coordinate(traj) == pytest.approx(trapezoid, abs=1e-14)
 
 
 def test_coordinate_route_pole_guard():

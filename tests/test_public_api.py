@@ -74,6 +74,8 @@ SHARED_PRIVATE = {
     "_field_vector": "the solvers and steppers read the field without building a FieldSample",
     "_number": "IntegratorConfig checks its settings as FieldProfile checks its own",
     "_finite": "the CLI checks its params as FieldProfile checks its own",
+    "_GRID_MULTIPLE": "the trajectory integrals' Romberg strides run up to the multiple that "
+                      "every default grid's interval count has",
     "_spin_components": "the geometric phases read a spinor path as mean-spin components",
     "_unwrap": "the azimuth of the exact geometric phase unwraps as the total phase does",
 }

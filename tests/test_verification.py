@@ -10,6 +10,7 @@ from spinphase import (
     DomainError,
     IntegratorConfig,
     check_horizon,
+    cone_3d,
     constant,
     exponential_midpoint_schrodinger,
     extract_total_phase,
@@ -24,10 +25,12 @@ from spinphase import (
     run_phase_budget,
     run_stokes_check,
     run_timescale_demo,
+    sample,
     sinusoidal_angle,
     sinusoidal_family,
     tracked_eigenvector,
     uniform_rotation,
+    user_tabulated,
 )
 from spinphase import verification
 from spinphase.verification import _breakdown_time
@@ -42,6 +45,41 @@ def test_horizon_guard_rejects_long_spans():
     assert check_horizon(uniform_rotation(1.0, 1e-90), (0.0, 10.0)) == math.inf
     with pytest.raises(ConfigError, match="0.1\\*t2 = 0.0"):
         check_horizon(sinusoidal_angle(1.0, theta0=1e300, Omega=1.0), (0.0, 1.0))
+
+
+def test_horizon_rate_is_the_turning_rate_of_the_field_direction():
+    # a cone turns its field at sin(theta_c) * omega_phi with theta_dot = 0
+    t2 = 1.0 / (math.sin(math.pi / 3) * 0.05) ** 4
+    cone = cone_3d(1.0, math.pi / 3, 0.05)
+    assert check_horizon(cone, (0.0, 28000.0)) == pytest.approx(t2, rel=1e-12)
+    for span in ((0.0, 29000.0), (0.0, 1e9)):
+        with pytest.raises(ConfigError, match="0.1\\*t2 = 28444"):
+            check_horizon(cone, span)
+    # in plane the rate is |theta_dot| exactly
+    prof, t_span = sinusoidal_angle(1.0, 0.6, 0.05), (0.0, 100.0)
+    s = sample(prof, np.linspace(*t_span, 257))
+    assert check_horizon(prof, t_span) == _breakdown_time(
+        float(np.min(s.B_mag)), float(np.max(np.abs(s.theta_dot))), 2)
+
+
+def _tabulated_3d_family(eps):
+    tau = np.linspace(0.0, 2.0 * math.pi, 6401)
+    return user_tabulated(tau, 1.0 + 0.2 * np.cos(tau), 1.0 + 0.4 * np.sin(tau), 0.8 * tau,
+                          epsilon=eps)
+
+
+@pytest.mark.parametrize("family", [
+    _tabulated_3d_family,
+    lambda eps: cone_3d(1.0, theta_c=1.0, omega_phi=0.3, epsilon=eps),
+], ids=["theta_and_phi_turn", "cone"])
+def test_convergence_orders_of_out_of_plane_families(family):
+    # criterion 2's bounds where phi turns: with theta_dot and phi_dot both nonzero the
+    # theta_dot * phi_dot cross terms of s2 are checked, and on the cone the phi_dot-only ones
+    rep = run_convergence(family, [0.16, 0.08, 0.04, 0.02], 2.0 * math.pi)
+    s0, s1, s2 = (s for s, _ in rep.slopes)
+    assert s0 == pytest.approx(1.0, abs=0.2)
+    assert s1 == pytest.approx(2.0, abs=0.2)
+    assert s2 == pytest.approx(3.0, abs=0.3)
 
 
 def test_convergence_constant_field_errors_are_integrator_noise():
