@@ -58,6 +58,13 @@ MUTANTS = {
     "horizon_ignores_phi_dot": ("verification.py", "np.sin(s.theta) * s.phi_dot",
                                 "0.0 * s.phi_dot",
                                 "check_horizon takes its rate from theta_dot alone"),
+    "trajectory_any_width": ("exact_dynamics.py", "if width not in (2, 3) or",
+                             "if width is None or",
+                             "a Trajectory accepts states of any width"),
+    "loop_time_unit_unchecked": ("geometric_phases.py", "if not self.time_unit > 0:", "if False:",
+                                 "an MLoop accepts a zero or negative time_unit"),
+    "write_in_place": ("cli.py", 'tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")',
+                       "tmp = path", "write_outputs writes straight to the final path"),
 }
 # mutants expected to survive today, each with the open item that will kill it.  M1 needs
 # none: the default-grid test of the trajectory integrals sees its 100x looser CF4 runs

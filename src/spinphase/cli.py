@@ -16,6 +16,7 @@ interface, the gnuplot script the human one.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -464,7 +465,7 @@ def _cmd_simulate(rc: RunConfig) -> tuple[dict, list[str]]:
     spins = bloch_series(traj)
 
     samples = sample(profile, traj.times)
-    phi0_series, phi2_series = phase_series(samples, traj.times)
+    phi0_series, phi2_series = phase_series(samples)
 
     up, dn = traj.states[:, 0], traj.states[:, 1]
     csv = _csv("t,Bx,By,Bz,Sx,Sy,Sz,re_up,im_up,re_dn,im_dn,phase_total,phi0,phi2",
@@ -597,9 +598,12 @@ def write_outputs(files: dict, config: RunConfig) -> list[str]:
     ``files`` maps file names to payloads; a name's extension gives its
     format.  A CSV payload is the block iterator of :func:`_csv`: it is
     rendered while it is written, and not at all unless its format is
-    selected.  A format given twice is written once.  With an empty format
-    list nothing is written and the JSON files go to standard output
-    instead.  JSON is strict: a non-finite number is written as ``null``.
+    selected.  A format given twice is written once.  Each file is written
+    under a temporary name in the output directory and then renamed over the
+    file's name, so a write that fails leaves the previous run's file whole
+    and removes the temporary file.  With an empty format list nothing is
+    written and the JSON files go to standard output instead.  JSON is
+    strict: a non-finite number is written as ``null``.
     """
     if not config.formats:
         for name, payload in files.items():
@@ -614,16 +618,31 @@ def write_outputs(files: dict, config: RunConfig) -> list[str]:
                 if not name.endswith(_EXTENSIONS[fmt]):
                     continue
                 path = os.path.join(config.output_dir, name)
-                if fmt == "csv":
-                    with open(path, "wb") as fh:
-                        fh.writelines(payload)
-                else:
-                    with open(path, "w", encoding="utf-8", newline="") as fh:
-                        fh.write(_json(payload, indent=2) + "\n" if fmt == "json" else payload)
+                if fmt != "csv":
+                    text = _json(payload, indent=2) + "\n" if fmt == "json" else payload
+                    payload = [text.encode()]
+                _write_then_rename(path, payload)
                 paths.append(path)
     except OSError as exc:
         raise IoError(f"cannot write outputs under {config.output_dir}: {exc}") from exc
     return paths
+
+
+def _write_then_rename(path: str, blocks) -> None:
+    """Write the byte blocks to a temporary file beside ``path``, then rename it to ``path``.
+
+    On any failure the temporary file is removed and ``path`` is left as it was.
+    """
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.writelines(blocks)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _json(payload, indent=None) -> str:

@@ -97,23 +97,37 @@ def _solve_ivp():
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-stamped series of states from integration or closed-form evaluation."""
+    """Time-stamped series of states from integration or closed-form evaluation.
+
+    The states' shape says what they hold: an (n, 2) array holds spinors, a real
+    (n, 3) array classical spins (a spin path).  Any other states, a profile that
+    is neither None nor a FieldProfile, or times that are not a strictly monotonic
+    1-D array as long as the states raise at construction.
+    """
 
     times: np.ndarray
     states: np.ndarray
-    kind: str  # "spinor" or "bloch"
     profile: FieldProfile | None = None
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "times", np.asarray(self.times))
+        object.__setattr__(self, "states", np.asarray(self.states))
+        width = self.states.shape[1] if self.states.ndim == 2 else None
+        if width not in (2, 3) or width == 3 and np.iscomplexobj(self.states):
+            raise DomainError("trajectory states must be (n, 2) spinors or real (n, 3) spins, "
+                              f"got {self.states.dtype} of shape {self.states.shape}")
+        if self.times.ndim != 1:
+            raise DomainError(f"trajectory times must be 1-D, got shape {self.times.shape}")
         dt = np.diff(self.times)
         # strictly monotonic; decreasing only for backward (time-reversal) runs
         if not (np.all(dt > 0) or np.all(dt < 0)):
             raise DomainError("trajectory times must be strictly monotonic")
         if len(self.times) != len(self.states):
             raise DomainError("times and states must have equal length")
-        if self.kind not in ("spinor", "bloch"):
-            raise DomainError(f"trajectory kind must be 'spinor' or 'bloch', got {self.kind!r}")
+        if not (self.profile is None or isinstance(self.profile, FieldProfile)):
+            raise ConfigError("trajectory profile must be a FieldProfile or None, "
+                              f"got {self.profile!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +175,9 @@ def bloch_to_spinor(S) -> np.ndarray:
 
 
 def bloch_series(traj: Trajectory) -> np.ndarray:
-    """Mean-spin series of a spinor trajectory (vectorized, norm-corrected)."""
-    if traj.kind != "spinor":
+    """Spin path of a trajectory: the mean spins of its spinors (vectorized,
+    norm-corrected), or its spins as floats when it holds spins."""
+    if traj.states.shape[1] == 3:
         return np.asarray(traj.states, dtype=float)
     return _mean_spin(traj.states)
 
@@ -256,7 +271,7 @@ def integrate_schrodinger(
     (and, for ``magnus4``, the steps per grid interval and the Richardson
     error estimate); the contract is |norm^2 - 1| <= 10 * rel_tol * span.
     """
-    return _integrate("spinor", profile, as_spinor(psi0), _grid_for(profile, t_span, cfg), cfg)
+    return _integrate(profile, as_spinor(psi0), _grid_for(profile, t_span, cfg), cfg)
 
 
 def integrate_bloch(
@@ -265,12 +280,13 @@ def integrate_bloch(
     t_span: tuple[float, float],
     cfg: IntegratorConfig = IntegratorConfig(),
 ) -> Trajectory:
-    """Integrate the precession equation dS/dt = B(t) x S over t_span.
+    """Integrate the precession equation dS/dt = B(t) x S over t_span into a spin path.
 
-    ``magnus4`` integrates the spinor of S0 and returns its mean spins; ``DOP853``
-    integrates B x S itself, so its states drift off the sphere within the tolerances.
+    The trajectory's states are real (n, 3) spins.  ``magnus4`` integrates the spinor
+    of S0 and returns its mean spins; ``DOP853`` integrates B x S itself, so its
+    states drift off the sphere within the tolerances.
     """
-    return _integrate("bloch", profile, as_bloch(S0), _grid_for(profile, t_span, cfg), cfg)
+    return _integrate(profile, as_bloch(S0), _grid_for(profile, t_span, cfg), cfg)
 
 
 def _rhs(kind: str, profile: FieldProfile):
@@ -299,20 +315,19 @@ def _rhs(kind: str, profile: FieldProfile):
     return bloch
 
 
-def _integrate(kind, profile, y0, grid, cfg):
+def _integrate(profile, y0, grid, cfg):
+    spinor = len(y0) == 2
     if cfg.method == "magnus4":
-        states, meta = _magnus4_on_grid(
-            profile, y0 if kind == "spinor" else bloch_to_spinor(y0), grid, cfg)
-        if kind == "bloch":
+        states, meta = _magnus4_on_grid(profile, y0 if spinor else bloch_to_spinor(y0), grid, cfg)
+        if not spinor:
             states = _mean_spin(states)
     else:
-        sol = _run_solver(_rhs(kind, profile), y0, grid, cfg)
+        sol = _run_solver(_rhs("spinor" if spinor else "bloch", profile), y0, grid, cfg)
         grid, states, meta = sol.t, sol.y.T, {}
     drift = float(np.max(np.abs(np.sum(np.abs(states) ** 2, axis=1) - 1.0)))
     return Trajectory(
         times=grid,
         states=states,
-        kind=kind,
         profile=profile,
         metadata={"rel_tol": cfg.rel_tol, "abs_tol": cfg.abs_tol, "max_step": cfg.max_step,
                   "method": cfg.method, "norm_drift": drift, **meta},
@@ -395,8 +410,7 @@ def magnus4_schrodinger(
     _check_count("n_steps", n_steps, 1, MAX_GRID_NODES - 1)
     times = _step_times(t_span, n_steps)
     return Trajectory(times=times, states=_cf4_states(profile, as_spinor(psi0), times, 1),
-                      kind="spinor", profile=profile,
-                      metadata={"method": "magnus4", "n_steps": n_steps})
+                      profile=profile, metadata={"method": "magnus4", "n_steps": n_steps})
 
 
 def exponential_midpoint_schrodinger(
@@ -426,8 +440,8 @@ def exponential_midpoint_schrodinger(
         return _su2(*_field_vector(profile, t0 + (np.arange(lo, hi) + 0.5) * h), h)
 
     return Trajectory(times=_step_times(t_span, n_steps),
-                      states=_stepped_states(pairs, n_steps, psi0), kind="spinor",
-                      profile=profile, metadata={"method": "exp_midpoint", "n_steps": n_steps})
+                      states=_stepped_states(pairs, n_steps, psi0), profile=profile,
+                      metadata={"method": "exp_midpoint", "n_steps": n_steps})
 
 
 def _check_count(name: str, n, least: int, most: int = MAX_GRID_NODES) -> None:
@@ -625,7 +639,7 @@ def extract_total_phase(traj: Trajectory, reference: str = "tracked_eigenvector"
         cannot show), or the overlap passed through zero; the grid is too
         coarse to unwrap safely.
     """
-    if traj.kind != "spinor":
+    if traj.states.shape[1] != 2:
         raise DomainError("phase extraction needs a spinor trajectory")
     if reference == "initial_state":
         refs = np.broadcast_to(traj.states[0], traj.states.shape)

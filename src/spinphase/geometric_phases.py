@@ -36,13 +36,15 @@ import numpy as np
 from .adiabatic_engine import params_from_sample
 from .errors import (
     ArcTooLong,
+    ConfigError,
     DegenerateField,
     DomainError,
     GridTooCoarse,
     LoopNotClosed,
     PoleSingularity,
 )
-from .field_profiles import DEFAULT_B_MIN, FieldProfile, FieldSample, _number, check_span, sample
+from .field_profiles import (DEFAULT_B_MIN, FieldProfile, FieldSample, _finite, _number,
+                             check_span, sample)
 from .exact_dynamics import (_GRID_MULTIPLE, Trajectory, _check_count, _spin_components, _unwrap,
                              bloch_series)
 
@@ -184,13 +186,18 @@ def berry_phi1(profile: FieldProfile, t_span: tuple[float, float]) -> float:
     return _integral(0.5, lambda s: (1.0 - np.cos(s.theta)) * s.phi_dot, profile, t_span)
 
 
-def phase_series(samples: FieldSample, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Running phi0 and phi2 over an already-sampled grid, by the trapezoid rule.
+def phase_series(samples: FieldSample) -> tuple[np.ndarray, np.ndarray]:
+    """Running phi0 and phi2 over the grid ``samples.t`` of a field sampled on a grid,
+    by the trapezoid rule.
 
     The integrands are the ones :func:`phi0` and :func:`phi2` integrate
-    adaptively; both series are 0.0 on the first node.  A running value that
-    is not finite raises DomainError.
+    adaptively; both series are 0.0 on the first node.  A sample taken at a
+    single time, or a running value that is not finite, raises DomainError.
     """
+    times = samples.t
+    if np.ndim(times) != 1:
+        raise DomainError(f"phase_series needs a field sampled on a 1-D time grid, got t={times!r}")
+
     def running(prefactor, integrand):
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
             f = integrand(samples)
@@ -341,10 +348,10 @@ def _spin_path(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Components (x, y, z) of the trajectory's unit spin path, new arrays the caller
     may overwrite.
 
-    A spinor's mean spin is a unit vector by construction; a Bloch path's
-    states drift off the sphere under DOP853, so they are normalized here.
+    A spinor's mean spin is a unit vector by construction; the states of a spin
+    path (width 3) drift off the sphere under DOP853, so they are normalized here.
     """
-    if traj.kind == "spinor":
+    if traj.states.shape[1] == 2:
         return tuple(_spin_components(traj.states))
     x, y, z = np.asarray(traj.states, dtype=float).T
     r = np.sqrt(x * x + y * y + z * z)
@@ -402,7 +409,8 @@ class MLoop:
     """Closed loop in the (theta, theta_dot) parameter plane.
 
     theta_dot is scaled by ``time_unit`` before the closure test so the two
-    coordinates compare on an even footing.
+    coordinates compare on an even footing; a ``time_unit`` that is not a finite
+    positive number raises ConfigError.
     """
 
     theta: np.ndarray
@@ -418,6 +426,9 @@ class MLoop:
             raise LoopNotClosed("loop needs matching 1-D coordinate arrays of >= 4 nodes")
         if not (np.isfinite(th).all() and np.isfinite(td).all()):
             raise DomainError("loop coordinates must be finite")
+        object.__setattr__(self, "time_unit", _finite("time_unit", self.time_unit))
+        if not self.time_unit > 0:
+            raise ConfigError(f"time_unit must be positive, got {self.time_unit}")
         gap_th = abs(th[0] - th[-1])
         gap_td = abs(td[0] - td[-1]) * self.time_unit
         if gap_th > _CLOSURE_TOL or gap_td > _CLOSURE_TOL:

@@ -469,7 +469,7 @@ def refined_stieltjes_allocating(times, x, f):
 
 
 def _spin_path_allocating(traj):
-    if traj.kind == "spinor":
+    if traj.states.shape[1] == 2:
         return spin_components_allocating(traj.states)
     x, y, z = np.asarray(traj.states, dtype=float).T
     r = np.sqrt(x * x + y * y + z * z)

@@ -115,7 +115,7 @@ def test_criterion_3_aa_identity():
     traj = integrate_schrodinger(profile, psi0, (0.0, Tf), cfg)
     total = float(extract_total_phase(traj, "initial_state")[-1])
     dyn = phi_dyn_expect(traj)
-    btraj = Trajectory(times=traj.times, states=bloch_series(traj), kind="bloch", profile=profile)
+    btraj = Trajectory(times=traj.times, states=bloch_series(traj), profile=profile)
     coord = aa_geometric_phase_coordinate(btraj)
     identity_err = abs((total - dyn) - coord)
     ok = (

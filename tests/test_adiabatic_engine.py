@@ -305,7 +305,7 @@ def test_second_order_machineries_agree_to_third_order():
     chains, tracked = [], []
     for eps in EPS_LIST:
         prof, times = _family_grid(eps)
-        phi0s, phi2s = phase_series(sample(prof, times), times)
+        phi0s, phi2s = phase_series(sample(prof, times))
         phases = phi0s + phi2s
         psi = spinor_solution(CONSTANTS, prof, times, phases)
         s_q = [spinor_to_bloch(p) for p in psi / np.linalg.norm(psi, axis=1, keepdims=True)]

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinphase import (
+    ConfigError,
     IntegratorConfig,
     Trajectory,
     bloch_series,
@@ -129,6 +130,44 @@ def test_io_error_exits_4(tmp_path):
     assert code == 4
 
 
+def test_a_failed_write_leaves_the_previous_run_s_files_whole(tmp_path, monkeypatch, capsys):
+    argv = ["simulate", "--formats", "csv,json", "--out", str(tmp_path)]
+    assert run_main(argv + ["--t-end", "50"]) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(before) == ["summary.json", "traj.csv"]
+    render, blocks = cli._csv_lines, []
+
+    def disk_full_on_the_second_block(block):
+        blocks.append(block)
+        if len(blocks) == 2:
+            raise OSError(28, "No space left on device")
+        return render(block)
+
+    monkeypatch.setattr(cli, "_csv_lines", disk_full_on_the_second_block)
+    capsys.readouterr()
+    assert run_main(argv + ["--t-end", "60"]) == 4
+    assert "No space left on device" in capsys.readouterr().err
+    assert len(blocks) == 2
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_broken_stdout_exits_4(tmp_path, monkeypatch, capsys):
+    class BrokenPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", BrokenPipe())
+    argv = ["timescale", "--B", "1", "--omega", "0.05", "--formats", "", "--out", str(tmp_path)]
+    assert run_main(argv) == 4
+    assert capsys.readouterr().err.startswith("spinphase: I/O error")
+
+
+@pytest.mark.parametrize("config", [{}, []], ids=["empty_object", "list"])
+def test_run_config_without_a_command_raises_config_error(config):
+    with pytest.raises(ConfigError, match="must name a command"):
+        RunConfig.from_dict(config)
+
+
 def test_numerical_error_exits_5(tmp_path):
     # delta = 0.8 breaks the perturbative guard after passing the horizon check
     code = run_main(["phases", "--profile", "uniform_rotation", "--B0", "1.0",
@@ -176,7 +215,7 @@ def test_simulate_spin_columns_are_mean_spins_of_spinor_columns(profile, tmp_pat
     states = np.empty((len(table), 2), dtype=complex)
     states[:, 0].real, states[:, 0].imag = col["re_up"], col["im_up"]
     states[:, 1].real, states[:, 1].imag = col["re_dn"], col["im_dn"]
-    spins = bloch_series(Trajectory(times=col["t"], states=states, kind="spinor"))
+    spins = bloch_series(Trajectory(times=col["t"], states=states))
     assert np.array_equal(np.column_stack([col["Sx"], col["Sy"], col["Sz"]]), spins)
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["spin_norm_drift"] == float(np.max(np.abs(np.sum(spins**2, axis=1) - 1.0)))

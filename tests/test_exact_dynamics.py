@@ -819,7 +819,7 @@ def test_phase_reference_validation(tight_cfg):
     btraj = integrate_bloch(UNIFORM, [0.0, 0.0, 1.0], (0.0, 1.0), tight_cfg)
     with pytest.raises(DomainError):
         extract_total_phase(btraj)
-    bare = Trajectory(times=traj.times, states=traj.states, kind="spinor")
+    bare = Trajectory(times=traj.times, states=traj.states)
     with pytest.raises(DomainError, match="requires the trajectory's profile"):
         extract_total_phase(bare, "tracked_eigenvector")
 
@@ -830,15 +830,55 @@ def test_phase_reference_validation(tight_cfg):
 
 def test_trajectory_rejects_non_monotonic_times():
     with pytest.raises(DomainError):
-        Trajectory(times=np.array([0.0, 1.0, 0.5]), states=np.zeros((3, 2)), kind="spinor")
+        Trajectory(times=np.array([0.0, 1.0, 0.5]), states=np.zeros((3, 2)))
     with pytest.raises(DomainError):
-        Trajectory(times=np.array([0.0, 1.0]), states=np.zeros((3, 2)), kind="spinor")
+        Trajectory(times=np.array([0.0, 1.0]), states=np.zeros((3, 2)))
 
 
 def test_trajectory_rejects_an_unknown_kind():
-    # bloch_series would cast the complex states of an unknown kind to real
-    with pytest.raises(DomainError, match="'spinor' or 'bloch', got 'foo'"):
-        Trajectory(times=np.array([0.0, 1.0]), states=np.zeros((2, 2), complex), kind="foo")
+    # the states' shape is the kind: bloch_series would cast complex spins to real, and
+    # every consumer would read a wider array by its first columns
+    times = np.array([0.0, 1.0])
+    for states in (np.zeros(2), np.zeros((2, 4)), np.zeros((2, 3), complex), np.zeros((2, 1)),
+                   np.zeros((2, 2, 1))):
+        with pytest.raises(DomainError, match=r"\(n, 2\) spinors or real \(n, 3\) spins"):
+            Trajectory(times, states, UNIFORM)
+    assert Trajectory(times, np.zeros((2, 3), int)).states.shape == (2, 3)
+
+
+def test_trajectory_times_must_be_a_1d_grid():
+    for times, states in ((1.0, np.zeros((1, 2))), (np.zeros((2, 1)), np.zeros((2, 2)))):
+        with pytest.raises(DomainError, match="times must be 1-D"):
+            Trajectory(times, states)
+
+
+def test_trajectory_takes_no_kind():
+    times, psi = np.array([0.0, 1.0]), np.array([[1.0, 0.0], [0.0, 1.0]], complex)
+    with pytest.raises(TypeError):
+        Trajectory(times, psi, kind="spinor", profile=UNIFORM)
+    # a kind given in its old place is never stored as the profile
+    for kind in ("spinor", "bloch"):
+        with pytest.raises(ConfigError, match="FieldProfile or None"):
+            Trajectory(times, psi, kind, UNIFORM)
+    with pytest.raises(ConfigError, match="FieldProfile or None"):
+        Trajectory(times, psi, "uniform_rotation")
+    traj = Trajectory(times, psi, UNIFORM, {"method": "given"})
+    assert (traj.profile, traj.metadata) == (UNIFORM, {"method": "given"})
+    assert list(inspect.signature(Trajectory).parameters) == ["times", "states", "profile",
+                                                              "metadata"]
+
+
+def test_a_spin_path_record_gives_the_spinor_run_s_phases():
+    traj = integrate_schrodinger(UNIFORM, tracked_eigenvector(UNIFORM, 0.0), (0.0, 50.0))
+    spins = Trajectory(traj.times, bloch_series(traj), profile=UNIFORM)
+    assert geometric_phases.phi_dyn_expect(traj) == pytest.approx(-24.8759283, abs=1e-7)
+    assert abs(geometric_phases.phi_dyn_expect(spins)
+               - geometric_phases.phi_dyn_expect(traj)) <= 1e-12
+    for route in (aa_geometric_phase_coordinate, aa_geometric_phase_solid_angle):
+        assert abs(route(spins) - route(traj)) <= 1e-12
+    for reference in ("tracked_eigenvector", "initial_state"):
+        with pytest.raises(DomainError, match="needs a spinor trajectory"):
+            extract_total_phase(spins, reference)
 
 
 def test_aliased_grid_raises_branch_jump():

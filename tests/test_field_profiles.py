@@ -334,6 +334,20 @@ def test_tabulated_validation():
         profile_from_dict({"kind": "user_tabulated", "params": {}})
 
 
+def test_tabulated_tables_of_another_length_raise_config_error():
+    taus = np.linspace(0.0, 10.0, 12)
+    with pytest.raises(ConfigError, match="share the time grid's shape"):
+        user_tabulated(taus, np.ones(11), np.zeros(12))
+    with pytest.raises(ConfigError, match="share the time grid's shape"):
+        user_tabulated(taus, np.ones(12), np.zeros(12), phi=np.zeros(13))
+
+
+def test_tabulated_profile_has_no_config_form():
+    taus = np.linspace(0.0, 10.0, 12)
+    with pytest.raises(ConfigError, match="built programmatically"):
+        profile_to_dict(user_tabulated(taus, np.ones(12), np.zeros(12)))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("table", ["taus", "B", "theta", "phi"])
 def test_tabulated_rejects_non_finite_tables(table, bad):
@@ -438,6 +452,12 @@ def test_construction_keeps_value_types():
 def test_bad_profile_settings_raise_config_error(kw):
     with pytest.raises(ConfigError):
         FieldProfile(**{"kind": "constant", "params": {"B0": 1.0}, **kw})
+
+
+@pytest.mark.parametrize("b_min", [0.0, -1.0])
+def test_field_floor_must_be_positive(b_min):
+    with pytest.raises(ConfigError, match="b_min must be positive"):
+        FieldProfile("constant", {"B0": 1.0}, b_min=b_min)
 
 
 def test_profile_settings_stored_as_floats():

@@ -7,6 +7,7 @@ import pytest
 
 from spinphase import (
     ArcTooLong,
+    ConfigError,
     DegenerateField,
     DomainError,
     GridTooCoarse,
@@ -130,11 +131,20 @@ _GRID = np.linspace(0.0, 1.0, 5)
 @pytest.mark.parametrize("run", [
     lambda: phi2(_FAST, (0.0, 1.0)),
     lambda: phi0(constant(1e308), (0.0, 10.0)),  # the weighted sum of B overflows
-    lambda: phase_series(sample(_FAST, _GRID), _GRID),
+    lambda: phase_series(sample(_FAST, _GRID)),
 ], ids=["integrand", "sum", "phase_series"])
 def test_non_finite_phase_integral_raises_domain_error(run):
     with pytest.raises(DomainError, match="not finite"):
         run()
+
+
+def test_phase_series_runs_over_the_grid_of_its_sample():
+    prof = uniform_rotation(1.0, 0.1)
+    phi0s, phi2s = phase_series(sample(prof, np.linspace(0.0, 10.0, 11)))
+    assert phi0s[-1] == pytest.approx(-5.0, abs=1e-12)  # -(1/2) B t
+    assert phi2s[-1] == pytest.approx(-0.25 * 0.1**2 * 10.0, abs=1e-15)  # -(1/4) w^2 t / B
+    with pytest.raises(DomainError, match="1-D time grid"):
+        phase_series(sample(prof, 2.0))
 
 
 def test_gauss_kronrod_samples_once_per_level():
@@ -306,7 +316,7 @@ def test_dyn_expect_quasi_stationary_relation():
 def test_dyn_expect_grid_guard():
     times = np.array([0.0, 4.0, 8.0])
     states = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]], dtype=complex)
-    traj = Trajectory(times=times, states=states, kind="spinor", profile=constant(1.0))
+    traj = Trajectory(times=times, states=states, profile=constant(1.0))
     with pytest.raises(GridTooCoarse):
         phi_dyn_expect(traj)
 
@@ -317,7 +327,7 @@ def test_phase_functionals_read_the_field_and_span_of_the_trajectory(tight_cfg):
     d = phase_decomposition(traj, -10.0)
     assert (d.phi0, d.phi1, d.phi2) == (phi0(prof, t_span), 0.0, phi2(prof, t_span))
     assert (d.phi_dyn_expect, d.phi_geom_aa) == (phi_dyn_expect(traj), -10.0 - d.phi_dyn_expect)
-    bare = Trajectory(times=traj.times, states=traj.states, kind="spinor")
+    bare = Trajectory(times=traj.times, states=traj.states)
     for functional in (phi_dyn_expect, lambda t: phase_decomposition(t, -10.0)):
         with pytest.raises(DomainError, match="requires the trajectory's profile"):
             functional(bare)
@@ -343,7 +353,7 @@ def test_cone_cycle_both_routes():
 def test_stationary_path_zero_phase():
     times = np.linspace(0.0, 1.0, 16)
     states = np.tile([R2, 0.0, R2], (16, 1))
-    traj = Trajectory(times=times, states=states, kind="bloch")
+    traj = Trajectory(times=times, states=states)
     assert aa_geometric_phase_coordinate(traj) == 0.0
     assert aa_geometric_phase_solid_angle(traj) == pytest.approx(0.0, abs=1e-15)
 
@@ -363,9 +373,8 @@ def _tilted_circles():
         sin_polar = np.hypot(traj_states[:, 0], traj_states[:, 1])
         if sin_polar.min() < 5e-2:
             continue
-        circles.append(Trajectory(
-            times=np.linspace(0.0, 1.0, len(traj_states)), states=traj_states, kind="bloch"
-        ))
+        circles.append(Trajectory(times=np.linspace(0.0, 1.0, len(traj_states)),
+                                  states=traj_states))
     return circles
 
 
@@ -515,9 +524,7 @@ def test_aa_identity_constant_tilted_field():
 
     total = extract_total_phase(traj, "initial_state")[-1]
     dyn = phi_dyn_expect(traj)
-    btraj = Trajectory(
-        times=traj.times, states=bloch_series(traj), kind="bloch", profile=prof
-    )
+    btraj = Trajectory(times=traj.times, states=bloch_series(traj), profile=prof)
     geom = aa_geometric_phase_coordinate(btraj)
     assert abs((total - dyn) - geom) <= 1e-6
 
@@ -690,6 +697,16 @@ def test_loop_closure_enforced():
     with pytest.raises(LoopNotClosed):
         MLoop(theta=th, theta_dot=td, time_unit=1.0)
     MLoop(theta=th, theta_dot=td, time_unit=1e-3)  # scaled gap now below tol
+
+
+@pytest.mark.parametrize("time_unit", [0.0, math.nan, -1.0])
+def test_loop_time_unit_must_be_finite_and_positive(time_unit):
+    # the rate coordinate's endpoint gap is 4: any time_unit that hid it would pass an open loop
+    th, td = [0.0, 1.0, 0.0, -1.0, 0.0], [1.0, 0.0, -1.0, 0.0, 5.0]
+    with pytest.raises(LoopNotClosed):
+        MLoop(theta=th, theta_dot=td, time_unit=1.0)
+    with pytest.raises(ConfigError, match="time_unit must be"):
+        MLoop(theta=th, theta_dot=td, time_unit=time_unit)
 
 
 def test_partial_period_does_not_close():

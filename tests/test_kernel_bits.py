@@ -253,7 +253,7 @@ def test_exact_geometric_phase_routes_match_the_allocating_routes(profile, psi0,
                                                                   bloch):
     traj = exponential_midpoint_schrodinger(profile, psi0, span, n_steps)
     if bloch:  # a Bloch path a little off the sphere, as DOP853 leaves it
-        traj = Trajectory(traj.times, bloch_series(traj) * 1.001, "bloch", profile)
+        traj = Trajectory(traj.times, bloch_series(traj) * 1.001, profile)
     assert (_outcome(aa_geometric_phase_coordinate, traj)
             == _outcome(aa_coordinate_allocating, traj))
     for refine in (True, False):
@@ -265,7 +265,7 @@ def test_exact_geometric_phase_routes_match_the_allocating_routes(profile, psi0,
 def test_one_node_path_gives_the_empty_integral(kind):
     profile = uniform_rotation(1.0, 0.1)
     state = [0.6, 0.8j] if kind == "spinor" else [0.0, 0.6, 0.8]
-    traj = Trajectory(np.array([2.0]), np.array([state]), kind, profile)
+    traj = Trajectory(np.array([2.0]), np.array([state]), profile)
     values = [phi_dyn_expect(traj), aa_geometric_phase_coordinate(traj),
               aa_geometric_phase_solid_angle(traj), aa_geometric_phase_solid_angle(traj, False)]
     assert all(v == 0.0 and math.copysign(1.0, v) == 1.0 for v in values), values
