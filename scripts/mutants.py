@@ -65,6 +65,19 @@ MUTANTS = {
                                  "an MLoop accepts a zero or negative time_unit"),
     "write_in_place": ("cli.py", 'tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")',
                        "tmp = path", "write_outputs writes straight to the final path"),
+    "phi2_ignores_phi_dot": ("geometric_phases.py",
+                             "(s.theta_dot**2 + (np.sin(s.theta) * s.phi_dot)**2) / s.B_mag",
+                             "s.theta_dot**2 / s.B_mag",
+                             "phi2 integrates theta_dot**2/B, so it reads 0 on a cone"),
+    "extent_any_axes": ("field_profiles.py", "if np.ndim(x) > 1:", "if False:",
+                        "sample accepts a time grid of more than one axis"),
+    "trajectory_any_dtype": ("exact_dynamics.py",
+                             'if self.states.dtype.kind not in "iufc" or '
+                             'self.times.dtype.kind not in "iuf":', "if False:",
+                             "a Trajectory accepts states or times that are not numbers"),
+    "profile_unchecked": ("field_profiles.py", "if not isinstance(profile, FieldProfile):",
+                          "if False:",
+                          "sampling a profile that is not a FieldProfile raises AttributeError"),
 }
 # mutants expected to survive today, each with the open item that will kill it.  M1 needs
 # none: the default-grid test of the trajectory integrals sees its 100x looser CF4 runs

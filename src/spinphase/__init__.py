@@ -61,7 +61,6 @@ from .field_profiles import (
 from .geometric_phases import (
     MLoop,
     PhaseDecomposition,
-    Phi2Terms,
     aa_geometric_phase_coordinate,
     aa_geometric_phase_solid_angle,
     berry_phi1,
@@ -71,7 +70,6 @@ from .geometric_phases import (
     phase_series,
     phi0,
     phi2,
-    phi2_decomposition,
     phi_dyn_expect,
     stokes_surface_integral,
 )

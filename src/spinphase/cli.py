@@ -478,7 +478,6 @@ def _cmd_simulate(rc: RunConfig) -> tuple[dict, list[str]]:
         "reference": reference,
         "phase_total_end": float(phases[-1]),
         "norm_drift": traj.metadata["norm_drift"],
-        "spin_norm_drift": float(np.max(np.abs(np.sum(spins**2, axis=1) - 1.0))),
     }
     gnuplot = "\n".join(
         [

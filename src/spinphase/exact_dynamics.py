@@ -100,9 +100,10 @@ class Trajectory:
     """Time-stamped series of states from integration or closed-form evaluation.
 
     The states' shape says what they hold: an (n, 2) array holds spinors, a real
-    (n, 3) array classical spins (a spin path).  Any other states, a profile that
-    is neither None nor a FieldProfile, or times that are not a strictly monotonic
-    1-D array as long as the states raise at construction.
+    (n, 3) array classical spins (a spin path).  Any other states, states that are
+    not numbers, a profile that is neither None nor a FieldProfile, or times that
+    are not a strictly monotonic 1-D array of real numbers as long as the states
+    raise at construction.
     """
 
     times: np.ndarray
@@ -113,6 +114,9 @@ class Trajectory:
     def __post_init__(self):
         object.__setattr__(self, "times", np.asarray(self.times))
         object.__setattr__(self, "states", np.asarray(self.states))
+        if self.states.dtype.kind not in "iufc" or self.times.dtype.kind not in "iuf":
+            raise DomainError("trajectory states must be numbers and its times real numbers, "
+                              f"got states of {self.states.dtype} and times of {self.times.dtype}")
         width = self.states.shape[1] if self.states.ndim == 2 else None
         if width not in (2, 3) or width == 3 and np.iscomplexobj(self.states):
             raise DomainError("trajectory states must be (n, 2) spinors or real (n, 3) spins, "

@@ -392,9 +392,12 @@ def _base_eval(profile: FieldProfile, tau):
 
 
 def _extent(x):
-    """(min, max) of a float or of an array; DomainError for an empty time grid."""
+    """(min, max) of a float or of a 1-D array; DomainError for an empty time grid or
+    an array of more than one axis."""
     if isinstance(x, float):
         return x, x
+    if np.ndim(x) > 1:
+        raise DomainError(f"times must be a float or a 1-D array, got shape {np.shape(x)}")
     if np.size(x) == 0:
         raise DomainError("the time grid is empty")
     return np.min(x), np.max(x)
@@ -418,8 +421,10 @@ def check_span(t_span) -> None:
 
 
 def _check_domain(profile: FieldProfile, t_min, t_max) -> None:
-    """DomainError unless the times from t_min to t_max are finite and lie in the
-    profile's domain."""
+    """ConfigError unless ``profile`` is a FieldProfile; then DomainError unless the
+    times from t_min to t_max are finite and lie in the profile's domain."""
+    if not isinstance(profile, FieldProfile):
+        raise ConfigError(f"a field profile must be a FieldProfile, got {profile!r}")
     lo, hi = profile.t_domain
     if not (lo <= t_min and t_max <= hi and -math.inf < t_min and t_max < math.inf):
         check_span((t_min, t_max))

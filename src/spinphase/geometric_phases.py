@@ -3,11 +3,13 @@
 Four related but distinct objects live here.
 
 * ``phi0``: the plain dynamical phase -(1/2) integral of B dt.
-* ``phi2``: the second-order correction -(1/4) integral of theta_dot**2/B dt.
-  Its sign is fixed by the effective frequency B*(1 + delta**2/2) together
-  with an independent rotating-frame oracle (a uniformly rotating field is
-  exactly solvable with eigenfrequency sqrt(B**2 + theta_dot**2)); the test
-  suite pins it there.
+* ``phi2``: the second-order correction -(1/4) integral of |ds0/dt|**2/B dt,
+  where s0 = B/|B| and |ds0/dt|**2 = theta_dot**2 + (sin(theta) phi_dot)**2.
+  In-plane (phi_dot = 0) this is theta_dot**2/B.  Its sign is fixed by the
+  effective frequency B*(1 + delta**2/2) together with an independent
+  rotating-frame oracle (a uniformly rotating field is exactly solvable with
+  eigenfrequency sqrt(B**2 + theta_dot**2)); the test suite pins it there,
+  and on the cone, whose exact cyclic phase it matches to third order.
 * ``berry_phi1``: the first-order geometric phase (1/2) integral of
   (1 - cos theta) dphi over the field path; identically zero for in-plane
   evolution.
@@ -33,7 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adiabatic_engine import params_from_sample
 from .errors import (
     ArcTooLong,
     ConfigError,
@@ -71,21 +72,6 @@ class PhaseDecomposition:
     phi_geom_aa: float
 
 
-@dataclass(frozen=True)
-class Phi2Terms:
-    """Decomposition of the second-order geometric term on the field sphere.
-
-    term_accel is the acceleration part -(1/2) int gamma sin(theta) dphi
-    (zero in-plane); term_byparts is the by-parts value -(1/2) int delta
-    dtheta of the remaining connection piece; boundary is the integrated-out
-    endpoint term, reported separately.
-    """
-
-    term_accel: float
-    term_byparts: float
-    boundary: float
-
-
 # ---------------------------------------------------------------------------
 # Profile quadratures
 # ---------------------------------------------------------------------------
@@ -93,7 +79,8 @@ class Phi2Terms:
 # Each functional is a prefactor times the integral of one integrand of a FieldSample;
 # the prefactor stays outside the quadrature, so its absolute tolerance sees the bare integrand.
 _PHI0 = (-0.5, lambda s: s.B_mag)
-_PHI2 = (-0.25, lambda s: s.theta_dot**2 / s.B_mag)
+# |ds0/dt|**2/B; an in-plane phi_dot is +-0, whose term adds exactly +0.0 to theta_dot**2
+_PHI2 = (-0.25, lambda s: (s.theta_dot**2 + (np.sin(s.theta) * s.phi_dot)**2) / s.B_mag)
 
 # QUADPACK's qk15 rule on [-1, 1]: the 15 Kronrod nodes, their weights, and the
 # weights of the 7-point Gauss rule on every second node
@@ -177,7 +164,9 @@ def phi0(profile: FieldProfile, t_span: tuple[float, float]) -> float:
 
 
 def phi2(profile: FieldProfile, t_span: tuple[float, float]) -> float:
-    """Second-order phase correction -(1/4) integral of theta_dot**2/B."""
+    """Second-order phase correction -(1/4) integral of |ds0/dt|**2/B over the span,
+    with |ds0/dt|**2 = theta_dot**2 + (sin(theta) phi_dot)**2 the squared turning
+    rate of the field direction s0 = B/|B|."""
     return _integral(*_PHI2, profile, t_span)
 
 
@@ -209,31 +198,6 @@ def phase_series(samples: FieldSample) -> tuple[np.ndarray, np.ndarray]:
         return series
 
     return running(*_PHI0), running(*_PHI2)
-
-
-def phi2_decomposition(profile: FieldProfile, t_span: tuple[float, float]) -> Phi2Terms:
-    """Second-order terms of the expanded exact geometric phase.
-
-    The by-parts piece is evaluated in its regular form -(1/2) int delta
-    dtheta, with the endpoint term (1/2) (1 - cos theta) delta / sin theta
-    = (1/2) tan(theta/2) delta reported separately; only theta near pi is
-    singular for it.
-    """
-    def endpoint(t):
-        s = sample(profile, t)
-        half = 0.5 * s.theta
-        if abs(math.cos(half)) < 5e-4:
-            raise PoleSingularity(f"boundary term singular: theta={s.theta} near pi")
-        return 0.5 * math.tan(half) * params_from_sample(s).delta
-
-    return Phi2Terms(
-        term_accel=_integral(
-            -0.5, lambda s: params_from_sample(s).gamma * np.sin(s.theta) * s.phi_dot,
-            profile, t_span),
-        term_byparts=_integral(
-            -0.5, lambda s: params_from_sample(s).delta * s.theta_dot, profile, t_span),
-        boundary=endpoint(t_span[1]) - endpoint(t_span[0]),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,15 @@
 
 Each function here recomputes a quantity the library computes another
 way: the in-plane Cartesian and spherical views of the quasi-stationary
-corrections, the direct quadrature of the by-parts second-order term, the
-frame chain as (2, 2) and (3, 3) matrices, which the SU(2) pair product and
-the closed-form classical solution are pinned against, the closed-form precession
-of a classical spin in a uniformly rotating field, the central-difference
-self-test of the analytic field derivatives, the Hamiltonian matrix that the
-solvers' right-hand side writes out, the solid-angle fan by spherical
-excesses, the mean-spin map and both Aharonov-Anandan routes on (n, 3) rows
-of spin vectors, refined by Romberg strides and a Romberg table of their own.
-The tests compare the library against them.
+corrections, the direct quadrature of the by-parts second-order term and its
+endpoint term, the frame chain as (2, 2) and (3, 3) matrices, which the SU(2)
+pair product and the closed-form classical solution are pinned against, the
+closed-form precession of a classical spin in a uniformly rotating field, the
+central-difference self-test of the analytic field derivatives, the Hamiltonian
+matrix that the solvers' right-hand side writes out, the solid-angle fan by
+spherical excesses, the mean-spin map and both Aharonov-Anandan routes on
+(n, 3) rows of spin vectors, refined by Romberg strides and a Romberg table of
+their own.  The tests compare the library against them.
 
 The last section keeps the spin-path kernels and the fixed-step steppers in
 their allocating form, one numpy expression per quantity; the library writes
@@ -105,6 +105,24 @@ def phi2_byparts_direct(profile: FieldProfile, t_span: tuple[float, float]) -> f
         return (1.0 - np.cos(s.theta)) * rate
 
     return _integral(0.5, integrand, profile, t_span)
+
+
+def phi2_byparts_boundary(profile: FieldProfile, t_span: tuple[float, float]) -> float:
+    """Endpoint term of the by-parts form: (1/2) (1 - cos theta) delta / sin theta
+    = (1/2) tan(theta/2) delta at the span's end minus at its start.
+
+    In-plane, :func:`phi2_byparts_direct` equals 2 phi2 plus this term, since
+    -(1/2) int delta dtheta = -(1/2) int theta_dot**2/B dt.  Only theta near pi
+    is singular for it, where it raises PoleSingularity.
+    """
+    def endpoint(t):
+        s = sample(profile, t)
+        half = 0.5 * s.theta
+        if abs(math.cos(half)) < 5e-4:
+            raise PoleSingularity(f"boundary term singular: theta={s.theta} near pi")
+        return 0.5 * math.tan(half) * params_from_sample(s).delta
+
+    return endpoint(t_span[1]) - endpoint(t_span[0])
 
 
 @dataclass(frozen=True)

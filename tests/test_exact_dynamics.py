@@ -846,6 +846,15 @@ def test_trajectory_rejects_an_unknown_kind():
     assert Trajectory(times, np.zeros((2, 3), int)).states.shape == (2, 3)
 
 
+def test_trajectory_states_and_times_must_be_numbers():
+    times, psi = np.array([0.0, 1.0]), np.array([[1.0, 0.0], [0.0, 1.0]])
+    for bad_times, states in ((times, np.array([["a", "b"], ["c", "d"]])),
+                              (np.array(["0", "1"]), psi), (times + 0j, psi)):
+        with pytest.raises(DomainError, match="must be numbers and its times real numbers"):
+            Trajectory(bad_times, states)
+    assert Trajectory(np.array([0, 1]), psi).times.dtype.kind == "i"
+
+
 def test_trajectory_times_must_be_a_1d_grid():
     for times, states in ((1.0, np.zeros((1, 2))), (np.zeros((2, 1)), np.zeros((2, 2)))):
         with pytest.raises(DomainError, match="times must be 1-D"):

@@ -32,7 +32,6 @@ from spinphase import (
     phase_series,
     phi0,
     phi2,
-    phi2_decomposition,
     phi_dyn_expect,
     sample,
     sinusoidal_angle,
@@ -49,6 +48,7 @@ from oracles import (
     aa_solid_angle_rows,
     fan_area_rows,
     lhuilier_fan_area,
+    phi2_byparts_boundary,
     phi2_byparts_direct,
 )
 
@@ -76,12 +76,8 @@ def test_phi0_modulated_magnitude_over_period():
 
 
 @pytest.mark.parametrize("functional", [
-    phi0, phi2, berry_phi1, phi2_byparts_direct,
-    lambda p, span: phi2_decomposition(p, span).term_accel,
-    lambda p, span: phi2_decomposition(p, span).term_byparts,
-    lambda p, span: phi2_decomposition(p, span).boundary,
-], ids=["phi0", "phi2", "berry_phi1", "phi2_byparts_direct",
-        "term_accel", "term_byparts", "boundary"])
+    phi0, phi2, berry_phi1, phi2_byparts_direct, phi2_byparts_boundary,
+], ids=["phi0", "phi2", "berry_phi1", "phi2_byparts_direct", "boundary"])
 def test_empty_span_is_plus_zero(functional):
     value = functional(uniform_rotation(1.0, 0.1), (3.0, 3.0))
     assert value == 0.0 and math.copysign(1.0, value) == 1.0
@@ -97,7 +93,8 @@ QUAD_CASES = {
 }
 QUAD_FUNCTIONALS = {
     "phi0": (phi0, -0.5, lambda s: s.B_mag),
-    "phi2": (phi2, -0.25, lambda s: s.theta_dot**2 / s.B_mag),
+    "phi2": (phi2, -0.25,
+             lambda s: (s.theta_dot**2 + (math.sin(s.theta) * s.phi_dot)**2) / s.B_mag),
     "berry_phi1": (berry_phi1, 0.5, lambda s: (1.0 - math.cos(s.theta)) * s.phi_dot),
 }
 
@@ -193,47 +190,50 @@ def test_berry_phase_invariant_under_azimuth_origin_shift():
     assert berry_phi1(a, (0.0, T)) == pytest.approx(berry_phi1(b, (0.0, T)), abs=1e-12)
 
 
+CONES = [(1.0, math.pi / 3, 0.05), (1.0, 0.5, 0.1), (1.0, 1.2, 0.02), (1.3, 2.0, 0.04)]
+
+
+@pytest.mark.parametrize("B, theta_c, omega", CONES)
+def test_phi2_cone_period_closed_form(B, theta_c, omega):
+    # |ds0/dt| = sin(theta_c) omega on the cone, so phi2 = -(1/4) sin^2 theta_c omega^2 T / B
+    T = 2 * math.pi / omega
+    want = -0.25 * math.sin(theta_c)**2 * omega**2 * T / B
+    assert phi2(cone_3d(B, theta_c, omega), (0.0, T)) == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("B, theta_c, omega", CONES)
+def test_cone_phase_budget_closes_to_third_order(B, theta_c, omega):
+    # the exact cyclic phase over one period is pi - (1/2) Omega' T, with Omega' the
+    # co-rotating frame's field; phi0 - phi1 + phi2 leaves -(w^3 T / 4B^2) cos th sin^2 th
+    p, T = cone_3d(B, theta_c, omega), 2 * math.pi / omega
+    rotating = math.sqrt(B * B - 2 * B * omega * math.cos(theta_c) + omega * omega)
+    budget = phi0(p, (0.0, T)) - berry_phi1(p, (0.0, T)) + phi2(p, (0.0, T))
+    remainder = math.remainder(math.pi - 0.5 * rotating * T - budget, 2 * math.pi)
+    want = -(omega**3 * T / (4 * B * B)) * math.cos(theta_c) * math.sin(theta_c)**2
+    assert remainder == pytest.approx(want, rel=0.2)
+
+
 # ---------------------------------------------------------------------------
-# Second-order decomposition on the field sphere
+# The by-parts form of the second-order term
 # ---------------------------------------------------------------------------
 
-def test_decomposition_accel_term_vanishes_in_plane():
-    p = sinusoidal_angle(1.0, theta0=0.3, Omega=0.05)
-    T = 2 * math.pi / 0.05
-    terms = phi2_decomposition(p, (0.0, T))
-    assert terms.term_accel == 0.0
-
-
-def test_decomposition_closed_loop_boundary_free_and_doubles_phi2():
-    p = sinusoidal_angle(1.0, theta0=0.3, Omega=0.05)
-    T = 2 * math.pi / 0.05
-    terms = phi2_decomposition(p, (0.0, T))
-    ph2 = phi2(p, (0.0, T))
-    assert terms.boundary == pytest.approx(0.0, abs=1e-12)
-    # the by-parts value is twice the phase correction; reported, not asserted
-    # as a phase identity anywhere else
-    assert terms.term_byparts == pytest.approx(2.0 * ph2, rel=1e-9)
-
-
-def test_decomposition_static_angle_all_zero():
-    terms = phi2_decomposition(constant(1.0, theta0=0.7), (0.0, 10.0))
-    assert terms.term_accel == 0.0
-    assert terms.term_byparts == 0.0
-    assert terms.boundary == 0.0
-
-
-def test_decomposition_boundary_matches_direct_quadrature():
+def test_byparts_form_is_twice_phi2_plus_its_endpoint_term():
+    # -(1/2) int delta dtheta = 2 phi2 in-plane; the direct quadrature adds the endpoint term
     p = sinusoidal_angle(1.0, theta0=0.3, Omega=0.05, theta_offset=1.0)
     span = (3.0, 40.0)
     direct = phi2_byparts_direct(p, span)
-    terms = phi2_decomposition(p, span)
-    assert direct == pytest.approx(terms.term_byparts + terms.boundary, abs=1e-10)
+    assert direct == pytest.approx(2.0 * phi2(p, span) + phi2_byparts_boundary(p, span),
+                                   abs=1e-10)
 
 
-def test_decomposition_pole_guard_near_pi():
-    p = constant(1.0, theta0=math.pi)
+def test_byparts_terms_vanish_for_static_angle():
+    p, span = constant(1.0, theta0=0.7), (0.0, 10.0)
+    assert phi2(p, span) == phi2_byparts_direct(p, span) == phi2_byparts_boundary(p, span) == 0.0
+
+
+def test_byparts_boundary_pole_guard_near_pi():
     with pytest.raises(PoleSingularity):
-        phi2_decomposition(p, (0.0, 1.0))
+        phi2_byparts_boundary(constant(1.0, theta0=math.pi), (0.0, 1.0))
 
 
 def test_byparts_direct_pole_guard():

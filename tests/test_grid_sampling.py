@@ -153,6 +153,21 @@ def test_empty_time_grid_raises_domain_error_naming_it(call):
         call(uniform_rotation(1.0, 0.1))
 
 
+@pytest.mark.parametrize("call", [
+    sample,
+    _field_vector,
+    quasi_stationary,
+    tracked_eigenvector,
+    lambda p, t: spinor_solution(CONSTANTS, p, t, -0.5 * t),
+    lambda p, t: classical_solution(CONSTANTS, p, t, -0.5 * t),
+], ids=["sample", "field_vector", "quasi_stationary", "tracked_eigenvector", "spinor_solution",
+        "classical_solution"])
+def test_time_grid_of_more_than_one_axis_raises_domain_error(call):
+    # the fields of a (2, 3) grid would come out with the grid's axes behind B_vec's
+    with pytest.raises(DomainError, match=r"1-D array, got shape \(2, 3\)"):
+        call(uniform_rotation(1.0, 0.1), np.array([[0.0, 1.0, 2.0], [10.0, 11.0, 12.0]]))
+
+
 def test_grid_with_one_node_over_perturbative_guard_raises():
     # theta_dot = 0.2 t, so delta = |s1| = 0.6 at t = 3 only
     profile = polynomial_angle(1.0, [0.0, 0.0, 0.1])

@@ -21,7 +21,6 @@ PAPER_QUANTITIES = {
     "spinor_to_bloch": "the validating inverse of bloch_to_spinor",
     "magnus4_schrodinger": "the fixed-step fourth-order propagator of a cyclic run",
     "exponential_midpoint_schrodinger": "the second-order reference stepper of a cyclic run",
-    "phi2_decomposition": "the second-order phase split into its velocity and acceleration terms",
     "aa_geometric_phase_coordinate": "the exact geometric phase, by the azimuth integral",
     "aa_geometric_phase_solid_angle": "the exact geometric phase, as a solid angle",
     "constant": "the static field, the zero-rate limit of every profile kind",

@@ -185,6 +185,17 @@ def test_a_cfg_that_is_not_an_integrator_config_raises_config_error(call):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: run_phase_budget("x", (0.0, 10.0)),
+    lambda: phi0("x", (0.0, 1.0)),
+    lambda: check_horizon(None, (0.0, 1.0)),
+    lambda: run_convergence(lambda eps: "x", [0.1, 0.05], 1.0),
+], ids=["run_phase_budget", "phi0", "check_horizon", "run_convergence"])
+def test_a_profile_that_is_not_a_field_profile_raises_config_error(call):
+    with pytest.raises(ConfigError, match="must be a FieldProfile"):
+        call()
+
+
 @pytest.mark.parametrize("eps_list, horizon, match", [
     ([0.1, 0.05], "x", "horizon_eps_t must be a number"),
     ([0.1, 0.05], math.nan, "horizon_eps_t must be finite"),
